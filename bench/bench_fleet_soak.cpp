@@ -105,6 +105,11 @@ int main(int argc, char** argv) {
   }
   if (!spec.empty() && spec != "off")
     config.plan = fault::parse_fault_plan(spec);
+  // Provenance names the plan the service runs. Run's constructor saw
+  // only the --faults half that arms the injector: it records nothing
+  // for a latency-only plan and never sees --chaos.
+  if (config.plan.digest() != fault::FaultPlan{}.digest())
+    run.record_fault_plan(config.plan);
 
   config.checkpoint_every_slots =
       static_cast<int>(int_flag(argc, argv, "--ckpt-slots", 0));

@@ -476,7 +476,7 @@ void DriftAuditor::clear() {
 }
 
 bool drift_enabled() {
-  return kDriftCompiledIn && DriftAuditor::global().enabled();
+  return DriftAuditor::global().enabled();
 }
 
 }  // namespace edgestab::obs

@@ -11,8 +11,7 @@
 // fails the bench if they ever disagree).
 //
 // The ledger is plain bookkeeping — no images, no tensors — so it lives
-// in src/obs and is linked in both EDGESTAB_DRIFT flavors; the drift
-// auditor simply never feeds it when drift is compiled out.
+// in src/obs; the drift auditor feeds it only while enabled.
 #pragma once
 
 #include <cstdint>

@@ -7,7 +7,6 @@
 
 #include "obs/json.h"
 #include "obs/metrics.h"
-#include "obs/obs.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
@@ -134,6 +133,15 @@ void RunManifest::add_digest(const std::string& name, std::uint64_t digest) {
   digests_.emplace_back(name, digest);
 }
 
+void RunManifest::set_digest(const std::string& name, std::uint64_t digest) {
+  for (auto& [k, v] : digests_)
+    if (k == name) {
+      v = digest;
+      return;
+    }
+  add_digest(name, digest);
+}
+
 void RunManifest::add_device(ManifestDevice device) {
   devices_.push_back(std::move(device));
 }
@@ -151,8 +159,9 @@ std::string RunManifest::to_json() const {
       .value(static_cast<std::int64_t>(std::time(nullptr)));
   std::string sha = git_head_sha();
   w.key("git_sha").value(sha.empty() ? "unknown" : sha);
-  w.key("tracing_compiled_in").value(kTracingCompiledIn);
-  w.key("drift_compiled_in").value(kDriftCompiledIn);
+  // Both flags are always true; the v1 schema keeps them.
+  w.key("tracing_compiled_in").value(true);
+  w.key("drift_compiled_in").value(true);
   if (has_seed_) w.key("seed").value(seed_);
   if (wall_seconds_ >= 0.0) w.key("wall_seconds").value(wall_seconds_);
 

@@ -53,6 +53,8 @@ class RunManifest {
   void set_field(const std::string& key, double value);
 
   void add_digest(const std::string& name, std::uint64_t digest);
+  /// Like add_digest, but replaces an earlier digest of the same name.
+  void set_digest(const std::string& name, std::uint64_t digest);
   void add_device(ManifestDevice device);
   void add_artifact(const std::string& path);
 

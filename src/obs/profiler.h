@@ -35,10 +35,8 @@
 // report their own inclusive/exclusive, which overlap in wall terms —
 // the profile reports per-node attribution, not a partition of wall.
 //
-// The classes compile in every flavor so tests and tooling always link;
-// the EDGESTAB_PROFILE option controls whether the ES_TRACE_SCOPE /
-// ES_PROFILE_SCOPE macros emit scopes and whether the tracked
-// allocators report (obs/obs.h, util/alloc_track.h).
+// Scopes come from the ES_TRACE_SCOPE macro (obs/obs.h); allocations
+// from the tracked containers (util/alloc_track.h).
 #pragma once
 
 #include <cstdint>

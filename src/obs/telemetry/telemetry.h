@@ -31,11 +31,6 @@
 // [w*W, (w+1)*W)), not arrival-order rings — the bucket an event lands
 // in depends only on its fleet coordinates, which is what makes online
 // folding order-independent.
-//
-// Build flavors: with -DEDGESTAB_TELEMETRY=OFF `kTelemetryCompiledIn`
-// is false and enabled() folds to constant false, so every hook
-// compiles to a dead test; the classes stay linked (and unit-testable)
-// in both flavors, mirroring the drift/fault design.
 #pragma once
 
 #include <atomic>
@@ -46,12 +41,6 @@
 #include <vector>
 
 namespace edgestab::obs {
-
-#ifdef EDGESTAB_TELEMETRY
-inline constexpr bool kTelemetryCompiledIn = true;
-#else
-inline constexpr bool kTelemetryCompiledIn = false;
-#endif
 
 /// Per-device status state machine. Transitions are folded serially
 /// over windows by evaluate_fleet_health: healthy → degraded when a
@@ -168,10 +157,7 @@ class DeviceHealthRegistry {
 
   DeviceHealthRegistry() = default;
 
-  /// False in an EDGESTAB_TELEMETRY=OFF build no matter what a caller
-  /// set, so every hook folds to a dead test.
   bool enabled() const {
-    if constexpr (!kTelemetryCompiledIn) return false;
     return enabled_.load(std::memory_order_relaxed);
   }
   void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
@@ -290,10 +276,9 @@ class DeviceHealthRegistry {
   std::map<int, DeviceState> devices_;
 };
 
-/// True when telemetry is compiled in AND the global registry is
-/// enabled — the one-line guard every hook site uses.
+/// True when the global registry is enabled — the one-line guard every
+/// hook site uses.
 inline bool telemetry_enabled() {
-  if constexpr (!kTelemetryCompiledIn) return false;
   return DeviceHealthRegistry::global().enabled();
 }
 

@@ -2,13 +2,16 @@
 # (DESIGN.md §17): the soak digests must be bit-identical across thread
 # counts AND across a hard kill (std::_Exit right after a checkpoint
 # rename) followed by --resume. Also exercises the sentinel's offline
-# soak renderer.
+# soak renderer and checks that a --chaos soak's provenance names its
+# fault plan.
 #
 #   1. reference soak at --threads 2            -> digests D
 #   2. same soak at --threads 1                 -> digests == D
 #   3. same soak with --kill-after-ckpt 2       -> must exit 7
 #   4. --resume from the surviving checkpoint   -> digests == D
 #   5. edgestab_sentinel soak <report>          -> renders, mentions resume
+#   6. clean soak promoted to a baseline, then a --chaos soak:
+#      sentinel compare must judge the two provenance-incomparable
 #
 # Expected -D variables: BENCH_EXE, SENTINEL_EXE, WORK_DIR, CACHE_DIR.
 foreach(var BENCH_EXE SENTINEL_EXE WORK_DIR CACHE_DIR)
@@ -106,6 +109,46 @@ if(NOT rc EQUAL 0)
 endif()
 if(NOT out MATCHES "resumed from slot" OR NOT out MATCHES "OUTCOME")
   message(FATAL_ERROR "soak_gate: sentinel soak render incomplete:\n${out}")
+endif()
+
+message(STATUS "==== soak_gate: chaos plan reaches provenance ====")
+# --chaos arms its plan after bench::Run has read --faults, so only an
+# explicit record puts it in the manifest and run archive. Without it a
+# chaos soak compares as if it were a clean one.
+set(prov_dir "${WORK_DIR}/provenance")
+file(MAKE_DIRECTORY "${prov_dir}")
+foreach(mode clean chaos)
+  set(mode_args)
+  if(mode STREQUAL "chaos")
+    set(mode_args --chaos)
+  endif()
+  execute_process(
+    COMMAND ${CMAKE_COMMAND} -E env "EDGESTAB_CACHE=${CACHE_DIR}"
+      "${BENCH_EXE}" --devices 8 --shots 320 --bank 4 --scene 32
+      --threads 2 ${mode_args}
+    WORKING_DIRECTORY "${prov_dir}"
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE out)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "soak_gate: ${mode} soak exited with ${rc}:\n${out}")
+  endif()
+  if(mode STREQUAL "clean")
+    file(READ "${prov_dir}/bench_out/BENCH_fleet_soak.json" baseline)
+    file(WRITE "${prov_dir}/clean_baseline.json" "${baseline}")
+  endif()
+endforeach()
+execute_process(
+  COMMAND "${SENTINEL_EXE}" compare --bench fleet_soak
+    --baseline "${prov_dir}/clean_baseline.json"
+  WORKING_DIRECTORY "${prov_dir}"
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE out
+  ERROR_VARIABLE out)
+if(NOT rc EQUAL 0 OR NOT out MATCHES "fault plan differs")
+  message(FATAL_ERROR
+    "soak_gate: chaos vs clean compare exited ${rc}; want exit 0 with a "
+    "fault-plan provenance mismatch:\n${out}")
 endif()
 
 message(STATUS

@@ -136,14 +136,13 @@ TEST(FaultInjector, ConfigureArmsOnlyPlansWithRates) {
   injector.configure(FaultPlan{});  // all-zero rates
   EXPECT_FALSE(injector.enabled());
   injector.configure(parse_fault_plan("moderate"));
-  EXPECT_EQ(injector.enabled(), fault::kFaultsCompiledIn);
+  EXPECT_TRUE(injector.enabled());
   injector.reset();
   EXPECT_FALSE(injector.enabled());
   EXPECT_FALSE(injector.plan().any());
 }
 
 TEST(FaultInjector, DrawsAreDeterministicAndRateFaithful) {
-  if (!fault::kFaultsCompiledIn) GTEST_SKIP() << "EDGESTAB_FAULTS=OFF build";
   FaultEnvGuard guard;
   auto& injector = FaultInjector::global();
 
@@ -177,7 +176,6 @@ TEST(FaultInjector, DrawsAreDeterministicAndRateFaithful) {
 }
 
 TEST(FaultInjector, CorruptPayloadIsDeterministicAndBounded) {
-  if (!fault::kFaultsCompiledIn) GTEST_SKIP() << "EDGESTAB_FAULTS=OFF build";
   FaultEnvGuard guard;
   auto& injector = FaultInjector::global();
   injector.configure(parse_fault_plan("bitflip=1,truncate=1,max_bitflips=4"));
@@ -223,7 +221,6 @@ TEST(FaultInjector, BackoffDoublesPerAttempt) {
 }
 
 TEST(FaultInjector, StragglerDelaysAreDeterministicAndPositive) {
-  if (!fault::kFaultsCompiledIn) GTEST_SKIP() << "EDGESTAB_FAULTS=OFF build";
   FaultEnvGuard guard;
   auto& injector = FaultInjector::global();
   injector.configure(parse_fault_plan("straggler=1,straggler_ms=100"));
@@ -248,7 +245,6 @@ TEST(DeliverShot, CleanPathMatchesAbortingDecode) {
 }
 
 TEST(DeliverShot, FaultedDeliveryIsDeterministicAndAccounted) {
-  if (!fault::kFaultsCompiledIn) GTEST_SKIP() << "EDGESTAB_FAULTS=OFF build";
   FaultEnvGuard guard;
   FaultInjector::global().configure(parse_fault_plan(
       "bitflip=1,truncate=1,max_bitflips=64,attempts=2,straggler=1"));

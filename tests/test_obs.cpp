@@ -438,21 +438,15 @@ TEST(Tracer, ChromeTraceJsonRoundTrips) {
   EXPECT_NE(doc.find("\"cat\":\"isp\""), std::string::npos);
 }
 
-// The instrumentation macro must compile in both build flavors; it only
-// produces spans when tracing is compiled in.
-TEST(Tracer, MacroRespectsBuildFlavor) {
+TEST(Tracer, MacroEmitsSpanAndCounter) {
   TracerSandbox sandbox;
   {
     ES_TRACE_SCOPE("test", "macro_span");
     ES_COUNT("test.macro_count", 2);
   }
-  if (kTracingCompiledIn) {
-    EXPECT_EQ(Tracer::global().size(), 1u);
-    EXPECT_GE(
-        MetricsRegistry::global().counter("test.macro_count").value(), 2u);
-  } else {
-    EXPECT_EQ(Tracer::global().size(), 0u);
-  }
+  EXPECT_EQ(Tracer::global().size(), 1u);
+  EXPECT_GE(MetricsRegistry::global().counter("test.macro_count").value(),
+            2u);
 }
 
 // ---- RunManifest ------------------------------------------------------------
@@ -484,6 +478,16 @@ TEST(RunManifest, EmitsValidProvenanceJson) {
   EXPECT_NE(doc.find("\"lab_rig\":\"deadbeefcafef00d\""), std::string::npos);
   EXPECT_NE(doc.find("\"Samsung Galaxy S10\""), std::string::npos);
   EXPECT_NE(doc.find("\"unit_test.csv\""), std::string::npos);
+}
+
+TEST(RunManifest, SetDigestReplacesInPlace) {
+  RunManifest m("unit_set_digest");
+  m.add_digest("lab_rig", 1);
+  m.set_digest("fault_plan", 2);
+  m.set_digest("fault_plan", 3);
+  const std::vector<std::pair<std::string, std::uint64_t>> want = {
+      {"lab_rig", 1}, {"fault_plan", 3}};
+  EXPECT_EQ(m.digests(), want);
 }
 
 TEST(RunManifest, HexDigestIsZeroPadded) {
@@ -920,7 +924,7 @@ TEST(DriftReport, HtmlIsSelfContainedAndEscaped) {
 
 // ---- export_run_artifacts ---------------------------------------------------
 
-TEST(ExportRunArtifacts, WritesManifestAndFlavorArtifacts) {
+TEST(ExportRunArtifacts, WritesManifestTraceAndDriftArtifacts) {
   TracerSandbox tracer_sandbox;
   DriftSandbox drift_sandbox;
   feed_auditor_for_report();
@@ -932,22 +936,15 @@ TEST(ExportRunArtifacts, WritesManifestAndFlavorArtifacts) {
   RunManifest m("unit_export");
   EXPECT_TRUE(export_run_artifacts("unit_export", dir.string(), m));
   EXPECT_TRUE(fs::exists(dir / "unit_export.meta.json"));
-  EXPECT_EQ(fs::exists(dir / "unit_export.trace.json"), kTracingCompiledIn);
-  EXPECT_EQ(fs::exists(dir / "unit_export_stage_timing.csv"),
-            kTracingCompiledIn);
-  // Drift artifacts follow the drift build flavor (the auditor is
-  // enabled, so only compilation gates them).
-  EXPECT_EQ(fs::exists(dir / "unit_export.drift.json"), kDriftCompiledIn);
-  EXPECT_EQ(fs::exists(dir / "unit_export.drift.html"), kDriftCompiledIn);
+  EXPECT_TRUE(fs::exists(dir / "unit_export.trace.json"));
+  EXPECT_TRUE(fs::exists(dir / "unit_export_stage_timing.csv"));
+  EXPECT_TRUE(fs::exists(dir / "unit_export.drift.json"));
+  EXPECT_TRUE(fs::exists(dir / "unit_export.drift.html"));
   std::string manifest_doc = m.to_json();
   EXPECT_TRUE(JsonChecker(manifest_doc).valid());
-  if (kDriftCompiledIn) {
-    EXPECT_NE(manifest_doc.find("\"drift_report\""), std::string::npos);
-    EXPECT_NE(manifest_doc.find("\"drift_flip_ledger\""), std::string::npos);
-    EXPECT_NE(manifest_doc.find("unit_export.drift.json"), std::string::npos);
-  } else {
-    EXPECT_EQ(manifest_doc.find("\"drift_report\""), std::string::npos);
-  }
+  EXPECT_NE(manifest_doc.find("\"drift_report\""), std::string::npos);
+  EXPECT_NE(manifest_doc.find("\"drift_flip_ledger\""), std::string::npos);
+  EXPECT_NE(manifest_doc.find("unit_export.drift.json"), std::string::npos);
   fs::remove_all(dir);
 }
 
@@ -969,7 +966,6 @@ TEST(ExportRunArtifacts, FailsWhenOutDirIsNotWritable) {
 }
 
 TEST(ExportRunArtifacts, DroppedSpansFailTheExport) {
-  if (!kTracingCompiledIn) GTEST_SKIP() << "tracing compiled out";
   TracerSandbox sandbox;
   Tracer::global().set_max_events_per_thread(1);
   for (int i = 0; i < 3; ++i) {

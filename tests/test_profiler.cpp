@@ -2,8 +2,7 @@
 // and the exclusive-time identity, canonical snapshot ordering,
 // allocation attribution through the util/alloc_track hooks, lane-merge
 // determinism (identical digests and alloc totals at any thread count),
-// the profile JSON round trip, report rendering, and the
-// hooks-compiled-out flavor contract.
+// the profile JSON round trip and report rendering.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -12,7 +11,6 @@
 #include <fstream>
 #include <optional>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "obs/json.h"
@@ -38,14 +36,8 @@ const ProfileNode* find_node(const std::vector<ProfileNode>& nodes,
 // in any order and leaves no armed state behind for other tests.
 class ProfilerTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    if (!kProfileCompiledIn)
-      GTEST_SKIP() << "profiler compiled out (EDGESTAB_PROFILE=OFF)";
-    Profiler::global().clear();
-  }
-  void TearDown() override {
-    if (kProfileCompiledIn) Profiler::global().clear();
-  }
+  void SetUp() override { Profiler::global().clear(); }
+  void TearDown() override { Profiler::global().clear(); }
 };
 
 TEST_F(ProfilerTest, DisabledScopesAndAllocationsAreInert) {
@@ -428,21 +420,6 @@ TEST_F(ProfilerTest, ClearResetsEverything) {
   EXPECT_EQ(p.totals().alloc_count, 0u);
   EXPECT_EQ(p.totals().alloc_bytes, 0u);
 }
-
-#ifndef EDGESTAB_PROFILE
-// Compiled-out flavor: the tracked containers must be the exact
-// pre-profiler types (same ABI, same std::vector), and kProfileCompiledIn
-// must advertise the flavor so runtime knobs can warn instead of
-// silently doing nothing.
-TEST(ProfilerCompiledOut, TrackedVectorIsPlainStdVector) {
-  static_assert(std::is_same_v<TrackedVector<float, AllocSite::kTensor>,
-                               std::vector<float>>);
-  static_assert(
-      std::is_same_v<TrackedVector<std::uint8_t, AllocSite::kBytes>,
-                     std::vector<std::uint8_t>>);
-  EXPECT_FALSE(kProfileCompiledIn);
-}
-#endif
 
 }  // namespace
 }  // namespace edgestab::obs

@@ -260,7 +260,7 @@ EndToEndDigests run_fixture(int threads, bool faulted = false) {
   runtime::ThreadPool::set_global_threads(threads);
   auto& auditor = obs::DriftAuditor::global();
   auditor.clear();
-  if (obs::kDriftCompiledIn) auditor.set_enabled(true);
+  auditor.set_enabled(true);
   obs::FaultLedger::global().clear();
   if (faulted) {
     fault::FaultInjector::global().configure(fault::parse_fault_plan(
@@ -296,32 +296,30 @@ EndToEndDigests run_fixture(int threads, bool faulted = false) {
   for (double wp : result.within_phone_instability) obs_fp.add(wp);
   d.observations = obs_fp.value();
 
-  if (obs::kDriftCompiledIn) {
-    d.ledger = auditor.ledger().digest();
-    Fingerprint drift_fp;
-    for (const auto& s : auditor.stage_summaries())
-      drift_fp.add(base_group(s.group))
-          .add(s.stage)
-          .add(s.psnr_db.count)
-          .add(s.psnr_db.sum)
-          .add(s.psnr_db.min)
-          .add(s.psnr_db.max)
-          .add(s.ssim.sum)
-          .add(s.channel_mean_delta.sum)
-          .add(s.channel_var_delta.sum)
-          .add(s.identical_pairs);
-    for (const auto& s : auditor.logit_summaries())
-      drift_fp.add(base_group(s.group))
-          .add(s.l2.sum)
-          .add(s.linf.sum)
-          .add(s.kl.sum)
-          .add(s.top1_margin.sum)
-          .add(s.comparisons)
-          .add(s.top1_agree);
-    d.drift = drift_fp.value();
-    auditor.set_enabled(false);
-    auditor.clear();
-  }
+  d.ledger = auditor.ledger().digest();
+  Fingerprint drift_fp;
+  for (const auto& s : auditor.stage_summaries())
+    drift_fp.add(base_group(s.group))
+        .add(s.stage)
+        .add(s.psnr_db.count)
+        .add(s.psnr_db.sum)
+        .add(s.psnr_db.min)
+        .add(s.psnr_db.max)
+        .add(s.ssim.sum)
+        .add(s.channel_mean_delta.sum)
+        .add(s.channel_var_delta.sum)
+        .add(s.identical_pairs);
+  for (const auto& s : auditor.logit_summaries())
+    drift_fp.add(base_group(s.group))
+        .add(s.l2.sum)
+        .add(s.linf.sum)
+        .add(s.kl.sum)
+        .add(s.top1_margin.sum)
+        .add(s.comparisons)
+        .add(s.top1_agree);
+  d.drift = drift_fp.value();
+  auditor.set_enabled(false);
+  auditor.clear();
 
   const FleetResilienceStats& res = result.resilience;
   Fingerprint res_fp;
@@ -414,12 +412,8 @@ TEST(RuntimeDeterminism, FaultedEndToEndBitIdenticalAcrossLaneCounts) {
   EXPECT_EQ(one.resilience, two.resilience);
   EXPECT_EQ(one.resilience, eight.resilience);
 
-  if (fault::kFaultsCompiledIn) {
-    // The aggressive plan must actually bite, or the test proves nothing.
-    EXPECT_GT(one.shots_lost, 0);
-  } else {
-    EXPECT_EQ(one.shots_lost, 0);
-  }
+  // The aggressive plan must actually bite, or the test proves nothing.
+  EXPECT_GT(one.shots_lost, 0);
 }
 
 }  // namespace

@@ -297,8 +297,6 @@ std::uint64_t run_timeline_gate(Model& model,
 }  // namespace
 
 TEST(TimelineService, DigestInvariantAcrossThreadCounts) {
-  if (!obs::kTimelineCompiledIn)
-    GTEST_SKIP() << "built with EDGESTAB_TIMELINE=OFF";
   Workspace ws;
   Model model = ws.fresh_model();
   service::ServiceConfig config = timeline_gate_config();
@@ -313,8 +311,6 @@ TEST(TimelineService, DigestInvariantAcrossThreadCounts) {
 }
 
 TEST(TimelineService, StopAndResumeContinuesSeriesExactly) {
-  if (!obs::kTimelineCompiledIn)
-    GTEST_SKIP() << "built with EDGESTAB_TIMELINE=OFF";
   Workspace ws;
   Model model = ws.fresh_model();
   const std::string ckpt_path =
@@ -343,8 +339,6 @@ TEST(TimelineService, StopAndResumeContinuesSeriesExactly) {
 }
 
 TEST(TimelineService, ArmedResumeRefusesTimelineLessCheckpoint) {
-  if (!obs::kTimelineCompiledIn)
-    GTEST_SKIP() << "built with EDGESTAB_TIMELINE=OFF";
   Workspace ws;
   Model model = ws.fresh_model();
   const std::string ckpt_path =
