@@ -1,18 +1,23 @@
 // Streaming fleet-service soak (DESIGN.md §17, EXPERIMENTS.md runbook).
 //
 // Boots the resident staged pipeline over a synthetic fleet and streams
-// shots through capture → ISP → codec → decode → inference → aggregate
-// under backpressure, deadlines, load shedding and per-device circuit
-// breakers. Reports throughput, per-stage queue pressure, shed/timeout/
-// breaker counts and the modeled latency tail; guards the deterministic
-// surface (aggregate, ledger, breaker, telemetry digests) across runs.
+// shots through develop (capture → ISP → encode → decode, one shot per
+// worker) → inference → aggregate under backpressure, deadlines, load
+// shedding and per-device circuit breakers. --threads sets the develop
+// worker count. Reports throughput, per-stage queue pressure, shed/
+// timeout/breaker counts and the modeled latency tail; guards the
+// deterministic surface (aggregate, ledger, breaker, telemetry digests)
+// across runs.
 //
 //   bench_fleet_soak --devices 500 --shots 100000 --faults heavy --threads 8
+//   bench_fleet_soak --repeats 5             # 5 timed soaks, one archive row
 //   bench_fleet_soak --ckpt-slots 16 --kill-after-ckpt 2   # exits 7
 //   bench_fleet_soak --ckpt-slots 16 --resume              # finishes the run
 //
-// The digests are bit-identical at any --threads and across any
-// kill/resume boundary — the soak_gate ctest enforces both.
+// The digests are bit-identical at any --threads, at any --repeats and
+// across any kill/resume boundary — the soak_gate ctest enforces all
+// three. Checkpoint flags take --repeats 1: every repeat would cut or
+// resume the same checkpoint.
 #include "bench_util.h"
 
 #include <cinttypes>
@@ -126,6 +131,16 @@ int main(int argc, char** argv) {
   } else if (stop_after > 0) {
     config.stop_after_checkpoints = static_cast<int>(stop_after);
   }
+  if (run.repeats() > 1 &&
+      (config.checkpoint_every_slots > 0 || config.resume ||
+       config.stop_after_checkpoints > 0)) {
+    std::fprintf(stderr,
+                 "[soak] --repeats %d cannot be combined with --ckpt-slots, "
+                 "--resume, --kill-after-ckpt or --stop-after-ckpt: every "
+                 "repeat would cut or resume the same checkpoint\n",
+                 run.repeats());
+    return 2;
+  }
   if (config.checkpoint_every_slots > 0 || config.resume) {
     std::string dir;
     bench::ensure_out_dir(dir);  // the default ckpt path lives there
@@ -135,7 +150,8 @@ int main(int argc, char** argv) {
   Model model = ws.base_model();
   run.record_workspace(ws);
 
-  service::SoakReport report = service::run_fleet_service(model, config);
+  service::SoakReport report = bench::run_repeats(
+      run, [&] { return service::run_fleet_service(model, config); });
   // (A --kill-after-ckpt run never gets here: the aggregator _Exits
   // with kHardKillExitCode right after the checkpoint rename.)
 

@@ -1,6 +1,5 @@
 #include "data/lab_rig.h"
 
-#include <algorithm>
 #include <atomic>
 #include <string>
 
@@ -18,73 +17,31 @@ namespace edgestab {
 
 namespace {
 
-/// Capture-site fault injection for one (phone, stimulus, shot). A
-/// dropout loses the frame outright (not retryable — the emission has
-/// moved on); a transient device failure is retried up to the plan's
-/// attempt budget with recorded (never slept) backoff. Every decision is
-/// a pure function of the fault seed and the shot coordinates, so the
-/// schedule is identical at any thread count. Marks `record` dropped
-/// when the shot is lost and files the receipts with the fault ledger.
+/// Capture-site fault injection for one (phone, stimulus, shot): the
+/// draws are device/capture's draw_capture_faults; this files the
+/// receipts with the fault ledger and telemetry and marks `record`
+/// dropped when the shot is lost.
 void inject_capture_faults(const std::string& group,
                            const PhoneProfile& phone, int device,
                            std::size_t stimulus, std::size_t shot,
                            LabShot& record) {
-  const auto& injector = fault::FaultInjector::global();
-  if (!injector.enabled()) return;
-
-  using obs::FaultEvent;
-  using obs::FaultEventKind;
-  auto& ledger = obs::FaultLedger::global();
+  if (!fault::FaultInjector::global().enabled()) return;
   const int item = static_cast<int>(stimulus);
   const int rep = static_cast<int>(shot);
-
-  if (injector.capture_dropout(phone.noise_stream, stimulus, shot)) {
-    record.dropped = true;
-    ledger.record(group, FaultEvent{FaultEventKind::kCaptureDropout, device,
-                                    item, rep, 0, false, 0.0});
-    ledger.record(group, FaultEvent{FaultEventKind::kShotLost, device, item,
-                                    rep, 0, false, 1.0});
-    if (obs::telemetry_enabled()) {
-      obs::DeviceHealthRegistry::global().record_capture_loss(device, item,
-                                                              rep, 0);
-    }
-    return;
-  }
-
-  const int max_attempts = std::max(1, injector.plan().max_attempts);
-  std::vector<FaultEvent> events;
-  int attempt = 0;
-  while (attempt < max_attempts &&
-         injector.transient_failure(phone.noise_stream, stimulus, shot,
-                                    attempt)) {
-    events.push_back(FaultEvent{FaultEventKind::kTransientFailure, device,
-                                item, rep, attempt, false, 0.0});
-    ++attempt;
-    if (attempt < max_attempts)
-      events.push_back(FaultEvent{FaultEventKind::kRetry, device, item, rep,
-                                  attempt, false,
-                                  injector.backoff_ms(attempt)});
-  }
-  const bool recovered = attempt < max_attempts;
-  record.capture_attempts = recovered ? attempt + 1 : attempt;
-  if (!recovered) {
-    record.dropped = true;
-    events.push_back(FaultEvent{FaultEventKind::kShotLost, device, item, rep,
-                                attempt - 1, false,
-                                static_cast<double>(attempt)});
-  }
-  for (FaultEvent& e : events) {
-    if (e.kind != FaultEventKind::kShotLost) e.recovered = recovered;
-    ledger.record(group, e);
-  }
+  CaptureFaults faults =
+      draw_capture_faults(phone.noise_stream, device, item, rep);
+  record.dropped = faults.lost;
+  record.capture_attempts = faults.attempts;
+  auto& ledger = obs::FaultLedger::global();
+  for (const obs::FaultEvent& e : faults.events) ledger.record(group, e);
   if (obs::telemetry_enabled()) {
     auto& registry = obs::DeviceHealthRegistry::global();
-    if (recovered) {
+    if (faults.lost) {
+      registry.record_capture_loss(device, item, rep, faults.attempts - 1);
+    } else {
       // The shot itself is counted when delivery records it; only the
       // capture retries land here.
-      registry.record_retries(device, item, attempt);
-    } else {
-      registry.record_capture_loss(device, item, rep, attempt - 1);
+      registry.record_retries(device, item, faults.attempts - 1);
     }
   }
 }

@@ -1,9 +1,11 @@
 #include "device/capture.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <thread>
 
+#include "fault/fault.h"
 #include "image/resize.h"
 #include "obs/obs.h"
 
@@ -31,10 +33,16 @@ Capture take_photo(const PhoneProfile& phone, const Image& screen_emission,
   ES_CHECK(screen_emission.channels() == 3);
   if (int ms = perf_canary_ms(); ms > 0)
     std::this_thread::sleep_for(std::chrono::milliseconds(ms));
+  Capture capture = photograph(phone, frame(phone, screen_emission), rng);
+  ES_COUNT("device.shots_captured", 1);
+  return capture;
+}
 
-  // Optics + mount: small per-phone geometric offset/tilt of the framed
-  // scene. The warp maps output (sensor-facing) coordinates to screen
-  // coordinates.
+Image frame(const PhoneProfile& phone, const Image& screen_emission) {
+  // The warp maps output (sensor-facing) coordinates to screen
+  // coordinates. The copy-then-replace shape is deliberate: the profiler
+  // attributes every image allocation and free to the enclosing scope,
+  // and fig3/table4 profile digests pin that attribution.
   Image framed = screen_emission;
   if (phone.mount_dx != 0.0f || phone.mount_dy != 0.0f ||
       phone.mount_tilt != 0.0f) {
@@ -47,7 +55,11 @@ Capture take_photo(const PhoneProfile& phone, const Image& screen_emission,
     framed = warp_affine(screen_emission, warp, screen_emission.width(),
                          screen_emission.height());
   }
+  return framed;
+}
 
+Capture photograph(const PhoneProfile& phone, const Image& framed,
+                   Pcg32& rng) {
   RawImage raw = expose_sensor(framed, phone.sensor, rng);
   Image developed = run_isp(raw, phone.isp);
 
@@ -59,9 +71,47 @@ Capture take_photo(const PhoneProfile& phone, const Image& screen_emission,
     auto codec = make_codec(phone.storage_format, phone.storage_quality);
     capture.file = codec->encode(to_u8(developed));
   }
+  // Copied, not moved, for the same per-scope allocation attribution.
   if (phone.supports_raw) capture.raw = raw;
-  ES_COUNT("device.shots_captured", 1);
   return capture;
+}
+
+CaptureFaults draw_capture_faults(std::uint64_t stream, int device, int item,
+                                  int rep) {
+  using obs::FaultEvent;
+  using obs::FaultEventKind;
+  const auto& injector = fault::FaultInjector::global();
+  const auto item_u = static_cast<std::uint64_t>(item);
+  const auto rep_u = static_cast<std::uint64_t>(rep);
+  CaptureFaults out;
+  if (injector.capture_dropout(stream, item_u, rep_u)) {
+    out.lost = true;
+    out.events.push_back({FaultEventKind::kCaptureDropout, device, item, rep,
+                          0, false, 0.0});
+    out.events.push_back(
+        {FaultEventKind::kShotLost, device, item, rep, 0, false, 1.0});
+    return out;
+  }
+  const int max_attempts = std::max(1, injector.plan().max_attempts);
+  int attempt = 0;
+  while (attempt < max_attempts &&
+         injector.transient_failure(stream, item_u, rep_u, attempt)) {
+    out.events.push_back({FaultEventKind::kTransientFailure, device, item,
+                          rep, attempt, false, 0.0});
+    ++attempt;
+    if (attempt < max_attempts)
+      out.events.push_back({FaultEventKind::kRetry, device, item, rep,
+                            attempt, false, injector.backoff_ms(attempt)});
+  }
+  const bool recovered = attempt < max_attempts;
+  for (FaultEvent& e : out.events) e.recovered = recovered;
+  out.attempts = recovered ? attempt + 1 : attempt;
+  if (!recovered) {
+    out.lost = true;
+    out.events.push_back({FaultEventKind::kShotLost, device, item, rep,
+                          attempt - 1, false, static_cast<double>(attempt)});
+  }
+  return out;
 }
 
 ImageU8 decode_capture(const Capture& capture,

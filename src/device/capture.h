@@ -3,10 +3,13 @@
 // the same image shown on a monitor (§3.2, Figure 2).
 #pragma once
 
+#include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "device/phone.h"
 #include "image/image.h"
+#include "obs/fault_ledger.h"
 #include "util/rng.h"
 
 namespace edgestab {
@@ -23,9 +26,36 @@ struct Capture {
 /// Photograph `screen_emission` (linear-light radiance of the displayed
 /// image, any resolution) with the given phone. `rng` drives temporal
 /// sensor noise — two calls with the same phone and scene model two
-/// consecutive shots (Figure 1).
+/// consecutive shots (Figure 1). Exactly frame() then photograph().
 Capture take_photo(const PhoneProfile& phone, const Image& screen_emission,
                    Pcg32& rng);
+
+/// Optics + mount: the phone's small geometric offset/tilt of the framed
+/// scene. Depends only on the phone and the emission, so a caller that
+/// photographs one scene many times can frame it once.
+Image frame(const PhoneProfile& phone, const Image& screen_emission);
+
+/// The per-shot half of take_photo: expose the framed scene on the
+/// sensor, develop it with the phone's ISP and store it with the phone's
+/// codec. The raw mosaic is kept only when the phone supports raw.
+Capture photograph(const PhoneProfile& phone, const Image& framed,
+                   Pcg32& rng);
+
+/// Capture-site fault draws for one shot (src/fault). A dropout loses
+/// the frame outright (not retryable — the emission has moved on); a
+/// transient device failure is retried up to the plan's attempt budget
+/// with recorded (never slept) backoff. Pure function of the fault seed
+/// and the shot coordinates: `stream` keys the draws (the phone's
+/// noise_stream), `device`/`item`/`rep` label the receipts. The caller
+/// files `events` with its own ledger; call only while the global
+/// injector is enabled.
+struct CaptureFaults {
+  std::vector<obs::FaultEvent> events;
+  int attempts = 1;   ///< capture attempts consumed
+  bool lost = false;  ///< no usable frame: dropout or every attempt failed
+};
+CaptureFaults draw_capture_faults(std::uint64_t stream, int device, int item,
+                                  int rep);
 
 /// Decode a capture's stored bytes with a given OS decoder behaviour
 /// (inference may happen on a different device than the one that took

@@ -28,7 +28,7 @@ class ProgressMeter {
 
   /// Optional live-status source: a short free-form suffix (the service
   /// pipeline installs one reporting per-stage queue depths and the
-  /// running shed count, e.g. " q cap:3 isp:1 inf:12 shed 42"). Same
+  /// running shed count, e.g. " | q develop 3 inference 12 shed 42"). Same
   /// plain-function-pointer decoupling as the alert source; advisory
   /// wall-clock state, never part of any deterministic artifact.
   using StatusTextFn = std::string (*)();

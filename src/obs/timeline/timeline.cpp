@@ -304,9 +304,13 @@ bool TimelineRecorder::restore_state(const std::string& json) {
   }
 
   std::lock_guard<std::mutex> lock(mu_);
-  stages_ = std::move(stages);
-  classes_ = std::move(classes);
-  outcomes_ = std::move(outcomes);
+  // The name tables and the fleet size begin_run registered shape every
+  // lane and index in the series; a state from a run with different ones
+  // would splice stale names and lanes into this run.
+  if (stages != stages_ || classes != classes_ || outcomes != outcomes_ ||
+      devices.size() != device_state_.size()) {
+    return false;
+  }
   device_state_ = std::move(devices);
   slots_seen_ = static_cast<long long>(slots_seen->number);
   traces_dropped_ = static_cast<long long>(dropped->number);

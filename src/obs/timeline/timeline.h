@@ -30,7 +30,8 @@
 // epoch — serializes into the edgestab-ckpt-v1 checkpoint
 // ("edgestab-timeline-state-v1") so a resumed run continues the series
 // seamlessly; restore refuses a state whose epoch length or trace
-// sample rate differ from the live knobs.
+// sample rate differ from the live knobs, or whose name tables or fleet
+// size differ from the run's.
 #pragma once
 
 #include <atomic>
@@ -207,9 +208,10 @@ class TimelineRecorder {
   std::string serialize_state() const;
 
   /// Replace the series from serialize_state() output. Returns false on
-  /// malformed input OR when the state's epoch_slots / trace sample
-  /// rate differ from the live knobs — a resumed series under different
-  /// bucketing would silently break the epoch contract.
+  /// malformed input, when the state's epoch_slots / trace sample rate
+  /// differ from the live knobs — a resumed series under different
+  /// bucketing would silently break the epoch contract — or when its
+  /// name tables or fleet size differ from what begin_run registered.
   bool restore_state(const std::string& json);
 
   bool empty() const;

@@ -12,7 +12,6 @@
 #include <optional>
 #include <utility>
 
-#include "codec/codec.h"
 #include "core/experiment.h"
 #include "core/resilience.h"
 #include "data/dataset.h"
@@ -21,9 +20,6 @@
 #include "device/capture.h"
 #include "device/fleets.h"
 #include "fault/latency.h"
-#include "image/resize.h"
-#include "isp/pipeline.h"
-#include "isp/sensor.h"
 #include "obs/fault_ledger.h"
 #include "obs/json.h"
 #include "obs/obs.h"
@@ -91,12 +87,7 @@ struct ShotRec {
   bool trace_sampled = false;
   std::vector<obs::TraceAttempt> trace_attempts;
 
-  // Stage payloads (moved along, released as consumed).
-  RawImage raw;
-  Image developed;
-  Capture capture;
-  Tensor input;
-  bool usable = false;
+  Tensor input;  ///< develop's output, consumed by inference
 
   int predicted = -1;
   long long conf_q = 0;  ///< confidence * 1e6, rounded
@@ -115,16 +106,21 @@ struct Device {
 
 using ShotQueue = BoundedQueue<ShotRec>;
 
+/// One row of the service's stage table: the stage, the queue its
+/// workers pop from, and how many workers drain it. The soak report's
+/// stage stats, the timeline's stage names and depth lanes, and the
+/// heartbeat all read this one table.
+struct Stage {
+  const char* name;
+  ShotQueue* in;
+  int workers;
+};
+
 /// Wall-clock-side live state for the progress heartbeat. The status
 /// source is a plain function pointer, so the installed instance lives
 /// behind a file-scope pointer for the duration of the run.
 struct LiveStatus {
-  ShotQueue* capture = nullptr;
-  ShotQueue* isp = nullptr;
-  ShotQueue* codec = nullptr;
-  ShotQueue* decode = nullptr;
-  ShotQueue* infer = nullptr;
-  ShotQueue* done = nullptr;
+  const std::vector<Stage>* stages = nullptr;
   std::atomic<long long> shed{0};
   std::atomic<long long> rejected{0};
   std::atomic<long long> slots_folded{0};
@@ -136,41 +132,31 @@ LiveStatus* g_live = nullptr;
 std::string live_status_text() {
   LiveStatus* live = g_live;
   if (live == nullptr) return "";
-  char buf[224];
-  int n = std::snprintf(buf, sizeof(buf),
-                        " | q cap %zu isp %zu cod %zu dec %zu inf %zu out %zu"
-                        " shed %lld rej %lld",
-                        live->capture->size(), live->isp->size(),
-                        live->codec->size(), live->decode->size(),
-                        live->infer->size(), live->done->size(),
-                        live->shed.load(std::memory_order_relaxed),
-                        live->rejected.load(std::memory_order_relaxed));
-  if (live->epoch_slots > 0 && n > 0 &&
-      n < static_cast<int>(sizeof(buf))) {
-    // Timeline heartbeat: current fold epoch + the worst-backlogged
-    // stage right now (wall-clock observational, like the queue sizes).
-    struct {
-      const char* name;
-      ShotQueue* q;
-    } stages[] = {{"cap", live->capture}, {"isp", live->isp},
-                  {"cod", live->codec},   {"dec", live->decode},
-                  {"inf", live->infer},   {"out", live->done}};
-    const char* worst = stages[0].name;
-    std::size_t depth = stages[0].q->size();
-    for (const auto& s : stages) {
-      const std::size_t d = s.q->size();
-      if (d > depth) {
-        depth = d;
-        worst = s.name;
-      }
+  // Queue sizes and, with the timeline armed, the current fold epoch and
+  // the worst-backlogged stage (wall-clock observational).
+  std::string text = " | q";
+  const Stage* worst = nullptr;
+  std::size_t worst_depth = 0;
+  for (const Stage& s : *live->stages) {
+    const std::size_t depth = s.in->size();
+    text += std::string(" ") + s.name + " " + std::to_string(depth);
+    if (worst == nullptr || depth > worst_depth) {
+      worst = &s;
+      worst_depth = depth;
     }
-    std::snprintf(buf + n, sizeof(buf) - static_cast<std::size_t>(n),
-                  " ep %lld worst %s:%zu",
-                  live->slots_folded.load(std::memory_order_relaxed) /
-                      live->epoch_slots,
-                  worst, depth);
   }
-  return buf;
+  text += " shed " +
+          std::to_string(live->shed.load(std::memory_order_relaxed)) +
+          " rej " +
+          std::to_string(live->rejected.load(std::memory_order_relaxed));
+  if (live->epoch_slots > 0 && worst != nullptr) {
+    text += " ep " +
+            std::to_string(
+                live->slots_folded.load(std::memory_order_relaxed) /
+                live->epoch_slots) +
+            " worst " + worst->name + ":" + std::to_string(worst_depth);
+  }
+  return text;
 }
 
 long long quantize_us(double ms) {
@@ -411,11 +397,11 @@ struct Shared {
   std::condition_variable fold_cv;
   long long folded = 0;  ///< shots folded by the aggregator (under fold_mu)
 
-  std::vector<ShotQueue*> queues;
+  std::vector<Stage> stages;
 
   void abort_all() {
     stop.store(true, std::memory_order_relaxed);
-    for (ShotQueue* q : queues) q->close_and_drain();
+    for (const Stage& s : stages) s.in->close_and_drain();
     fold_cv.notify_all();
   }
   void note_folded() {
@@ -426,50 +412,6 @@ struct Shared {
     fold_cv.notify_all();
   }
 };
-
-/// Capture-site fault draws, mirroring the lab rig's event stream but
-/// appended to the record (the aggregator files them).
-bool inject_capture_faults(const Device& dev, ShotRec& r) {
-  const auto& injector = fault::FaultInjector::global();
-  if (!injector.enabled()) return true;
-  const int item = static_cast<int>(r.slot);
-  if (injector.capture_dropout(dev.stream,
-                               static_cast<std::uint64_t>(r.slot), 0)) {
-    r.events.push_back(
-        {FaultEventKind::kCaptureDropout, r.device, item, 0, 0, false, 0.0});
-    r.events.push_back(
-        {FaultEventKind::kShotLost, r.device, item, 0, 0, false, 1.0});
-    r.capture_attempts = 1;
-    r.outcome = ShotOutcome::kCaptureLost;
-    return false;
-  }
-  const int max_attempts = std::max(1, injector.plan().max_attempts);
-  std::size_t first_event = r.events.size();
-  int attempt = 0;
-  while (attempt < max_attempts &&
-         injector.transient_failure(dev.stream,
-                                    static_cast<std::uint64_t>(r.slot), 0,
-                                    attempt)) {
-    r.events.push_back({FaultEventKind::kTransientFailure, r.device, item,
-                        0, attempt, false, 0.0});
-    ++attempt;
-    if (attempt < max_attempts)
-      r.events.push_back({FaultEventKind::kRetry, r.device, item, 0,
-                          attempt, false, injector.backoff_ms(attempt)});
-  }
-  const bool recovered = attempt < max_attempts;
-  r.capture_attempts = recovered ? attempt + 1 : attempt;
-  if (!recovered) {
-    r.events.push_back({FaultEventKind::kShotLost, r.device, item, 0,
-                        attempt - 1, false,
-                        static_cast<double>(attempt)});
-    r.outcome = ShotOutcome::kCaptureLost;
-  }
-  for (std::size_t i = first_event; i < r.events.size(); ++i)
-    if (r.events[i].kind != FaultEventKind::kShotLost)
-      r.events[i].recovered = recovered;
-  return recovered;
-}
 
 // ---- Aggregator ------------------------------------------------------------
 
@@ -726,9 +668,9 @@ class Aggregator {
       // for the observational lanes (wall-clock data — exported but
       // never digested, DESIGN.md §18).
       std::vector<long long> depths;
-      depths.reserve(shared_.queues.size());
-      for (ShotQueue* q : shared_.queues)
-        depths.push_back(static_cast<long long>(q->size()));
+      depths.reserve(shared_.stages.size());
+      for (const Stage& s : shared_.stages)
+        depths.push_back(static_cast<long long>(s.in->size()));
       obs::TimelineRecorder::global().note_slot_folded(depths);
     }
   }
@@ -836,32 +778,29 @@ SoakReport run_fleet_service(Model& model, const ServiceConfig& config) {
         render_scene(spec, config.scene_size), ScreenConfig{});
   }
   std::vector<std::vector<Image>> framed(base.size());
-  for (std::size_t p = 0; p < base.size(); ++p) {
-    const PhoneProfile& phone = base[p];
-    framed[p].resize(emissions.size());
-    for (std::size_t s = 0; s < emissions.size(); ++s) {
-      const Image& emission = emissions[s];
-      if (phone.mount_dx == 0.0f && phone.mount_dy == 0.0f &&
-          phone.mount_tilt == 0.0f) {
-        framed[p][s] = emission;
-        continue;
-      }
-      const float cx = static_cast<float>(emission.width()) / 2.0f;
-      const float cy = static_cast<float>(emission.height()) / 2.0f;
-      const Affine warp =
-          Affine::rotate_about(phone.mount_tilt, cx, cy)
-              .compose(Affine::translate(phone.mount_dx, phone.mount_dy));
-      framed[p][s] = warp_affine(emission, warp, emission.width(),
-                                 emission.height());
-    }
-  }
+  for (std::size_t p = 0; p < base.size(); ++p)
+    for (const Image& emission : emissions)
+      framed[p].push_back(frame(base[p], emission));
+
+  // ---- The stage table. `threads` develop workers each carry a shot
+  // through every per-shot transform; the single inference worker is the
+  // only stage allowed to touch the global pool (classify_inputs runs a
+  // parallel region; concurrent regions are forbidden — DESIGN.md §6).
+  const int develop_workers = config.threads > 0
+                                  ? config.threads
+                                  : runtime::ThreadPool::global().threads();
+  ShotQueue develop_q(64), infer_q(64), done_q(256);
+  Shared shared;
+  shared.stages = {{"develop", &develop_q, develop_workers},
+                   {"inference", &infer_q, 1},
+                   {"aggregate", &done_q, 1}};
 
   // ---- Timeline bootstrap: register the run's name tables before any
   // restore (restore_state then overwrites the fresh series with the
   // checkpointed one).
   if (obs::timeline_enabled()) {
-    std::vector<std::string> stage_names = {"capture", "isp",      "codec",
-                                            "decode",  "inference", "aggregate"};
+    std::vector<std::string> stage_names;
+    for (const Stage& s : shared.stages) stage_names.push_back(s.name);
     std::vector<std::string> class_names;
     for (int c = 0; c < 3; ++c)
       class_names.push_back(
@@ -907,7 +846,8 @@ SoakReport run_fleet_service(Model& model, const ServiceConfig& config) {
       ES_CHECK_MSG(obs::TimelineRecorder::global().restore_state(
                        ckpt.timeline_state),
                    "checkpoint timeline state is malformed or disagrees "
-                   "with the live --timeline-epoch/--trace-sample-rate");
+                   "with the live --timeline-epoch/--trace-sample-rate, "
+                   "stage table or fleet size");
     }
     start_slot = ckpt.slot;
     std::printf("[service] resumed from %s @ slot %lld/%lld\n",
@@ -920,32 +860,11 @@ SoakReport run_fleet_service(Model& model, const ServiceConfig& config) {
   }
   const long long start_g = start_slot * devices;
 
-  // ---- Worker sizing + queues. The single inference worker is the
-  // only stage allowed to touch the global pool (classify_inputs runs a
-  // parallel region; concurrent regions are forbidden — DESIGN.md §6).
-  const int pool_threads = config.threads > 0
-                               ? config.threads
-                               : runtime::ThreadPool::global().threads();
-  const int capture_workers = std::max(1, pool_threads / 2);
-  const int isp_workers = std::max(1, pool_threads / 3);
-  const int codec_workers = std::max(1, pool_threads / 6);
-  const int decode_workers = std::max(1, pool_threads / 6);
-
-  ShotQueue capture_q(64), isp_q(64), codec_q(64), decode_q(64),
-      infer_q(64), done_q(256);
-  Shared shared;
-  shared.queues = {&capture_q, &isp_q, &codec_q, &decode_q, &infer_q,
-                   &done_q};
   const long long lead_cap = std::max<long long>(
       config.max_inflight, 2LL * devices);
 
   LiveStatus live;
-  live.capture = &capture_q;
-  live.isp = &isp_q;
-  live.codec = &codec_q;
-  live.decode = &decode_q;
-  live.infer = &infer_q;
-  live.done = &done_q;
+  live.stages = &shared.stages;
   live.slots_folded.store(start_slot, std::memory_order_relaxed);
   live.epoch_slots = obs::timeline_enabled()
                          ? obs::TimelineRecorder::global().epoch_slots()
@@ -963,17 +882,12 @@ SoakReport run_fleet_service(Model& model, const ServiceConfig& config) {
   SchedulerState final_sched;
   std::mutex final_sched_mu;
 
-  // A stage body: pops from `in`, transforms kOk records, forwards
-  // everything to `out`; on an exception it tears the pipeline down so
-  // no peer blocks forever on a queue that will never move again.
-  auto stage = [&shared](ShotQueue& in, ShotQueue& out, auto&& work) {
-    return [&in, &out, &shared, work = std::forward<decltype(work)>(work)] {
+  // Every worker body tears the pipeline down on an exception so no
+  // peer blocks forever on a queue that will never move again.
+  auto guarded = [&shared](auto body) {
+    return [&shared, body] {
       try {
-        while (std::optional<ShotRec> rec = in.pop()) {
-          ShotRec r = std::move(*rec);
-          if (r.outcome == ShotOutcome::kOk) work(r);
-          if (!out.push(std::move(r))) break;
-        }
+        body();
       } catch (...) {
         shared.abort_all();
         throw;
@@ -981,168 +895,136 @@ SoakReport run_fleet_service(Model& model, const ServiceConfig& config) {
     };
   };
 
-  runtime::WorkerGroup scheduler_group, capture_group, isp_group,
-      codec_group, decode_group, infer_group, agg_group;
-
-  agg_group.spawn([&] {
-    try {
-      aggregator.run();
-    } catch (...) {
-      shared.abort_all();
-      throw;
-    }
-  });
-
-  scheduler_group.spawn([&] {
-    try {
-      const bool checkpointing = config.checkpoint_every_slots > 0;
-      const long long boundary =
-          checkpointing
-              ? static_cast<long long>(config.checkpoint_every_slots) *
-                    devices
-              : 0;
-      for (long long g = start_g; g < config.shots; ++g) {
-        {
-          std::unique_lock<std::mutex> lock(shared.fold_mu);
-          shared.fold_cv.wait(lock, [&] {
-            return shared.stop.load(std::memory_order_relaxed) ||
-                   g - (start_g + shared.folded) < lead_cap;
-          });
-        }
-        if (shared.stop.load(std::memory_order_relaxed)) break;
-        ShotRec r = scheduler.decide(g);
-        if (checkpointing && (g + 1) % boundary == 0) {
-          r.has_snapshot = true;
-          r.snapshot = scheduler.state(g + 1);
-        }
-        if (!capture_q.push(std::move(r))) break;
-      }
-      {
-        std::lock_guard<std::mutex> lock(final_sched_mu);
-        final_sched = scheduler.state(config.shots);
-      }
-      capture_q.close();
-    } catch (...) {
-      shared.abort_all();
-      throw;
-    }
-  });
-
-  for (int w = 0; w < capture_workers; ++w) {
-    capture_group.spawn(stage(capture_q, isp_q, [&](ShotRec& r) {
-      ES_TRACE_SCOPE("service", "capture");
-      const Device& dev = fleet[static_cast<std::size_t>(r.device)];
-      if (!inject_capture_faults(dev, r)) return;
-      Pcg32 rng = runtime::derive_rng(config.seed, dev.stream,
-                                      r.stimulus, r.slot);
-      const std::size_t base_idx =
-          static_cast<std::size_t>(r.device) % base.size();
-      r.raw = expose_sensor(
-          framed[base_idx][static_cast<std::size_t>(r.stimulus)],
-          dev.profile.sensor, rng);
-    }));
-  }
-
-  for (int w = 0; w < isp_workers; ++w) {
-    isp_group.spawn(stage(isp_q, codec_q, [&](ShotRec& r) {
-      ES_TRACE_SCOPE("service", "isp");
-      const Device& dev = fleet[static_cast<std::size_t>(r.device)];
-      r.developed = run_isp(r.raw, dev.profile.isp);
-      r.raw = RawImage{};
-    }));
-  }
-
-  for (int w = 0; w < codec_workers; ++w) {
-    codec_group.spawn(stage(codec_q, decode_q, [&](ShotRec& r) {
-      ES_TRACE_SCOPE("service", "codec");
-      const Device& dev = fleet[static_cast<std::size_t>(r.device)];
-      r.capture.format = dev.profile.storage_format;
-      r.capture.quality = dev.profile.storage_quality;
-      auto codec = make_codec(dev.profile.storage_format,
-                              dev.profile.storage_quality);
-      r.capture.file = codec->encode(to_u8(r.developed));
-      r.developed = Image{};
-    }));
-  }
-
-  for (int w = 0; w < decode_workers; ++w) {
-    decode_group.spawn(stage(decode_q, infer_q, [&](ShotRec& r) {
-      ES_TRACE_SCOPE("service", "decode");
-      const Device& dev = fleet[static_cast<std::size_t>(r.device)];
-      ShotDelivery delivery = deliver_shot_collect(
-          r.capture, r.device, dev.stream, static_cast<int>(r.slot), 0,
-          dev.profile.os_decoder, r.events);
-      r.delivery_attempts = delivery.attempts;
-      r.delivery_delay_ms = delivery.delay_ms;
-      r.capture = Capture{};
-      if (!delivery.usable) {
-        r.outcome = ShotOutcome::kDecodeLost;
+  // One shot's per-shot transforms, in the batch path's own step
+  // functions: the capture-fault draw, photograph (expose → ISP →
+  // encode), delivery + decode, and the input tensor. The per-step cost
+  // stays visible through their inner profile scopes.
+  auto develop = [&](ShotRec& r) {
+    ES_TRACE_SCOPE("service", "develop");
+    const Device& dev = fleet[static_cast<std::size_t>(r.device)];
+    const int item = static_cast<int>(r.slot);
+    if (fault::FaultInjector::global().enabled()) {
+      CaptureFaults faults =
+          draw_capture_faults(dev.stream, r.device, item, 0);
+      r.events.insert(r.events.end(), faults.events.begin(),
+                      faults.events.end());
+      r.capture_attempts = faults.attempts;
+      if (faults.lost) {
+        r.outcome = ShotOutcome::kCaptureLost;
         return;
       }
-      r.input = capture_to_input(delivery.image);
-      r.usable = true;
+    }
+    Pcg32 rng =
+        runtime::derive_rng(config.seed, dev.stream, r.stimulus, r.slot);
+    const Capture capture = photograph(
+        dev.profile,
+        framed[static_cast<std::size_t>(r.device) % base.size()]
+              [static_cast<std::size_t>(r.stimulus)],
+        rng);
+    ShotDelivery delivery =
+        deliver_shot_collect(capture, r.device, dev.stream, item, 0,
+                             dev.profile.os_decoder, r.events);
+    r.delivery_attempts = delivery.attempts;
+    r.delivery_delay_ms = delivery.delay_ms;
+    if (!delivery.usable) {
+      r.outcome = ShotOutcome::kDecodeLost;
+      return;
+    }
+    r.input = capture_to_input(delivery.image);
+  };
+
+  runtime::WorkerGroup scheduler_group, develop_group, infer_group,
+      agg_group;
+
+  agg_group.spawn(guarded([&] { aggregator.run(); }));
+
+  scheduler_group.spawn(guarded([&] {
+    const bool checkpointing = config.checkpoint_every_slots > 0;
+    const long long boundary =
+        checkpointing
+            ? static_cast<long long>(config.checkpoint_every_slots) * devices
+            : 0;
+    for (long long g = start_g; g < config.shots; ++g) {
+      {
+        std::unique_lock<std::mutex> lock(shared.fold_mu);
+        shared.fold_cv.wait(lock, [&] {
+          return shared.stop.load(std::memory_order_relaxed) ||
+                 g - (start_g + shared.folded) < lead_cap;
+        });
+      }
+      if (shared.stop.load(std::memory_order_relaxed)) break;
+      ShotRec r = scheduler.decide(g);
+      if (checkpointing && (g + 1) % boundary == 0) {
+        r.has_snapshot = true;
+        r.snapshot = scheduler.state(g + 1);
+      }
+      if (!develop_q.push(std::move(r))) break;
+    }
+    {
+      std::lock_guard<std::mutex> lock(final_sched_mu);
+      final_sched = scheduler.state(config.shots);
+    }
+    develop_q.close();
+  }));
+
+  for (int w = 0; w < develop_workers; ++w) {
+    develop_group.spawn(guarded([&] {
+      while (std::optional<ShotRec> rec = develop_q.pop()) {
+        ShotRec r = std::move(*rec);
+        if (r.outcome == ShotOutcome::kOk) develop(r);
+        if (!infer_q.push(std::move(r))) break;
+      }
     }));
   }
 
-  infer_group.spawn([&] {
-    try {
-      const int batch_cap = std::max(1, config.inference_batch);
-      while (true) {
-        std::optional<ShotRec> first = infer_q.pop();
-        if (!first.has_value()) break;
-        std::vector<ShotRec> batch;
-        batch.push_back(std::move(*first));
-        while (static_cast<int>(batch.size()) < batch_cap) {
-          std::optional<ShotRec> next = infer_q.try_pop();
-          if (!next.has_value()) break;
-          batch.push_back(std::move(*next));
-        }
-        std::vector<Tensor> inputs;
-        std::vector<std::size_t> which;
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-          if (batch[i].outcome != ShotOutcome::kOk) continue;
-          inputs.push_back(std::move(batch[i].input));
-          which.push_back(i);
-        }
-        if (!inputs.empty()) {
-          ES_TRACE_SCOPE("service", "inference");
-          const std::vector<ShotPrediction> preds =
-              classify_inputs(model, inputs, 3, nullptr);
-          for (std::size_t i = 0; i < which.size(); ++i) {
-            ShotRec& r = batch[which[i]];
-            r.input = Tensor{};
-            r.predicted = preds[i].predicted();
-            r.conf_q = static_cast<long long>(
-                std::llround(preds[i].confidence() * 1e6));
-            r.correct = topk_correct(
-                preds[i],
-                bank_class[static_cast<std::size_t>(r.stimulus)], 1);
-          }
-        }
-        bool closed = false;
-        for (ShotRec& r : batch)
-          if (!done_q.push(std::move(r))) closed = true;
-        if (closed) break;
+  infer_group.spawn(guarded([&] {
+    const int batch_cap = std::max(1, config.inference_batch);
+    while (true) {
+      std::optional<ShotRec> first = infer_q.pop();
+      if (!first.has_value()) break;
+      std::vector<ShotRec> batch;
+      batch.push_back(std::move(*first));
+      while (static_cast<int>(batch.size()) < batch_cap) {
+        std::optional<ShotRec> next = infer_q.try_pop();
+        if (!next.has_value()) break;
+        batch.push_back(std::move(*next));
       }
-      done_q.close();
-    } catch (...) {
-      shared.abort_all();
-      throw;
+      std::vector<Tensor> inputs;
+      std::vector<std::size_t> which;
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        if (batch[i].outcome != ShotOutcome::kOk) continue;
+        inputs.push_back(std::move(batch[i].input));
+        which.push_back(i);
+      }
+      if (!inputs.empty()) {
+        ES_TRACE_SCOPE("service", "inference");
+        const std::vector<ShotPrediction> preds =
+            classify_inputs(model, inputs, 3, nullptr);
+        for (std::size_t i = 0; i < which.size(); ++i) {
+          ShotRec& r = batch[which[i]];
+          r.input = Tensor{};
+          r.predicted = preds[i].predicted();
+          r.conf_q = static_cast<long long>(
+              std::llround(preds[i].confidence() * 1e6));
+          r.correct = topk_correct(
+              preds[i], bank_class[static_cast<std::size_t>(r.stimulus)],
+              1);
+        }
+      }
+      bool closed = false;
+      for (ShotRec& r : batch)
+        if (!done_q.push(std::move(r))) closed = true;
+      if (closed) break;
     }
-  });
+    done_q.close();
+  }));
 
   // Teardown chain: each queue closes once every producer upstream of
-  // it has drained and joined (the scheduler closes capture_q, the
+  // it has drained and joined (the scheduler closes develop_q, the
   // inference stage closes done_q). Early stop short-circuits all of it
   // via Shared::abort_all.
   scheduler_group.join();
-  capture_group.join();
-  isp_q.close();
-  isp_group.join();
-  codec_q.close();
-  codec_group.join();
-  decode_q.close();
-  decode_group.join();
+  develop_group.join();
   infer_q.close();
   infer_group.join();
   agg_group.join();
@@ -1221,24 +1103,15 @@ SoakReport run_fleet_service(Model& model, const ServiceConfig& config) {
       report.wall_seconds > 1e-9
           ? static_cast<double>(folded_here) / report.wall_seconds
           : 0.0;
-  auto stage_stats = [](const char* name, int workers,
-                        const ShotQueue& q) {
+  for (const Stage& stage : shared.stages) {
     StageStats s;
-    s.name = name;
-    s.workers = workers;
-    s.capacity = q.capacity();
-    s.high_water = q.high_water();
-    s.processed = q.pushed();
-    return s;
-  };
-  report.stages = {
-      stage_stats("capture", capture_workers, capture_q),
-      stage_stats("isp", isp_workers, isp_q),
-      stage_stats("codec", codec_workers, codec_q),
-      stage_stats("decode", decode_workers, decode_q),
-      stage_stats("inference", 1, infer_q),
-      stage_stats("aggregate", 1, done_q),
-  };
+    s.name = stage.name;
+    s.workers = stage.workers;
+    s.capacity = stage.in->capacity();
+    s.high_water = stage.in->high_water();
+    s.processed = stage.in->pushed();
+    report.stages.push_back(std::move(s));
+  }
   return report;
 }
 

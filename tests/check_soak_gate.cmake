@@ -12,6 +12,9 @@
 #   5. edgestab_sentinel soak <report>          -> renders, mentions resume
 #   6. clean soak promoted to a baseline, then a --chaos soak:
 #      sentinel compare must judge the two provenance-incomparable
+#   7. --repeats 3                              -> 3 repeat samples in the
+#      run archive, digests == D; --repeats with a checkpoint flag is
+#      refused (exit 2)
 #
 # Expected -D variables: BENCH_EXE, SENTINEL_EXE, WORK_DIR, CACHE_DIR.
 foreach(var BENCH_EXE SENTINEL_EXE WORK_DIR CACHE_DIR)
@@ -31,6 +34,7 @@ set(common_args
   --devices 8 --shots 640 --bank 4 --scene 32
   --faults "moderate,budget,deadline_ms=24" --telemetry)
 set(ckpt_file "${WORK_DIR}/soak.ckpt.json")
+set(soak_dir "${WORK_DIR}")
 
 function(run_soak out_var expect_rc)
   execute_process(
@@ -38,7 +42,7 @@ function(run_soak out_var expect_rc)
       "EDGESTAB_CACHE=${CACHE_DIR}"
       "EDGESTAB_TELEMETRY_WINDOW=4"
       "${BENCH_EXE}" ${common_args} ${ARGN}
-    WORKING_DIRECTORY "${WORK_DIR}"
+    WORKING_DIRECTORY "${soak_dir}"
     RESULT_VARIABLE rc
     OUTPUT_VARIABLE out
     ERROR_VARIABLE out)
@@ -151,5 +155,34 @@ if(NOT rc EQUAL 0 OR NOT out MATCHES "fault plan differs")
     "fault-plan provenance mismatch:\n${out}")
 endif()
 
+message(STATUS "==== soak_gate: --repeats 3 ====")
+# A fresh directory so its run archive holds this run's record alone.
+set(soak_dir "${WORK_DIR}/repeats")
+file(MAKE_DIRECTORY "${soak_dir}")
+run_soak(out 0 --threads 2 --repeats 3
+  --soak-out "${soak_dir}/repeats.soak.json")
+soak_digests(repeat_digests "${soak_dir}/repeats.soak.json")
+if(NOT repeat_digests STREQUAL ref_digests)
+  message(FATAL_ERROR
+    "soak_gate: --repeats 3 digests differ from the single run:\n"
+    "  reference:  ${ref_digests}\n  repeats 3:  ${repeat_digests}")
+endif()
+file(READ "${soak_dir}/bench_out/runs.jsonl" archive)
+string(REGEX MATCH "\"repeats\":\\[[^]]*\\]" samples "${archive}")
+string(REGEX MATCHALL "\"wall_seconds\"" walls "${samples}")
+list(LENGTH walls n_samples)
+if(NOT n_samples EQUAL 3)
+  message(FATAL_ERROR
+    "soak_gate: --repeats 3 archived ${n_samples} repeat sample(s), "
+    "want 3:\n${samples}")
+endif()
+run_soak(out 2 --repeats 2 --ckpt "${soak_dir}/refused.ckpt.json"
+  --ckpt-slots 7)
+if(NOT out MATCHES "cannot be combined")
+  message(FATAL_ERROR "soak_gate: --repeats with --ckpt-slots not refused "
+    "with a message:\n${out}")
+endif()
+
 message(STATUS
-  "soak_gate OK — digests bit-identical across threads and kill/resume")
+  "soak_gate OK — digests bit-identical across threads, repeats and "
+  "kill/resume")

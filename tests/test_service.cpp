@@ -505,3 +505,29 @@ TEST(ServicePipeline, ShedAccountingNeverSilent) {
   EXPECT_EQ(reject_receipts, agg.rejected);
   EXPECT_GT(agg.timeouts, 0);  // the tight deadline actually fired
 }
+
+TEST(ServicePipeline, StagesAccountEveryShot) {
+  // DESIGN.md §17's pass-through rule: every record traverses every
+  // queue, terminal or not, so on a completed faulted run each stage has
+  // processed exactly `shots` records. `threads` sizes the develop stage.
+  Workspace ws;
+  Model model = ws.fresh_model();
+  for (int threads : {1, 3}) {
+    ServiceConfig config = gate_config();
+    config.threads = threads;
+    obs::FaultLedger::global().clear();
+    fault::FaultInjector::global().configure(config.plan);
+    const SoakReport report = run_fleet_service(model, config);
+    fault::FaultInjector::global().reset();
+    ASSERT_TRUE(report.completed);
+    ASSERT_EQ(report.stages.size(), 3u);
+    EXPECT_EQ(report.stages[0].name, "develop");
+    EXPECT_EQ(report.stages[1].name, "inference");
+    EXPECT_EQ(report.stages[2].name, "aggregate");
+    for (const StageStats& s : report.stages)
+      EXPECT_EQ(s.processed, config.shots) << s.name << " @ " << threads;
+    EXPECT_EQ(report.stages[0].workers, threads);
+    // The faulted run must actually end shots early for the rule to bite.
+    EXPECT_LT(report.agg.ok, config.shots);
+  }
+}

@@ -177,6 +177,16 @@ TEST(TimelineState, RestoreRefusesKnobMismatchAndGarbage) {
   wrong_ppm.set_trace_sample_ppm(1);
   EXPECT_FALSE(wrong_ppm.restore_state(state));
 
+  // A state cut by a run with another stage table or fleet size.
+  TimelineRecorder wrong_stages;
+  wrong_stages.set_epoch_slots(3);
+  wrong_stages.begin_run({"s0"}, {"c0"}, {"ok", "bad"}, 3);
+  EXPECT_FALSE(wrong_stages.restore_state(state));
+
+  TimelineRecorder wrong_devices;
+  begin_tiny(wrong_devices, 3, 4);
+  EXPECT_FALSE(wrong_devices.restore_state(state));
+
   TimelineRecorder ok;
   begin_tiny(ok, 3);
   EXPECT_FALSE(ok.restore_state("not json"));
