@@ -27,7 +27,7 @@ void BM_Forward(benchmark::State& state, MatmulMode mode) {
   Tensor input({batch, 3, 32, 32});
   for (float& v : input.data()) v = static_cast<float>(rng.normal());
   for (auto _ : state) {
-    Tensor logits = model.forward(input, /*train=*/false);
+    Tensor logits = model.infer(input);
     benchmark::DoNotOptimize(logits);
   }
   state.SetItemsProcessed(state.iterations() * batch);
@@ -43,7 +43,7 @@ void BM_TrainStep(benchmark::State& state) {
   for (float& v : grad.data()) v = static_cast<float>(rng.normal(0, 0.1));
   for (auto _ : state) {
     model.zero_grads();
-    Tensor logits = model.forward(input, /*train=*/true);
+    Tensor logits = model.forward_train(input);
     Tensor gin = model.backward(grad);
     benchmark::DoNotOptimize(gin);
   }
@@ -65,7 +65,7 @@ std::string logits_digest() {
   Pcg32 rng(7);
   Tensor input({4, 3, 32, 32});
   for (float& v : input.data()) v = static_cast<float>(rng.normal());
-  Tensor logits = model.forward(input, /*train=*/false);
+  Tensor logits = model.infer(input);
   Fingerprint fp;
   for (float v : logits.data()) fp.add(static_cast<double>(v));
   return fp.hex();

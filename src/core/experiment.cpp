@@ -89,9 +89,9 @@ void telemetry_record_observations(std::span<const Observation> observations) {
 
 }  // namespace
 
-std::vector<ShotPrediction> classify_inputs(Model& model,
-                                            const std::vector<Tensor>& inputs,
-                                            int k, Tensor* logits_out) {
+std::vector<ShotPrediction> classify_inputs(
+    const Model& model, const std::vector<Tensor>& inputs, int k,
+    Tensor* logits_out) {
   ES_CHECK(!inputs.empty());
   ES_CHECK(k >= 1);
   Tensor batch = stack_inputs(inputs);

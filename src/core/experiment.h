@@ -29,10 +29,9 @@ struct ShotPrediction {
 /// Classify a batch of [1,3,S,S] inputs. When `logits_out` is non-null
 /// it receives the raw logit matrix [N, classes] (the drift auditor
 /// compares logits across environments before softmax flattens them).
-std::vector<ShotPrediction> classify_inputs(Model& model,
-                                            const std::vector<Tensor>& inputs,
-                                            int k = 3,
-                                            Tensor* logits_out = nullptr);
+std::vector<ShotPrediction> classify_inputs(
+    const Model& model, const std::vector<Tensor>& inputs, int k = 3,
+    Tensor* logits_out = nullptr);
 
 /// Whether any of the first `k` predictions is (alias-)correct.
 bool topk_correct(const ShotPrediction& pred, int truth, int k);

@@ -24,9 +24,16 @@ InvertedResidual::InvertedResidual(std::string name, int in_c, int out_c,
   seq_.push_back(std::make_unique<BatchNorm>(name + ".project_bn", out_c));
 }
 
-Tensor InvertedResidual::forward(const Tensor& input, bool train) {
+Tensor InvertedResidual::infer(const Tensor& input) const {
   Tensor x = input;
-  for (auto& layer : seq_) x = layer->forward(x, train);
+  for (const auto& layer : seq_) x = layer->infer(x);
+  if (residual_) x.add_scaled(input, 1.0f);
+  return x;
+}
+
+Tensor InvertedResidual::forward_train(const Tensor& input) {
+  Tensor x = input;
+  for (auto& layer : seq_) x = layer->forward_train(x);
   if (residual_) x.add_scaled(input, 1.0f);
   return x;
 }
@@ -53,15 +60,6 @@ void InvertedResidual::init(Pcg32& rng) {
 void InvertedResidual::set_matmul_mode(MatmulMode mode) {
   Layer::set_matmul_mode(mode);
   for (auto& layer : seq_) layer->set_matmul_mode(mode);
-}
-
-LayerPtr InvertedResidual::clone() const {
-  auto copy = std::unique_ptr<InvertedResidual>(new InvertedResidual());
-  copy->mode_ = mode_;
-  copy->residual_ = residual_;
-  copy->seq_.reserve(seq_.size());
-  for (const auto& layer : seq_) copy->seq_.push_back(layer->clone());
-  return copy;
 }
 
 std::vector<Layer*> InvertedResidual::sublayers() {

@@ -14,23 +14,19 @@ class InvertedResidual : public Layer {
   InvertedResidual(std::string name, int in_c, int out_c, int expand_ratio,
                    int stride);
 
-  Tensor forward(const Tensor& input, bool train) override;
+  Tensor infer(const Tensor& input) const override;
+  Tensor forward_train(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
   std::vector<Param*> params() override;
   std::string type() const override { return "inverted_residual"; }
   void init(Pcg32& rng) override;
   void set_matmul_mode(MatmulMode mode) override;
-  LayerPtr clone() const override;
 
   /// Sub-layers in forward order (exposed for serialization of
   /// batch-norm running statistics).
   std::vector<Layer*> sublayers();
 
-  bool has_residual() const { return residual_; }
-
  private:
-  InvertedResidual() = default;  // for clone()
-
   bool residual_ = false;
   std::vector<LayerPtr> seq_;
 };

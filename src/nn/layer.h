@@ -1,9 +1,10 @@
 // Layer abstraction for the NN library.
 //
 // The library uses explicit layer-graph backprop rather than a general
-// autograd tape: each layer caches its forward context and implements an
-// exact backward. Composite layers (inverted residual blocks) own their
-// sublayers and handle skip connections internally.
+// autograd tape: each layer's training forward caches its context for an
+// exact backward, while the const eval forward (`infer`) caches nothing.
+// Composite layers (inverted residual blocks) own their sublayers and
+// handle skip connections internally.
 #pragma once
 
 #include <memory>
@@ -28,16 +29,18 @@ struct Param {
   void zero_grad() { grad.zero(); }
 };
 
-/// Base layer. Layers are stateful across forward/backward: forward(x)
-/// caches whatever backward needs; backward(dy) must follow the matching
-/// forward.
+/// Base layer. forward_train(x) caches whatever backward needs;
+/// backward(dy) must follow the matching training forward.
 class Layer {
  public:
   virtual ~Layer() = default;
 
-  /// Compute output for a batch. `train` selects training behaviour
-  /// (batch-norm statistics).
-  virtual Tensor forward(const Tensor& input, bool train) = 0;
+  /// Eval-mode output for a batch. Writes no layer state, so concurrent
+  /// calls on one instance are safe.
+  virtual Tensor infer(const Tensor& input) const = 0;
+
+  /// Training-mode output for a batch (batch-norm batch statistics).
+  virtual Tensor forward_train(const Tensor& input) = 0;
 
   /// Propagate gradient; accumulates into parameter grads and returns
   /// gradient w.r.t. the layer input.
@@ -55,13 +58,6 @@ class Layer {
 
   /// Propagate the matmul accumulation mode (compute-backend modeling).
   virtual void set_matmul_mode(MatmulMode mode) { mode_ = mode; }
-
-  /// Deep copy: parameters, running statistics and matmul mode. Forward
-  /// caches come along for the ride but are overwritten by the clone's
-  /// first forward. Clones let the parallel runtime run inference on
-  /// independent copies — a single layer's caches make a shared instance
-  /// unsafe across threads.
-  virtual std::unique_ptr<Layer> clone() const = 0;
 
  protected:
   MatmulMode mode_ = MatmulMode::kStandard;

@@ -14,26 +14,29 @@ class Conv2D : public Layer {
   Conv2D(std::string name, int in_c, int out_c, int kernel, int stride,
          int pad, bool use_bias);
 
-  Tensor forward(const Tensor& input, bool train) override;
+  Tensor infer(const Tensor& input) const override;
+  Tensor forward_train(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
   std::vector<Param*> params() override;
   std::string type() const override { return "conv2d"; }
   void init(Pcg32& rng) override;
-  LayerPtr clone() const override { return std::make_unique<Conv2D>(*this); }
-
-  const ConvGeom& geom() const { return geom_; }
 
  private:
+  /// Float im2col + GEMM over geometry `g`. When `keep_cols` is non-null
+  /// it receives every sample's im2col matrix (backward's cache).
+  Tensor conv(const Tensor& input, const ConvGeom& g,
+              std::vector<Tensor>* keep_cols) const;
+
   /// Quantized inference path (BackendKind::kInt8, eval mode only):
   /// per-row weight scales, per-sample activation scale over the im2col
   /// buffer, saturating int32 accumulate, deterministic requantization.
-  Tensor forward_int8(const Tensor& input);
+  Tensor infer_int8(const Tensor& input, const ConvGeom& g) const;
 
-  ConvGeom geom_;
+  ConvGeom geom_;  // in_h/in_w: the last training forward's, for backward
   bool use_bias_;
   Param weight_;
   Param bias_;
-  // Forward cache.
+  // Training-forward cache.
   Tensor input_;
   std::vector<Tensor> cols_;  // per-sample im2col buffers
 };
@@ -44,21 +47,21 @@ class DepthwiseConv2D : public Layer {
   DepthwiseConv2D(std::string name, int channels, int kernel, int stride,
                   int pad, bool use_bias);
 
-  Tensor forward(const Tensor& input, bool train) override;
+  Tensor infer(const Tensor& input) const override;
+  Tensor forward_train(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
   std::vector<Param*> params() override;
   std::string type() const override { return "depthwise"; }
   void init(Pcg32& rng) override;
-  LayerPtr clone() const override {
-    return std::make_unique<DepthwiseConv2D>(*this);
-  }
 
  private:
+  Tensor depthwise(const Tensor& input, const ConvGeom& g) const;
+
   /// Quantized inference path: per-channel weight scales, per-plane
   /// activation scales.
-  Tensor forward_int8(const Tensor& input);
+  Tensor infer_int8(const Tensor& input, const ConvGeom& g) const;
 
-  ConvGeom geom_;
+  ConvGeom geom_;  // in_h/in_w: the last training forward's, for backward
   bool use_bias_;
   Param weight_;  // [C, K, K]
   Param bias_;    // [C]
@@ -70,20 +73,19 @@ class Dense : public Layer {
  public:
   Dense(std::string name, int in_dim, int out_dim, bool use_bias = true);
 
-  Tensor forward(const Tensor& input, bool train) override;
+  Tensor infer(const Tensor& input) const override;
+  Tensor forward_train(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
   std::vector<Param*> params() override;
   std::string type() const override { return "dense"; }
   void init(Pcg32& rng) override;
-  LayerPtr clone() const override { return std::make_unique<Dense>(*this); }
-
-  int in_dim() const { return in_dim_; }
-  int out_dim() const { return out_dim_; }
 
  private:
+  Tensor affine(const Tensor& input) const;
+
   /// Quantized inference path: per-column (per-output-unit) weight
   /// scales, per-tensor activation scale.
-  Tensor forward_int8(const Tensor& input);
+  Tensor infer_int8(const Tensor& input) const;
 
   int in_dim_, out_dim_;
   bool use_bias_;
@@ -99,11 +101,11 @@ class BatchNorm : public Layer {
   BatchNorm(std::string name, int channels, float momentum = 0.9f,
             float eps = 1e-5f);
 
-  Tensor forward(const Tensor& input, bool train) override;
+  Tensor infer(const Tensor& input) const override;
+  Tensor forward_train(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
   std::vector<Param*> params() override;
   std::string type() const override { return "batchnorm"; }
-  LayerPtr clone() const override { return std::make_unique<BatchNorm>(*this); }
 
   /// Running statistics are state (not gradients) but must serialize.
   Tensor& running_mean() { return running_mean_; }
@@ -120,10 +122,9 @@ class BatchNorm : public Layer {
   float momentum_, eps_;
   Param gamma_, beta_;
   Tensor running_mean_, running_var_;
-  // Forward cache (training mode).
+  // Training-forward cache.
   Tensor input_, normalized_;
   std::vector<float> batch_mean_, batch_inv_std_;
-  bool trained_forward_ = false;
   bool update_stats_ = true;
 };
 
@@ -133,10 +134,13 @@ class ReLU : public Layer {
   explicit ReLU(float cap = std::numeric_limits<float>::infinity())
       : cap_(cap) {}
 
-  Tensor forward(const Tensor& input, bool train) override;
+  Tensor infer(const Tensor& input) const override;
+  Tensor forward_train(const Tensor& input) override {
+    input_ = input;  // backward's cache
+    return infer(input);
+  }
   Tensor backward(const Tensor& grad_output) override;
   std::string type() const override { return cap_ < 1e9f ? "relu6" : "relu"; }
-  LayerPtr clone() const override { return std::make_unique<ReLU>(*this); }
 
  private:
   float cap_;
@@ -146,12 +150,13 @@ class ReLU : public Layer {
 /// Global average pooling: [N,C,H,W] -> [N,C].
 class GlobalAvgPool : public Layer {
  public:
-  Tensor forward(const Tensor& input, bool train) override;
+  Tensor infer(const Tensor& input) const override;
+  Tensor forward_train(const Tensor& input) override {
+    in_shape_ = input.shape();  // backward's cache
+    return infer(input);
+  }
   Tensor backward(const Tensor& grad_output) override;
   std::string type() const override { return "gap"; }
-  LayerPtr clone() const override {
-    return std::make_unique<GlobalAvgPool>(*this);
-  }
 
  private:
   std::vector<int> in_shape_;

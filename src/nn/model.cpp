@@ -9,14 +9,6 @@
 
 namespace edgestab {
 
-Model Model::clone() const {
-  Model copy;
-  copy.layers_.reserve(layers_.size());
-  for (const auto& layer : layers_) copy.layers_.push_back(layer->clone());
-  copy.embedding_tap_ = embedding_tap_;
-  return copy;
-}
-
 int Model::add(LayerPtr layer) {
   layers_.push_back(std::move(layer));
   return static_cast<int>(layers_.size()) - 1;
@@ -27,13 +19,22 @@ void Model::set_embedding_tap(int index) {
   embedding_tap_ = index;
 }
 
-Tensor Model::forward(const Tensor& input, bool train) {
+Tensor Model::infer(const Tensor& input) const {
+  ES_TRACE_SCOPE("nn", "forward");
+  ES_COUNT("nn.inferences", 1);
+  ES_CHECK(!layers_.empty());
+  Tensor x = input;
+  for (const auto& layer : layers_) x = layer->infer(x);
+  return x;
+}
+
+Tensor Model::forward_train(const Tensor& input) {
   ES_TRACE_SCOPE("nn", "forward");
   ES_COUNT("nn.inferences", 1);
   ES_CHECK(!layers_.empty());
   Tensor x = input;
   for (int i = 0; i < layer_count(); ++i) {
-    x = layers_[static_cast<std::size_t>(i)]->forward(x, train);
+    x = layers_[static_cast<std::size_t>(i)]->forward_train(x);
     if (i == embedding_tap_) embedding_ = x;
   }
   return x;
@@ -72,12 +73,6 @@ std::vector<Param*> Model::params() {
 
 void Model::zero_grads() {
   for (Param* p : params()) p->zero_grad();
-}
-
-std::size_t Model::param_count() {
-  std::size_t n = 0;
-  for (Param* p : params()) n += p->value.numel();
-  return n;
 }
 
 void Model::init(Pcg32& rng) {

@@ -2,8 +2,9 @@
 //
 // The model chains layers; the "embedding" is the output of a designated
 // layer (the input to the last fully-connected layer in the paper's
-// terminology, §9.1) and is captured on every forward so stability losses
-// can read it and inject gradients at that point on backward.
+// terminology, §9.1) and is captured on every training forward so
+// stability losses can read it and inject gradients at that point on
+// backward.
 #pragma once
 
 #include "nn/layer.h"
@@ -14,29 +15,27 @@ namespace edgestab {
 class Model {
  public:
   Model() = default;
-  // Layers hold forward caches; a model is move-only. Use clone() for an
-  // explicit deep copy.
+  // A model owns its layers through unique pointers: move-only. Inference
+  // never needs a copy — infer() is const, so lanes share one model.
   Model(const Model&) = delete;
   Model& operator=(const Model&) = delete;
   Model(Model&&) = default;
   Model& operator=(Model&&) = default;
-
-  /// Deep copy: layers (weights, BN statistics, matmul mode) and the
-  /// embedding tap. The parallel runtime clones one model per worker so
-  /// concurrent inference never shares forward caches.
-  Model clone() const;
 
   /// Append a layer; returns its index.
   int add(LayerPtr layer);
 
   /// Mark the output of layer `index` as the embedding.
   void set_embedding_tap(int index);
-  int embedding_tap() const { return embedding_tap_; }
 
-  /// Forward a batch [N,3,H,W] to logits [N,classes].
-  Tensor forward(const Tensor& input, bool train = false);
+  /// Eval forward of a batch [N,3,H,W] to logits [N,classes]. Writes no
+  /// model state, so concurrent calls on one model are safe.
+  Tensor infer(const Tensor& input) const;
 
-  /// Embedding captured by the last forward (empty if no tap set).
+  /// Training forward of a batch [N,3,H,W] to logits [N,classes].
+  Tensor forward_train(const Tensor& input);
+
+  /// Embedding captured by the last forward_train (empty if no tap set).
   const Tensor& embedding() const { return embedding_; }
 
   /// Backward from logit gradients; optionally inject an additional
@@ -47,7 +46,6 @@ class Model {
 
   std::vector<Param*> params();
   void zero_grads();
-  std::size_t param_count();
 
   void init(Pcg32& rng);
   void set_matmul_mode(MatmulMode mode);

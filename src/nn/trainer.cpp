@@ -6,7 +6,7 @@
 
 #include "nn/loss.h"
 #include "nn/optim.h"
-#include "runtime/thread_pool.h"
+#include "runtime/parallel.h"
 #include "util/timer.h"
 
 namespace edgestab {
@@ -38,7 +38,7 @@ std::unique_ptr<Optimizer> make_optimizer(Model& model,
                                config.weight_decay);
 }
 
-double eval_accuracy(Model& model, const TensorDataset& data) {
+double eval_accuracy(const Model& model, const TensorDataset& data) {
   if (data.size() == 0) return 0.0;
   Tensor probs = predict_probs(model, data.images);
   return accuracy(probs, data.labels);
@@ -107,7 +107,7 @@ TrainStats train_stability(Model& model, const TensorDataset& train,
       model.zero_grads();
 
       if (loss == StabilityLoss::kNone) {
-        Tensor logits = model.forward(images, /*train=*/true);
+        Tensor logits = model.forward_train(images);
         Tensor probs, grad;
         double l0 = cross_entropy_loss(logits, labels, probs, grad);
         auto preds = argmax_rows(probs);
@@ -131,12 +131,12 @@ TrainStats train_stability(Model& model, const TensorDataset& train,
         // are frozen here: the companion inputs can be heavily noised
         // and must not pollute inference-time statistics.
         model.set_bn_stats_update(false);
-        Tensor logits_noisy = model.forward(noisy, /*train=*/true);
+        Tensor logits_noisy = model.forward_train(noisy);
         Tensor emb_noisy = model.embedding();
         model.set_bn_stats_update(true);
 
         // Pass 2: clean branch (caches now belong to the clean branch).
-        Tensor logits_clean = model.forward(images, /*train=*/true);
+        Tensor logits_clean = model.forward_train(images);
         Tensor emb_clean = model.embedding();
 
         Tensor probs, grad_ce;
@@ -170,7 +170,7 @@ TrainStats train_stability(Model& model, const TensorDataset& train,
         // Re-forward the noisy branch to restore its caches, then
         // backward its α·Ls contribution.
         model.set_bn_stats_update(false);
-        model.forward(noisy, /*train=*/true);
+        model.forward_train(noisy);
         if (loss == StabilityLoss::kKl) {
           grad_noisy_logits.scale(alpha);
           model.backward(grad_noisy_logits);
@@ -212,7 +212,8 @@ TrainStats train_stability(Model& model, const TensorDataset& train,
   return stats;
 }
 
-Tensor predict_logits(Model& model, const Tensor& images, int batch_size) {
+Tensor predict_logits(const Model& model, const Tensor& images,
+                      int batch_size) {
   ES_CHECK(images.rank() == 4);
   ES_CHECK(batch_size > 0);
   const int n = images.dim(0);
@@ -227,54 +228,31 @@ Tensor predict_logits(Model& model, const Tensor& images, int batch_size) {
   // layers reduce per row. The chunking below may therefore differ from
   // `batch_size` without changing a single output bit. The cut count is
   // fixed — NOT derived from the lane count — so the chunk layout, and
-  // with it the tracked-allocation stream the profiler attributes, is
-  // identical at any --threads (DESIGN.md §13 determinism contract).
+  // with it each chunk's tracked allocations, is identical at any
+  // --threads (DESIGN.md §13 determinism contract). Lanes share the
+  // const model: nothing is copied per chunk.
   constexpr int kEvalCuts = 16;
   const int chunk = std::max(
       1, std::min(batch_size, (n + kEvalCuts - 1) / kEvalCuts));
 
-  auto run_chunk = [&](Model& m, int start, Tensor& out) {
-    const int end = std::min(start + chunk, n);
-    Tensor batch({end - start, c, h, w});
-    std::copy_n(images.raw() + start * sample_n,
-                sample_n * static_cast<std::size_t>(end - start),
-                batch.raw());
-    Tensor logits = m.forward(batch, /*train=*/false);
-    std::copy_n(logits.raw(), logits.numel(),
-                out.raw() + static_cast<std::size_t>(start) * logits.dim(1));
-  };
-
-  // The first chunk runs on the caller's model and sizes the output.
-  Tensor all_logits;
-  {
-    Tensor batch({std::min(chunk, n), c, h, w});
-    std::copy_n(images.raw(),
-                sample_n * static_cast<std::size_t>(batch.dim(0)),
-                batch.raw());
-    Tensor logits = model.forward(batch, /*train=*/false);
-    all_logits = Tensor({n, logits.dim(1)});
-    std::copy_n(logits.raw(), logits.numel(), all_logits.raw());
-  }
-
-  const std::size_t rest =
-      static_cast<std::size_t>((n + chunk - 1) / chunk) - 1;
-  if (rest == 0) return all_logits;
-  // Remaining chunks forward through per-chunk deep copies so no forward
-  // cache is shared across lanes; rows land in disjoint output slices.
-  // Exactly one clone per chunk in EVERY path — grain 1 makes a pool
-  // claim one chunk, and the pool's serial fast path walks the same
-  // per-chunk loop — so the allocation stream stays lane-invariant.
-  runtime::ThreadPool::global().run_chunks(
-      rest, /*grain=*/1, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          Model local = model.clone();
-          run_chunk(local, static_cast<int>(i + 1) * chunk, all_logits);
-        }
-      });
+  const std::vector<Tensor> parts = runtime::parallel_map<Tensor>(
+      static_cast<std::size_t>((n + chunk - 1) / chunk),
+      [&](std::size_t i) {
+        const int start = static_cast<int>(i) * chunk;
+        Tensor batch({std::min(chunk, n - start), c, h, w});
+        std::copy_n(images.raw() + start * sample_n, batch.numel(),
+                    batch.raw());
+        return model.infer(batch);
+      },
+      /*grain=*/1);
+  Tensor all_logits({n, parts.front().dim(1)});
+  float* dst = all_logits.raw();
+  for (const Tensor& part : parts)
+    dst = std::copy_n(part.raw(), part.numel(), dst);
   return all_logits;
 }
 
-Tensor predict_probs(Model& model, const Tensor& images, int batch_size) {
+Tensor predict_probs(const Model& model, const Tensor& images, int batch_size) {
   Tensor logits = predict_logits(model, images, batch_size);
   if (logits.empty()) return logits;
   Tensor probs(logits.shape());
@@ -282,7 +260,7 @@ Tensor predict_probs(Model& model, const Tensor& images, int batch_size) {
   return probs;
 }
 
-std::vector<int> predict_labels(Model& model, const Tensor& images,
+std::vector<int> predict_labels(const Model& model, const Tensor& images,
                                 int batch_size) {
   return argmax_rows(predict_probs(model, images, batch_size));
 }

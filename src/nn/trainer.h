@@ -83,15 +83,15 @@ TrainStats train_stability(Model& model, const TensorDataset& train,
 /// Batched inference: raw logits [N, classes] (eval mode). The drift
 /// auditor compares these across environments before softmax flattens
 /// the scale.
-Tensor predict_logits(Model& model, const Tensor& images,
+Tensor predict_logits(const Model& model, const Tensor& images,
                       int batch_size = 64);
 
 /// Batched inference: softmax probabilities [N, classes] (eval mode).
-Tensor predict_probs(Model& model, const Tensor& images,
+Tensor predict_probs(const Model& model, const Tensor& images,
                      int batch_size = 64);
 
 /// Convert probabilities to top-1 labels.
-std::vector<int> predict_labels(Model& model, const Tensor& images,
+std::vector<int> predict_labels(const Model& model, const Tensor& images,
                                 int batch_size = 64);
 
 }  // namespace edgestab

@@ -734,8 +734,11 @@ class Aggregator {
 
 // ---- run_fleet_service -----------------------------------------------------
 
-SoakReport run_fleet_service(Model& model, const ServiceConfig& config) {
+SoakReport run_fleet_service(const Model& model,
+                             const ServiceConfig& config) {
   ES_CHECK_MSG(config.devices >= 1, "service needs >= 1 device");
+  ES_CHECK_MSG(config.inference_batch >= 1, "inference batch must be >= 1");
+  ES_CHECK_MSG(config.max_inflight >= 1, "max in-flight must be >= 1");
   ES_CHECK_MSG(config.shots >= config.devices &&
                    config.shots % config.devices == 0,
                "shots must be a positive multiple of devices");
@@ -860,8 +863,12 @@ SoakReport run_fleet_service(Model& model, const ServiceConfig& config) {
   }
   const long long start_g = start_slot * devices;
 
-  const long long lead_cap = std::max<long long>(
-      config.max_inflight, 2LL * devices);
+  // An inference group closes only once all its shots are scheduled, so
+  // the lead cap must admit at least one whole group past the fold cursor.
+  const long long batch = config.inference_batch;
+  const long long lead_cap =
+      std::max({static_cast<long long>(config.max_inflight), 2LL * devices,
+                batch});
 
   LiveStatus live;
   live.stages = &shared.stages;
@@ -977,32 +984,28 @@ SoakReport run_fleet_service(Model& model, const ServiceConfig& config) {
     }));
   }
 
+  // Inference batches are fixed shot-index groups: shots g in
+  // [k·batch, (k+1)·batch), clipped to [start_g, shots), form group k,
+  // classified in g order once every record has arrived. Batch
+  // composition — and with it every allocation inference makes — is a
+  // pure function of shot coordinates, never of arrival timing.
   infer_group.spawn(guarded([&] {
-    const int batch_cap = std::max(1, config.inference_batch);
-    while (true) {
-      std::optional<ShotRec> first = infer_q.pop();
-      if (!first.has_value()) break;
-      std::vector<ShotRec> batch;
-      batch.push_back(std::move(*first));
-      while (static_cast<int>(batch.size()) < batch_cap) {
-        std::optional<ShotRec> next = infer_q.try_pop();
-        if (!next.has_value()) break;
-        batch.push_back(std::move(*next));
-      }
+    // Classify one group (keyed by g) and hand it on; false once done_q
+    // has closed.
+    auto classify_group = [&](std::map<long long, ShotRec>& group) {
       std::vector<Tensor> inputs;
-      std::vector<std::size_t> which;
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (batch[i].outcome != ShotOutcome::kOk) continue;
-        inputs.push_back(std::move(batch[i].input));
-        which.push_back(i);
+      std::vector<ShotRec*> ok;
+      for (auto& [g, r] : group) {
+        if (r.outcome != ShotOutcome::kOk) continue;
+        inputs.push_back(std::move(r.input));
+        ok.push_back(&r);
       }
       if (!inputs.empty()) {
         ES_TRACE_SCOPE("service", "inference");
         const std::vector<ShotPrediction> preds =
             classify_inputs(model, inputs, 3, nullptr);
-        for (std::size_t i = 0; i < which.size(); ++i) {
-          ShotRec& r = batch[which[i]];
-          r.input = Tensor{};
+        for (std::size_t i = 0; i < ok.size(); ++i) {
+          ShotRec& r = *ok[i];
           r.predicted = preds[i].predicted();
           r.conf_q = static_cast<long long>(
               std::llround(preds[i].confidence() * 1e6));
@@ -1011,11 +1014,24 @@ SoakReport run_fleet_service(Model& model, const ServiceConfig& config) {
               1);
         }
       }
-      bool closed = false;
-      for (ShotRec& r : batch)
-        if (!done_q.push(std::move(r))) closed = true;
-      if (closed) break;
+      for (auto& [g, r] : group)
+        if (!done_q.push(std::move(r))) return false;
+      return true;
+    };
+    std::map<long long, std::map<long long, ShotRec>> open_groups;
+    while (std::optional<ShotRec> rec = infer_q.pop()) {
+      const long long k = rec->g / batch;
+      std::map<long long, ShotRec>& group = open_groups[k];
+      group.emplace(rec->g, std::move(*rec));
+      if (static_cast<long long>(group.size()) <
+          std::min((k + 1) * batch, config.shots) -
+              std::max(k * batch, start_g))
+        continue;
+      if (!classify_group(open_groups.extract(k).mapped())) break;
     }
+    // Groups still open when infer_q closes (an early stop) are partial.
+    for (auto& [k, group] : open_groups)
+      if (!classify_group(group)) break;
     done_q.close();
   }));
 

@@ -58,6 +58,8 @@ struct ServiceConfig {
   double shed_backlog_ms = 400.0;
   double drain_ms_per_shot = 50.0;
 
+  /// Inference batch size B: shots g in [k·B, (k+1)·B) are classified
+  /// together, so batch composition never depends on timing.
   int inference_batch = 8;
   /// Scheduler lead cap over the fold cursor — bounds the aggregator's
   /// reorder buffer even when a breaker storm turns every shot into a
@@ -136,7 +138,8 @@ struct SoakReport {
 /// Run the service. Files receipts with the global FaultLedger under
 /// group "service" and feeds the global DeviceHealthRegistry (both
 /// serially, from the aggregator only).
-SoakReport run_fleet_service(Model& model, const ServiceConfig& config);
+SoakReport run_fleet_service(const Model& model,
+                             const ServiceConfig& config);
 
 /// Canonical digest of a raw ledger-event list (the report's
 /// ledger_digest surface).

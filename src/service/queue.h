@@ -64,19 +64,6 @@ class BoundedQueue {
     return item;
   }
 
-  /// Non-blocking pop: nullopt when currently empty (the inference
-  /// stage uses this to fill out a batch without stalling on a slow
-  /// upstream).
-  std::optional<T> try_pop() {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    lock.unlock();
-    not_full_.notify_one();
-    return item;
-  }
-
   /// Close the queue: pending items remain poppable, new pushes fail,
   /// and blocked waiters wake. Idempotent.
   void close() {

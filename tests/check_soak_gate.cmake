@@ -1,12 +1,13 @@
 # Hermetic crash/resume gate for the streaming fleet service
 # (DESIGN.md §17): the soak digests must be bit-identical across thread
 # counts AND across a hard kill (std::_Exit right after a checkpoint
-# rename) followed by --resume. Also exercises the sentinel's offline
+# rename) followed by --resume. The profiler's digest (DESIGN.md §13)
+# must be thread-invariant too. Also exercises the sentinel's offline
 # soak renderer and checks that a --chaos soak's provenance names its
 # fault plan.
 #
-#   1. reference soak at --threads 2            -> digests D
-#   2. same soak at --threads 1                 -> digests == D
+#   1. reference soak at --threads 2 --profile  -> digests D, profile P
+#   2. same soak at --threads 1 --profile       -> digests == D, profile == P
 #   3. same soak with --kill-after-ckpt 2       -> must exit 7
 #   4. --resume from the surviving checkpoint   -> digests == D
 #   5. edgestab_sentinel soak <report>          -> renders, mentions resume
@@ -64,17 +65,34 @@ function(soak_digests out_var file)
   set(${out_var} "${digests}" PARENT_SCOPE)
 endfunction()
 
+# Pull profile_digest out of the last run's provenance manifest.
+function(profile_digest out_var)
+  file(READ "${soak_dir}/bench_out/fleet_soak.meta.json" body)
+  string(REGEX MATCH "\"profile_digest\":\"[0-9a-f]+\"" digest "${body}")
+  if(digest STREQUAL "")
+    message(FATAL_ERROR "soak_gate: no profile_digest in the manifest")
+  endif()
+  set(${out_var} "${digest}" PARENT_SCOPE)
+endfunction()
+
 message(STATUS "==== soak_gate: reference run (--threads 2) ====")
-run_soak(out 0 --threads 2 --soak-out "${WORK_DIR}/ref.soak.json")
+run_soak(out 0 --threads 2 --profile --soak-out "${WORK_DIR}/ref.soak.json")
 soak_digests(ref_digests "${WORK_DIR}/ref.soak.json")
+profile_digest(ref_profile)
 
 message(STATUS "==== soak_gate: thread invariance (--threads 1) ====")
-run_soak(out 0 --threads 1 --soak-out "${WORK_DIR}/t1.soak.json")
+run_soak(out 0 --threads 1 --profile --soak-out "${WORK_DIR}/t1.soak.json")
 soak_digests(t1_digests "${WORK_DIR}/t1.soak.json")
 if(NOT t1_digests STREQUAL ref_digests)
   message(FATAL_ERROR
     "soak_gate: digests differ across thread counts:\n"
     "  threads 2: ${ref_digests}\n  threads 1: ${t1_digests}")
+endif()
+profile_digest(t1_profile)
+if(NOT t1_profile STREQUAL ref_profile)
+  message(FATAL_ERROR
+    "soak_gate: profile digests differ across thread counts:\n"
+    "  threads 2: ${ref_profile}\n  threads 1: ${t1_profile}")
 endif()
 
 message(STATUS "==== soak_gate: hard kill after 2 checkpoints ====")
@@ -185,4 +203,4 @@ endif()
 
 message(STATUS
   "soak_gate OK — digests bit-identical across threads, repeats and "
-  "kill/resume")
+  "kill/resume; profile digest thread-invariant")

@@ -63,8 +63,9 @@ if(NOT EXISTS "${run_dir}/bench_out/table4_isp.meta.json")
 endif()
 
 # The streaming service is the most thread-shaped subsystem in the tree
-# (bounded MPMC queues, a condvar lead cap, seven worker groups), so a
-# tiny faulted soak runs under TSAN too.
+# (bounded MPMC queues, a condvar lead cap, four worker groups), so a
+# tiny faulted soak runs under TSAN too. --profile adds the profiler's
+# lane merge while pool lanes run inference on the one shared model.
 message(STATUS "==== tsan_smoke: build bench_fleet_soak ====")
 execute_process(
   COMMAND ${CMAKE_COMMAND} --build "${build_dir}"
@@ -80,7 +81,7 @@ execute_process(
   COMMAND ${CMAKE_COMMAND} -E env
     "EDGESTAB_CACHE=${CACHE_DIR}"
     "TSAN_OPTIONS=halt_on_error=1"
-    "${build_dir}/bench/bench_fleet_soak" --threads 4
+    "${build_dir}/bench/bench_fleet_soak" --threads 4 --profile
     --devices 6 --shots 120 --bank 2 --scene 32
     --faults "light,budget,deadline_ms=24" --telemetry
   WORKING_DIRECTORY "${run_dir}"

@@ -224,9 +224,9 @@ TEST(BackendAvx2, DepthwiseLayerMatchesScalarWithinTolerance) {
     Tensor input = random_tensor({2, 4, c.h, c.w}, rng);
 
     set_active_backend(BackendKind::kScalar);
-    Tensor ref = layer.forward(input, /*train=*/false);
+    Tensor ref = layer.infer(input);
     set_active_backend(BackendKind::kAvx2);
-    Tensor got = layer.forward(input, /*train=*/false);
+    Tensor got = layer.infer(input);
 
     EXPECT_LT(rel_l2(got, ref), 1e-6)
         << "kernel=" << c.kernel << " stride=" << c.stride;
@@ -246,9 +246,9 @@ TEST(BackendAvx2, ConvLayerMatchesScalarWithinTolerance) {
     Tensor input = random_tensor({2, 5, 15, 18}, rng);
 
     set_active_backend(BackendKind::kScalar);
-    Tensor ref = layer.forward(input, /*train=*/false);
+    Tensor ref = layer.infer(input);
     set_active_backend(BackendKind::kAvx2);
-    Tensor got = layer.forward(input, /*train=*/false);
+    Tensor got = layer.infer(input);
 
     EXPECT_LT(rel_l2(got, ref), 1e-6) << "kernel=" << kernel;
   }
@@ -366,11 +366,11 @@ TEST(BackendInt8, ConvLayerInt8CloseToScalarAndDeterministic) {
   Tensor input = random_tensor({2, 4, 12, 12}, rng);
 
   set_active_backend(BackendKind::kScalar);
-  Tensor ref = layer.forward(input, /*train=*/false);
+  Tensor ref = layer.infer(input);
 
   set_active_backend(BackendKind::kInt8);
-  Tensor q1 = layer.forward(input, /*train=*/false);
-  Tensor q2 = layer.forward(input, /*train=*/false);
+  Tensor q1 = layer.infer(input);
+  Tensor q2 = layer.infer(input);
 
   // Quantized inference is an approximation of the float path...
   EXPECT_LT(rel_l2(q1, ref), 0.05);
@@ -386,11 +386,11 @@ TEST(BackendInt8, TrainingForwardIgnoresInt8Backend) {
   Tensor input = random_tensor({3, 10}, rng);
 
   set_active_backend(BackendKind::kScalar);
-  Tensor ref = layer.forward(input, /*train=*/true);
+  Tensor ref = layer.forward_train(input);
   set_active_backend(BackendKind::kInt8);
   // Quantized kernels are inference-only; training forwards must stay on
   // the float path bit-for-bit so gradients stay consistent.
-  Tensor got = layer.forward(input, /*train=*/true);
+  Tensor got = layer.forward_train(input);
   EXPECT_EQ(digest(got), digest(ref));
 }
 

@@ -257,7 +257,7 @@ TEST(Workspace, FreshModelMatchesConfig) {
   Pcg32 rng(1);
   m.init(rng);
   Tensor x({1, 3, cfg.model.input_size, cfg.model.input_size});
-  Tensor logits = m.forward(x, false);
+  Tensor logits = m.infer(x);
   EXPECT_EQ(logits.dim(1), cfg.model.num_classes);
   std::filesystem::remove_all("/tmp/edgestab_test_cache3");
   unsetenv("EDGESTAB_CACHE");

@@ -165,9 +165,9 @@ TEST(Backend, BlockedMatmulChangesLogitsSlightly) {
   for (float& v : input.data()) v = static_cast<float>(rng.normal());
 
   model.set_matmul_mode(MatmulMode::kStandard);
-  Tensor a = model.forward(input, false);
+  Tensor a = model.infer(input);
   model.set_matmul_mode(MatmulMode::kBlocked);
-  Tensor b = model.forward(input, false);
+  Tensor b = model.infer(input);
 
   bool any_diff = false;
   for (std::size_t i = 0; i < a.numel(); ++i) {

@@ -80,9 +80,9 @@ TEST(Quantize, Int8PreservesPredictionsMostly) {
   Pcg32 xrng(5);
   Tensor x({16, 3, 16, 16});
   for (float& v : x.data()) v = static_cast<float>(xrng.normal(0, 0.5));
-  Tensor before = m.forward(x, false);
+  Tensor before = m.infer(x);
   quantize_weights(m, {});
-  Tensor after = m.forward(x, false);
+  Tensor after = m.infer(x);
   auto a = argmax_rows(before);
   auto b = argmax_rows(after);
   int same = 0;

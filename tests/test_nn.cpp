@@ -33,12 +33,12 @@ class GradCheck {
   GradCheck(Model& model, Tensor input, std::uint64_t seed)
       : model_(model), input_(std::move(input)) {
     Pcg32 rng(seed, 99);
-    Tensor out = model_.forward(input_, /*train=*/true);
+    Tensor out = model_.forward_train(input_);
     coeffs_ = random_tensor(out.shape(), rng);
   }
 
   double loss() {
-    Tensor out = model_.forward(input_, /*train=*/true);
+    Tensor out = model_.forward_train(input_);
     double l = 0.0;
     for (std::size_t i = 0; i < out.numel(); ++i)
       l += static_cast<double>(out[i]) * coeffs_[i];
@@ -48,7 +48,7 @@ class GradCheck {
   /// Analytic gradients for all params and the input.
   Tensor analytic_input_grad() {
     model_.zero_grads();
-    model_.forward(input_, /*train=*/true);
+    model_.forward_train(input_);
     return model_.backward(coeffs_);
   }
 
@@ -347,14 +347,14 @@ TEST(Model, SaveLoadRoundTrip) {
   Pcg32 rng(40);
   a.init(rng);
   Tensor x = random_tensor({2, 3, 16, 16}, rng);
-  Tensor ya = a.forward(x, false);
+  Tensor ya = a.infer(x);
 
   Bytes state = a.save_state();
   Model b = build_mini_mobilenet_v2(cfg);
   Pcg32 rng2(999);
   b.init(rng2);
   b.load_state(state);
-  Tensor yb = b.forward(x, false);
+  Tensor yb = b.infer(x);
   ASSERT_TRUE(ya.same_shape(yb));
   for (std::size_t i = 0; i < ya.numel(); ++i)
     EXPECT_FLOAT_EQ(ya[i], yb[i]);
@@ -387,7 +387,7 @@ TEST(Model, EmbeddingTapCaptured) {
   Pcg32 rng(42);
   m.init(rng);
   Tensor x = random_tensor({2, 3, 16, 16}, rng);
-  m.forward(x, false);
+  m.forward_train(x);
   ASSERT_FALSE(m.embedding().empty());
   EXPECT_EQ(m.embedding().dim(0), 2);
   EXPECT_EQ(m.embedding().dim(1), 8);

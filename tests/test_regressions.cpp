@@ -27,7 +27,7 @@ TEST(Regression, BnStatsFreezeLeavesRunningAveragesUntouched) {
   Tensor x({8, 3, 4, 4});
   for (float& v : x.data()) v = static_cast<float>(rng.normal(2.0, 1.5));
 
-  bn.forward(x, /*train=*/true);
+  bn.forward_train(x);
   std::vector<float> mean_after(bn.running_mean().data().begin(),
                                 bn.running_mean().data().end());
   std::vector<float> var_after(bn.running_var().data().begin(),
@@ -37,7 +37,7 @@ TEST(Regression, BnStatsFreezeLeavesRunningAveragesUntouched) {
   bn.set_update_running_stats(false);
   Tensor noisy({8, 3, 4, 4});
   for (float& v : noisy.data()) v = static_cast<float>(rng.normal(-5.0, 4.0));
-  Tensor frozen_out = bn.forward(noisy, /*train=*/true);
+  Tensor frozen_out = bn.forward_train(noisy);
   for (std::size_t i = 0; i < mean_after.size(); ++i) {
     EXPECT_FLOAT_EQ(bn.running_mean().data()[i], mean_after[i]);
     EXPECT_FLOAT_EQ(bn.running_var().data()[i], var_after[i]);
@@ -51,7 +51,7 @@ TEST(Regression, BnStatsFreezeLeavesRunningAveragesUntouched) {
 
   // Unfrozen again: stats move.
   bn.set_update_running_stats(true);
-  bn.forward(noisy, /*train=*/true);
+  bn.forward_train(noisy);
   EXPECT_NE(bn.running_mean().data()[0], mean_after[0]);
 }
 
@@ -163,9 +163,9 @@ TEST(Regression, LayerHandlesChangingBatchSize) {
   fc.init(rng);
   Tensor a({2, 6}, 0.5f);
   Tensor b({7, 6}, 0.25f);
-  Tensor ya = fc.forward(a, true);
+  Tensor ya = fc.forward_train(a);
   EXPECT_EQ(ya.dim(0), 2);
-  Tensor yb = fc.forward(b, true);
+  Tensor yb = fc.forward_train(b);
   EXPECT_EQ(yb.dim(0), 7);
   Tensor gb({7, 3}, 1.0f);
   Tensor gin = fc.backward(gb);

@@ -1,6 +1,6 @@
 // Tests for the parallel runtime (src/runtime): pool and loop
-// semantics, per-item seed derivation, model cloning for per-worker
-// inference, and the determinism contract end to end — the same lab-rig
+// semantics, per-item seed derivation, chunked inference over one shared
+// model, and the determinism contract end to end — the same lab-rig
 // experiment must produce bit-identical instability numbers,
 // flip-ledger digests and drift summaries at 1, 2 and 8 lanes.
 #include <gtest/gtest.h>
@@ -21,6 +21,7 @@
 #include "fault/fault.h"
 #include "nn/mobilenet.h"
 #include "nn/model.h"
+#include "nn/trainer.h"
 #include "obs/drift.h"
 #include "obs/fault_ledger.h"
 #include "obs/obs.h"
@@ -204,34 +205,6 @@ TEST(Seed, DerivedStreamsAreReproducibleAndDistinct) {
   EXPECT_TRUE(any_differs);
 }
 
-// ---- Model cloning ----------------------------------------------------------
-
-TEST(ModelClone, ForwardsIdenticallyAndIsIndependent) {
-  MobileNetConfig config;
-  Model model = build_mini_mobilenet_v2(config);
-  Pcg32 rng(21, 5);
-  model.init(rng);
-
-  Tensor input({2, 3, config.input_size, config.input_size});
-  Pcg32 noise(9, 2);
-  for (float& v : input.data())
-    v = static_cast<float>(noise.uniform(-0.5, 0.5));
-
-  Model copy = model.clone();
-  Tensor out_orig = model.forward(input);
-  Tensor out_copy = copy.forward(input);
-  ASSERT_EQ(out_orig.shape(), out_copy.shape());
-  for (std::size_t i = 0; i < out_orig.numel(); ++i)
-    ASSERT_EQ(out_orig[i], out_copy[i]) << "logit " << i;
-
-  // The clone owns its parameters: perturbing them must not leak back.
-  for (Param* p : copy.params())
-    for (float& v : p->value.data()) v += 0.25f;
-  Tensor out_after = model.forward(input);
-  for (std::size_t i = 0; i < out_orig.numel(); ++i)
-    ASSERT_EQ(out_orig[i], out_after[i]) << "logit " << i;
-}
-
 // ---- End-to-end determinism across lane counts ------------------------------
 
 struct EndToEndDigests {
@@ -393,6 +366,29 @@ TEST(RuntimeDeterminism, EndToEndBitIdenticalAcrossLaneCounts) {
   EXPECT_EQ(one.ledger, eight.ledger);
   EXPECT_EQ(one.drift, two.drift);
   EXPECT_EQ(one.drift, eight.drift);
+}
+
+TEST(RuntimeDeterminism, ChunkedPredictLogitsMatchesSerialInfer) {
+  // 40 rows cut into 14 chunks that lanes forward concurrently through
+  // one shared model; the rows must equal a single serial infer.
+  PoolWidthGuard guard;
+  MobileNetConfig config;
+  Model model = build_mini_mobilenet_v2(config);
+  Pcg32 rng(21, 5);
+  model.init(rng);
+  Tensor input({40, 3, config.input_size, config.input_size});
+  Pcg32 noise(9, 2);
+  for (float& v : input.data())
+    v = static_cast<float>(noise.uniform(-0.5, 0.5));
+
+  const Tensor serial = model.infer(input);
+  for (int threads : {1, 4}) {
+    runtime::ThreadPool::set_global_threads(threads);
+    const Tensor chunked = predict_logits(model, input);
+    ASSERT_EQ(chunked.shape(), serial.shape()) << threads << " lanes";
+    for (std::size_t i = 0; i < serial.numel(); ++i)
+      ASSERT_EQ(chunked[i], serial[i]) << "logit " << i << " @ " << threads;
+  }
 }
 
 TEST(RuntimeDeterminism, FaultedEndToEndBitIdenticalAcrossLaneCounts) {

@@ -67,14 +67,6 @@ TEST(BoundedQueue, CloseAndDrainDiscardsPending) {
   EXPECT_FALSE(q.pop().has_value());
 }
 
-TEST(BoundedQueue, TryPopNeverBlocks) {
-  BoundedQueue<int> q(2);
-  EXPECT_FALSE(q.try_pop().has_value());
-  ASSERT_TRUE(q.push(5));
-  EXPECT_EQ(q.try_pop().value(), 5);
-  EXPECT_FALSE(q.try_pop().has_value());
-}
-
 // ---- CircuitBreaker --------------------------------------------------------
 
 namespace {
@@ -504,6 +496,35 @@ TEST(ServicePipeline, ShedAccountingNeverSilent) {
   EXPECT_EQ(shed_receipts, agg.shed);
   EXPECT_EQ(reject_receipts, agg.rejected);
   EXPECT_GT(agg.timeouts, 0);  // the tight deadline actually fired
+}
+
+TEST(ServicePipeline, BatchWiderThanLeadCapStillCompletes) {
+  // An inference group closes only once all its shots are scheduled, so
+  // the scheduler's lead cap must stretch to a whole group: one device
+  // and max_inflight 2 would otherwise stall the first group of 8.
+  Workspace ws;
+  Model model = ws.fresh_model();
+  ServiceConfig config = gate_config();
+  config.devices = 1;
+  config.shots = 36;  // the last group is clipped to 4 shots
+  config.max_inflight = 2;
+  config.inference_batch = 8;
+  obs::FaultLedger::global().clear();
+  fault::FaultInjector::global().configure(config.plan);
+  const SoakReport report = run_fleet_service(model, config);
+  fault::FaultInjector::global().reset();
+  ASSERT_TRUE(report.completed);
+  const AggregateState& agg = report.agg;
+  EXPECT_EQ(agg.ok + agg.shed + agg.rejected + agg.timeouts +
+                agg.capture_lost + agg.decode_lost,
+            config.shots);
+
+  ServiceConfig bad = config;
+  bad.inference_batch = 0;
+  EXPECT_THROW(run_fleet_service(model, bad), CheckError);
+  bad = config;
+  bad.max_inflight = 0;
+  EXPECT_THROW(run_fleet_service(model, bad), CheckError);
 }
 
 TEST(ServicePipeline, StagesAccountEveryShot) {
