@@ -1,5 +1,7 @@
 #include "codec/bitio.h"
 
+#include <algorithm>
+
 #include "codec/status.h"
 
 namespace edgestab {
@@ -32,14 +34,26 @@ std::uint32_t BitReader::get(int bits) {
   ES_DECODE_CHECK(bit_pos_ + static_cast<std::size_t>(bits) <=
                       data_.size() * 8,
                   DecodeStatus::kTruncated, "bit stream truncated");
-  std::uint32_t out = 0;
-  for (int i = 0; i < bits; ++i) {
-    std::size_t byte = bit_pos_ >> 3;
-    int shift = 7 - static_cast<int>(bit_pos_ & 7);
-    out = (out << 1) | ((data_[byte] >> shift) & 1u);
-    ++bit_pos_;
-  }
+  const std::uint32_t out = peek(bits);
+  bit_pos_ += static_cast<std::size_t>(bits);
   return out;
+}
+
+std::uint32_t BitReader::peek(int bits) const {
+  ES_DCHECK(bits >= 0 && bits <= 32 &&
+            static_cast<std::size_t>(bits) <= bits_remaining());
+  if (bits == 0) return 0;
+  // An 8-byte big-endian window starting at the current byte holds the
+  // <= 7 already-consumed bits of that byte plus the <= 32 wanted ones;
+  // bytes past the end read as zero and are never part of the result.
+  const std::size_t byte = bit_pos_ >> 3;
+  const std::size_t avail = std::min<std::size_t>(8, data_.size() - byte);
+  std::uint64_t window = 0;
+  for (std::size_t i = 0; i < avail; ++i)
+    window = (window << 8) | data_[byte + i];
+  window <<= 8 * (8 - avail);
+  return static_cast<std::uint32_t>((window << (bit_pos_ & 7)) >>
+                                    (64 - bits));
 }
 
 }  // namespace edgestab

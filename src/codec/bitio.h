@@ -39,6 +39,16 @@ class BitReader {
   /// Read a single bit.
   int get_bit() { return static_cast<int>(get(1)); }
 
+  /// The next `bits` bits (MSB first) without consuming them; bits in
+  /// [0, 32] and at most bits_remaining().
+  std::uint32_t peek(int bits) const;
+
+  /// Consume `bits` bits; at most bits_remaining().
+  void skip(int bits) {
+    ES_DCHECK(bits >= 0 && static_cast<std::size_t>(bits) <= bits_remaining());
+    bit_pos_ += static_cast<std::size_t>(bits);
+  }
+
   std::size_t bits_consumed() const { return bit_pos_; }
   std::size_t bits_remaining() const { return data_.size() * 8 - bit_pos_; }
 

@@ -122,6 +122,30 @@ void HuffmanTable::build_canonical() {
   }
   ES_DECODE_CHECK(idx == sorted_symbols_.size(), DecodeStatus::kCorrupt,
                   "huffman: lengths exceed kMaxBits");
+  build_lookup();
+}
+
+void HuffmanTable::build_lookup() {
+  // Canonical codes of different lengths never share a prefix, so each
+  // entry is written at most once. In an over-subscribed table (read_table
+  // accepts any lengths) the codes run past their length's range: such a
+  // code matches no bit pattern in the bit-serial decode either, nor do
+  // the codes after it at that length.
+  lookup_.assign(std::size_t{1} << kLookupBits, 0);
+  for (int len = 1; len <= kLookupBits; ++len) {
+    const auto l = static_cast<std::size_t>(len);
+    const std::uint32_t first = first_code_[l];
+    const int shift = kLookupBits - len;
+    for (std::uint32_t i = first_index_[l]; i < first_index_[l + 1]; ++i) {
+      const std::uint32_t code = first + (i - first_index_[l]);
+      if (code >= (1u << len)) break;
+      const std::uint32_t entry =
+          (static_cast<std::uint32_t>(sorted_symbols_[i]) << 4) |
+          static_cast<std::uint32_t>(len);
+      for (std::uint32_t p = code << shift; p < (code + 1) << shift; ++p)
+        lookup_[p] = entry;
+    }
+  }
 }
 
 void HuffmanTable::encode(BitWriter& bw, int symbol) const {
@@ -132,8 +156,25 @@ void HuffmanTable::encode(BitWriter& bw, int symbol) const {
 }
 
 int HuffmanTable::decode(BitReader& br) const {
-  std::uint32_t code = 0;
-  for (int len = 1; len <= kMaxBits; ++len) {
+  // Near the end of the stream a code may be longer than what is left,
+  // so the short tail always takes the bit-serial path: it reads exactly
+  // as many bits as the code needs and reports truncation where it runs
+  // out.
+  if (br.bits_remaining() < static_cast<std::size_t>(kLookupBits))
+    return decode_serial(br, 0, 1);
+  const std::uint32_t bits = br.peek(kLookupBits);
+  const std::uint32_t entry = lookup_[bits];
+  if (entry != 0) {
+    br.skip(static_cast<int>(entry & 15u));
+    return static_cast<int>(entry >> 4);
+  }
+  br.skip(kLookupBits);
+  return decode_serial(br, bits, kLookupBits + 1);
+}
+
+int HuffmanTable::decode_serial(BitReader& br, std::uint32_t code,
+                                int len) const {
+  for (; len <= kMaxBits; ++len) {
     code = (code << 1) | static_cast<std::uint32_t>(br.get_bit());
     std::uint32_t first = first_code_[static_cast<std::size_t>(len)];
     std::uint32_t index = first_index_[static_cast<std::size_t>(len)];

@@ -16,6 +16,9 @@ namespace edgestab {
 class HuffmanTable {
  public:
   static constexpr int kMaxBits = 15;
+  /// Width of the first-level decode table: codes up to this long decode
+  /// with one peek; longer ones continue bit by bit.
+  static constexpr int kLookupBits = 9;
 
   /// Build an optimal (length-limited) code for the given frequencies.
   /// Symbols with zero frequency get no code. At least one symbol must
@@ -31,7 +34,9 @@ class HuffmanTable {
   /// Emit the code for `symbol` (must have a code).
   void encode(BitWriter& bw, int symbol) const;
 
-  /// Decode one symbol.
+  /// Decode one symbol. Throws DecodeError kTruncated when the stream
+  /// ends inside a code and kCorrupt when no code matches within
+  /// kMaxBits bits.
   int decode(BitReader& br) const;
 
   /// Serialize code lengths (u16 count + 4 bits per symbol).
@@ -44,6 +49,10 @@ class HuffmanTable {
 
  private:
   void build_canonical();
+  void build_lookup();
+  /// The canonical bit-serial decode, continuing from the `len - 1` bits
+  /// already read into `code`.
+  int decode_serial(BitReader& br, std::uint32_t code, int len) const;
 
   std::vector<std::uint8_t> lengths_;
   std::vector<std::uint16_t> codes_;
@@ -52,6 +61,10 @@ class HuffmanTable {
   std::vector<std::uint32_t> first_code_;
   std::vector<std::uint32_t> first_index_;
   std::vector<std::uint16_t> sorted_symbols_;
+  // First-level decode table indexed by the next kLookupBits bits:
+  // (symbol << 4) | code length for the shortest code that is a prefix
+  // of them, 0 when no code of <= kLookupBits bits is.
+  std::vector<std::uint32_t> lookup_;
 };
 
 }  // namespace edgestab

@@ -99,7 +99,8 @@ LabRun run_lab_rig(const std::vector<PhoneProfile>& fleet,
 
   // The stimulus grid fans out across the thread pool, one lane per
   // (object, angle) stimulus: render + display once, then every phone
-  // photographs the emission. Each (phone, stimulus, shot) draws its
+  // computes its sensor signal of the emission once and photographs it
+  // shots_per_stimulus times. Each (phone, stimulus, shot) draws its
   // temporal noise from a counter-derived stream, so a capture's bits
   // depend only on the rig seed and its coordinates — never on which
   // lane produced it or in what order.
@@ -127,6 +128,10 @@ LabRun run_lab_rig(const std::vector<PhoneProfile>& fleet,
         Image emission = display_on_screen(scene, config.screen);
 
         for (std::size_t p = 0; p < phones; ++p) {
+          // The noise-free front end (mount warp, optics, sensor
+          // response, PRNU) runs once per (stimulus, phone); each shot
+          // only samples its noise and develops.
+          const Image signal = phone_signal(fleet[p], emission);
           for (std::size_t shot = 0; shot < shots_per; ++shot) {
             LabShot record;
             record.object_index = static_cast<int>(obj);
@@ -144,12 +149,12 @@ LabRun run_lab_rig(const std::vector<PhoneProfile>& fleet,
                   config.seed, fleet[p].noise_stream, s, shot);
               if (obs::drift_enabled() && shot == 0) {
                 // First shot of each stimulus: audit every ISP stage
-                // inside take_photo against the first phone's artifacts.
+                // inside photograph against the first phone's artifacts.
                 ES_DRIFT_SCOPE(group.c_str(), static_cast<int>(s),
                                static_cast<int>(p));
-                record.capture = take_photo(fleet[p], emission, rng);
+                record.capture = photograph(fleet[p], signal, rng);
               } else {
-                record.capture = take_photo(fleet[p], emission, rng);
+                record.capture = photograph(fleet[p], signal, rng);
               }
             }
             run.shots[(s * phones + p) * shots_per + shot] =

@@ -13,10 +13,11 @@ namespace edgestab {
 
 namespace {
 
-// EDGESTAB_PERF_CANARY_MS injects a per-shot sleep into the capture
-// stage: a known slowdown that changes no pixels, used by the regression
-// gate to prove the sentinel flags wall-time regressions without
-// touching digests. 0 / unset = off.
+// EDGESTAB_PERF_CANARY_MS injects a per-shot sleep into photograph(),
+// the one per-shot function every capture path calls: a known slowdown
+// that changes no pixels, used by the regression gate to prove the
+// sentinel flags wall-time regressions without touching digests.
+// 0 / unset = off.
 int perf_canary_ms() {
   static const int ms = [] {
     const char* env = std::getenv("EDGESTAB_PERF_CANARY_MS");
@@ -30,22 +31,17 @@ int perf_canary_ms() {
 Capture take_photo(const PhoneProfile& phone, const Image& screen_emission,
                    Pcg32& rng) {
   ES_TRACE_SCOPE("device", "take_photo");
-  ES_CHECK(screen_emission.channels() == 3);
-  if (int ms = perf_canary_ms(); ms > 0)
-    std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-  Capture capture = photograph(phone, frame(phone, screen_emission), rng);
-  ES_COUNT("device.shots_captured", 1);
-  return capture;
+  return photograph(phone, phone_signal(phone, screen_emission), rng);
 }
 
-Image frame(const PhoneProfile& phone, const Image& screen_emission) {
+Image phone_signal(const PhoneProfile& phone, const Image& screen_emission) {
+  if (phone.mount_dx == 0.0f && phone.mount_dy == 0.0f &&
+      phone.mount_tilt == 0.0f)
+    return sensor_signal(screen_emission, phone.sensor);
   // The warp maps output (sensor-facing) coordinates to screen
-  // coordinates. The copy-then-replace shape is deliberate: the profiler
-  // attributes every image allocation and free to the enclosing scope,
-  // and fig3/table4 profile digests pin that attribution.
-  Image framed = screen_emission;
-  if (phone.mount_dx != 0.0f || phone.mount_dy != 0.0f ||
-      phone.mount_tilt != 0.0f) {
+  // coordinates.
+  Image framed;
+  {
     ES_TRACE_SCOPE("device", "frame_warp");
     float cx = static_cast<float>(screen_emission.width()) / 2.0f;
     float cy = static_cast<float>(screen_emission.height()) / 2.0f;
@@ -55,12 +51,14 @@ Image frame(const PhoneProfile& phone, const Image& screen_emission) {
     framed = warp_affine(screen_emission, warp, screen_emission.width(),
                          screen_emission.height());
   }
-  return framed;
+  return sensor_signal(framed, phone.sensor);
 }
 
-Capture photograph(const PhoneProfile& phone, const Image& framed,
+Capture photograph(const PhoneProfile& phone, const Image& signal,
                    Pcg32& rng) {
-  RawImage raw = expose_sensor(framed, phone.sensor, rng);
+  if (int ms = perf_canary_ms(); ms > 0)
+    std::this_thread::sleep_for(std::chrono::milliseconds(ms));
+  RawImage raw = sample_sensor(signal, phone.sensor, rng);
   Image developed = run_isp(raw, phone.isp);
 
   Capture capture;
@@ -71,8 +69,8 @@ Capture photograph(const PhoneProfile& phone, const Image& framed,
     auto codec = make_codec(phone.storage_format, phone.storage_quality);
     capture.file = codec->encode(to_u8(developed));
   }
-  // Copied, not moved, for the same per-scope allocation attribution.
-  if (phone.supports_raw) capture.raw = raw;
+  if (phone.supports_raw) capture.raw = std::move(raw);
+  ES_COUNT("device.shots_captured", 1);
   return capture;
 }
 

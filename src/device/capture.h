@@ -26,19 +26,23 @@ struct Capture {
 /// Photograph `screen_emission` (linear-light radiance of the displayed
 /// image, any resolution) with the given phone. `rng` drives temporal
 /// sensor noise — two calls with the same phone and scene model two
-/// consecutive shots (Figure 1). Exactly frame() then photograph().
+/// consecutive shots (Figure 1). Exactly phone_signal() then
+/// photograph().
 Capture take_photo(const PhoneProfile& phone, const Image& screen_emission,
                    Pcg32& rng);
 
-/// Optics + mount: the phone's small geometric offset/tilt of the framed
-/// scene. Depends only on the phone and the emission, so a caller that
-/// photographs one scene many times can frame it once.
-Image frame(const PhoneProfile& phone, const Image& screen_emission);
+/// The noise-free half of take_photo: frame the emission through the
+/// phone's mount (its small geometric offset/tilt), then sensor_signal()
+/// it with the phone's sensor. Depends only on the phone and the
+/// emission, so a caller that photographs one scene many times computes
+/// it once.
+Image phone_signal(const PhoneProfile& phone, const Image& screen_emission);
 
-/// The per-shot half of take_photo: expose the framed scene on the
-/// sensor, develop it with the phone's ISP and store it with the phone's
-/// codec. The raw mosaic is kept only when the phone supports raw.
-Capture photograph(const PhoneProfile& phone, const Image& framed,
+/// The per-shot half of take_photo: sample the sensor noise and ADC over
+/// a phone_signal() map, develop the raw mosaic with the phone's ISP and
+/// store it with the phone's codec. The raw mosaic is kept only when the
+/// phone supports raw.
+Capture photograph(const PhoneProfile& phone, const Image& signal,
                    Pcg32& rng);
 
 /// Capture-site fault draws for one shot (src/fault). A dropout loses

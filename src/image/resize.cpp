@@ -170,12 +170,44 @@ void Affine::apply(float x, float y, float& ox, float& oy) const {
 Image warp_affine(const Image& src, const Affine& out_to_src, int out_w,
                   int out_h) {
   Image out(out_w, out_h, src.channels());
+  const int w = src.width();
+  const int h = src.height();
+  const std::size_t in_plane = src.pixel_count();
+  const std::size_t out_plane = out.pixel_count();
+  const float* in = src.data().data();
+  float* dst = out.data().data();
   for (int y = 0; y < out_h; ++y)
     for (int x = 0; x < out_w; ++x) {
       float sx, sy;
       out_to_src.apply(static_cast<float>(x), static_cast<float>(y), sx, sy);
-      for (int c = 0; c < src.channels(); ++c)
-        out.at(x, y, c) = src.sample_bilinear(sx, sy, c);
+      // Image::sample_bilinear's floor, weights and clamped taps, computed
+      // once for every plane.
+      float fx = std::floor(sx);
+      float fy = std::floor(sy);
+      int x0 = static_cast<int>(fx);
+      int y0 = static_cast<int>(fy);
+      float tx = sx - fx;
+      float ty = sy - fy;
+      const std::size_t xa =
+          static_cast<std::size_t>(std::clamp(x0, 0, w - 1));
+      const std::size_t xb =
+          static_cast<std::size_t>(std::clamp(x0 + 1, 0, w - 1));
+      const std::size_t ra =
+          static_cast<std::size_t>(std::clamp(y0, 0, h - 1) * w);
+      const std::size_t rb =
+          static_cast<std::size_t>(std::clamp(y0 + 1, 0, h - 1) * w);
+      const std::size_t o = static_cast<std::size_t>(y) * out_w + x;
+      for (int c = 0; c < src.channels(); ++c) {
+        const float* p = in + static_cast<std::size_t>(c) * in_plane;
+        float v00 = p[ra + xa];
+        float v10 = p[ra + xb];
+        float v01 = p[rb + xa];
+        float v11 = p[rb + xb];
+        float top = v00 + (v10 - v00) * tx;
+        float bot = v01 + (v11 - v01) * tx;
+        dst[static_cast<std::size_t>(c) * out_plane + o] =
+            top + (bot - top) * ty;
+      }
     }
   return out;
 }

@@ -56,9 +56,8 @@ Image apply_chromatic_aberration(const Image& img, float strength) {
 
 }  // namespace
 
-RawImage expose_sensor(const Image& scene_linear, const SensorConfig& config,
-                       Pcg32& rng) {
-  ES_TRACE_SCOPE("sensor", "expose");
+Image sensor_signal(const Image& scene_linear, const SensorConfig& config) {
+  ES_TRACE_SCOPE("sensor", "signal");
   ES_CHECK(scene_linear.channels() == 3);
   // Resample the scene onto the sensor grid.
   Image scene = resize(scene_linear, config.width, config.height,
@@ -68,8 +67,7 @@ RawImage expose_sensor(const Image& scene_linear, const SensorConfig& config,
   if (config.chroma_aberration > 0.0f)
     scene = apply_chromatic_aberration(scene, config.chroma_aberration);
 
-  RawImage raw(config.width, config.height, config.pattern,
-               config.black_level, config.bit_depth);
+  Image signal_map(config.width, config.height, 1);
 
   // Fixed-pattern PRNU for this sensor unit.
   Pcg32 unit_rng(config.unit_seed, 11);
@@ -77,12 +75,10 @@ RawImage expose_sensor(const Image& scene_linear, const SensorConfig& config,
   const float cx = static_cast<float>(config.width) / 2.0f;
   const float cy = static_cast<float>(config.height) / 2.0f;
   const float max_r2 = cx * cx + cy * cy;
-  const float max_code = static_cast<float>((1 << config.bit_depth) - 1);
-  const float usable = 1.0f - config.black_level;
 
   for (int y = 0; y < config.height; ++y) {
     for (int x = 0; x < config.width; ++x) {
-      int c = raw.color_at(x, y);
+      int c = cfa_color(config.pattern, x, y);
       float signal = scene.at(x, y, c) *
                      config.channel_response[static_cast<std::size_t>(c)] *
                      config.exposure;
@@ -97,10 +93,28 @@ RawImage expose_sensor(const Image& scene_linear, const SensorConfig& config,
       float prnu = 1.0f + static_cast<float>(
                               unit_rng.normal(0.0, config.prnu_sigma));
       signal *= prnu;
-      signal = std::max(signal, 0.0f);
+      signal_map.at(x, y, 0) = std::max(signal, 0.0f);
+    }
+  }
+  return signal_map;
+}
 
+RawImage sample_sensor(const Image& signal_map, const SensorConfig& config,
+                       Pcg32& rng) {
+  ES_TRACE_SCOPE("sensor", "expose");
+  ES_CHECK(signal_map.channels() == 1 &&
+           signal_map.width() == config.width &&
+           signal_map.height() == config.height);
+  RawImage raw(config.width, config.height, config.pattern,
+               config.black_level, config.bit_depth);
+
+  const float max_code = static_cast<float>((1 << config.bit_depth) - 1);
+  const float usable = 1.0f - config.black_level;
+
+  for (int y = 0; y < config.height; ++y) {
+    for (int x = 0; x < config.width; ++x) {
       // Shot noise: Poisson in electron counts.
-      float electrons = signal * config.full_well;
+      float electrons = signal_map.at(x, y, 0) * config.full_well;
       float noisy_electrons;
       if (electrons < 1e-3f) {
         noisy_electrons = 0.0f;
@@ -121,6 +135,11 @@ RawImage expose_sensor(const Image& scene_linear, const SensorConfig& config,
     }
   }
   return raw;
+}
+
+RawImage expose_sensor(const Image& scene_linear, const SensorConfig& config,
+                       Pcg32& rng) {
+  return sample_sensor(sensor_signal(scene_linear, config), config, rng);
 }
 
 std::uint64_t sensor_digest(const SensorConfig& config) {

@@ -39,10 +39,25 @@ struct SensorConfig {
   std::uint64_t unit_seed = 1;    ///< fixes the PRNU pattern per unit
 };
 
+/// The noise-free half of an exposure: resample the scene onto the
+/// sensor grid, apply the optics, the CFA channel response, exposure,
+/// vignetting and the unit's PRNU pattern. Returns the 1-channel
+/// photosite signal (config.width x config.height, clipped at 0). It
+/// depends only on the scene and the configuration, so a caller that
+/// photographs one scene many times computes it once.
+Image sensor_signal(const Image& scene_linear, const SensorConfig& config);
+
+/// The per-shot half of an exposure: shot noise, read noise, black level
+/// and ADC quantization of a sensor_signal map. `rng` drives the
+/// temporal noise.
+RawImage sample_sensor(const Image& signal_map, const SensorConfig& config,
+                       Pcg32& rng);
+
 /// Expose a linear-light RGB scene (values in [0, ~1], same aspect as the
 /// sensor) and produce a raw mosaic. `rng` drives the *temporal* noise
 /// (shot + read); the PRNU pattern is fixed by `config.unit_seed` so two
-/// shots from the same unit share it, as on a real phone.
+/// shots from the same unit share it, as on a real phone. Exactly
+/// sample_sensor(sensor_signal(scene_linear, config), config, rng).
 RawImage expose_sensor(const Image& scene_linear, const SensorConfig& config,
                        Pcg32& rng);
 

@@ -765,25 +765,24 @@ SoakReport run_fleet_service(const Model& model,
         quantize_us(fault::deadline_budget_ms(dev.cls, config.plan));
   }
 
-  // ---- Stimulus bank: every device photographs the same emissions;
-  // per-device framing (mount warp) depends only on the base profile,
-  // so it is precomputed per (base profile, stimulus).
-  std::vector<Image> emissions(
-      static_cast<std::size_t>(config.stimulus_bank));
+  // ---- Stimulus bank: every device photographs the same emissions.
+  // The noise-free sensor signal (mount warp, optics, sensor response,
+  // PRNU) depends only on the base profile and the emission, so it is
+  // precomputed per (base profile, stimulus); each shot only samples
+  // its noise over it.
   std::vector<int> bank_class(static_cast<std::size_t>(config.stimulus_bank));
+  std::vector<std::vector<Image>> signals(base.size());
   for (int s = 0; s < config.stimulus_bank; ++s) {
     SceneSpec spec;
     spec.class_id = s % kClassCount;
     spec.instance_seed = runtime::derive_seed(config.seed, 0xBA4C, s);
     spec.view_angle = kBankAngles[static_cast<std::size_t>(s) % 5];
     bank_class[static_cast<std::size_t>(s)] = spec.class_id;
-    emissions[static_cast<std::size_t>(s)] = display_on_screen(
+    const Image emission = display_on_screen(
         render_scene(spec, config.scene_size), ScreenConfig{});
+    for (std::size_t p = 0; p < base.size(); ++p)
+      signals[p].push_back(phone_signal(base[p], emission));
   }
-  std::vector<std::vector<Image>> framed(base.size());
-  for (std::size_t p = 0; p < base.size(); ++p)
-    for (const Image& emission : emissions)
-      framed[p].push_back(frame(base[p], emission));
 
   // ---- The stage table. `threads` develop workers each carry a shot
   // through every per-shot transform; the single inference worker is the
@@ -903,7 +902,7 @@ SoakReport run_fleet_service(const Model& model,
   };
 
   // One shot's per-shot transforms, in the batch path's own step
-  // functions: the capture-fault draw, photograph (expose → ISP →
+  // functions: the capture-fault draw, photograph (sensor noise → ISP →
   // encode), delivery + decode, and the input tensor. The per-step cost
   // stays visible through their inner profile scopes.
   auto develop = [&](ShotRec& r) {
@@ -925,7 +924,7 @@ SoakReport run_fleet_service(const Model& model,
         runtime::derive_rng(config.seed, dev.stream, r.stimulus, r.slot);
     const Capture capture = photograph(
         dev.profile,
-        framed[static_cast<std::size_t>(r.device) % base.size()]
+        signals[static_cast<std::size_t>(r.device) % base.size()]
               [static_cast<std::size_t>(r.stimulus)],
         rng);
     ShotDelivery delivery =

@@ -4,6 +4,7 @@
 // §7 OS experiment.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "codec/bitio.h"
@@ -123,6 +124,190 @@ TEST(Huffman, OptimalForSkewedDistribution) {
 TEST(Huffman, AllZeroFrequenciesThrows) {
   std::vector<std::uint64_t> freq(8, 0);
   EXPECT_THROW(HuffmanTable::from_frequencies(freq), CheckError);
+}
+
+/// Test-local canonical Huffman decoder that reads one bit at a time
+/// straight from the bytes, built only from a table's code lengths: the
+/// reference the table-driven HuffmanTable::decode must agree with.
+class SerialHuffman {
+ public:
+  explicit SerialHuffman(const std::vector<std::uint8_t>& lengths) {
+    for (std::size_t s = 0; s < lengths.size(); ++s)
+      if (lengths[s] > 0) sorted_.push_back(static_cast<int>(s));
+    std::stable_sort(sorted_.begin(), sorted_.end(), [&](int a, int b) {
+      return lengths[static_cast<std::size_t>(a)] <
+             lengths[static_cast<std::size_t>(b)];
+    });
+    std::uint32_t code = 0;
+    std::size_t idx = 0;
+    for (int len = 1; len <= HuffmanTable::kMaxBits; ++len) {
+      first_code_[len] = code;
+      first_index_[len] = idx;
+      while (idx < sorted_.size() &&
+             lengths[static_cast<std::size_t>(sorted_[idx])] == len) {
+        ++code;
+        ++idx;
+      }
+      code <<= 1;
+    }
+    first_index_[HuffmanTable::kMaxBits + 1] = sorted_.size();
+  }
+
+  /// Decode symbols from bit 0 until the stream fails; returns the
+  /// symbols, the bit position after each, and the failure status.
+  void decode_all(const Bytes& data, std::vector<int>& symbols,
+                  std::vector<std::size_t>& ends,
+                  DecodeStatus& status) const {
+    std::size_t pos = 0;
+    for (;;) {
+      std::uint32_t code = 0;
+      int symbol = -1;
+      for (int len = 1; len <= HuffmanTable::kMaxBits && symbol < 0; ++len) {
+        if (pos >= data.size() * 8) {
+          status = DecodeStatus::kTruncated;
+          return;
+        }
+        const std::uint32_t bit = (data[pos >> 3] >> (7 - (pos & 7))) & 1u;
+        ++pos;
+        code = (code << 1) | bit;
+        const std::size_t count = first_index_[len + 1] - first_index_[len];
+        if (code >= first_code_[len] && code < first_code_[len] + count)
+          symbol = sorted_[first_index_[len] + (code - first_code_[len])];
+      }
+      if (symbol < 0) {
+        status = DecodeStatus::kCorrupt;
+        return;
+      }
+      symbols.push_back(symbol);
+      ends.push_back(pos);
+    }
+  }
+
+ private:
+  std::vector<int> sorted_;
+  std::uint32_t first_code_[HuffmanTable::kMaxBits + 2] = {};
+  std::size_t first_index_[HuffmanTable::kMaxBits + 2] = {};
+};
+
+/// Decode `data` with `table` and with the serial reference until each
+/// fails; symbols, bit positions and the final status must all agree.
+void expect_decoders_agree(const HuffmanTable& table, const Bytes& data) {
+  std::vector<int> want;
+  std::vector<std::size_t> want_ends;
+  DecodeStatus want_status = DecodeStatus::kOk;
+  SerialHuffman(table.lengths()).decode_all(data, want, want_ends,
+                                            want_status);
+  BitReader br(data);
+  std::size_t i = 0;
+  DecodeStatus got_status = DecodeStatus::kOk;
+  try {
+    for (;; ++i) {
+      const int symbol = table.decode(br);
+      ASSERT_LT(i, want.size()) << "decoded past the reference's failure";
+      ASSERT_EQ(symbol, want[i]) << "symbol " << i;
+      ASSERT_EQ(br.bits_consumed(), want_ends[i]) << "symbol " << i;
+    }
+  } catch (const DecodeError& e) {
+    got_status = e.status();
+  }
+  EXPECT_EQ(i, want.size());
+  EXPECT_EQ(got_status, want_status);
+}
+
+/// Random bytes: on a complete code every bit pattern decodes, so this
+/// walks the code space until the stream runs out.
+Bytes random_bytes(Pcg32& rng, std::size_t n) {
+  Bytes out(n);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng.next_u32());
+  return out;
+}
+
+TEST(Huffman, TableDecodeMatchesSerialOnRandomTables) {
+  Pcg32 rng(77);
+  int max_len_seen = 0;
+  for (int t = 0; t < 60; ++t) {
+    // Frequencies spanning ~10 decades force deep, length-limited codes.
+    const int n = 2 + static_cast<int>(rng.uniform_int(300));
+    std::vector<std::uint64_t> freq(static_cast<std::size_t>(n));
+    for (auto& f : freq)
+      f = rng.uniform() < 0.2
+              ? 0
+              : 1 + static_cast<std::uint64_t>(std::exp(rng.uniform(0, 23)));
+    freq[0] = std::max<std::uint64_t>(freq[0], 1);
+    HuffmanTable table = HuffmanTable::from_frequencies(freq);
+    for (std::uint8_t len : table.lengths())
+      max_len_seen = std::max(max_len_seen, static_cast<int>(len));
+    expect_decoders_agree(table, random_bytes(rng, 64));
+    // An encoded stream, then its padding and the end of data.
+    BitWriter bw;
+    for (int i = 0; i < 300; ++i) {
+      const int s = static_cast<int>(rng.uniform_int(
+          static_cast<std::uint32_t>(n)));
+      if (table.lengths()[static_cast<std::size_t>(s)] > 0)
+        table.encode(bw, s);
+    }
+    expect_decoders_agree(table, bw.finish());
+  }
+  EXPECT_EQ(max_len_seen, HuffmanTable::kMaxBits);
+}
+
+TEST(Huffman, TableDecodeMatchesSerialOnOversubscribedTables) {
+  // read_table accepts any 4-bit lengths, so a corrupt stream can carry
+  // an over-subscribed (or incomplete) code.
+  Pcg32 rng(78);
+  for (int t = 0; t < 300; ++t) {
+    const int n = 1 + static_cast<int>(rng.uniform_int(40));
+    std::vector<std::uint8_t> lengths(static_cast<std::size_t>(n));
+    const std::uint32_t span = 1 + rng.uniform_int(16);
+    for (auto& len : lengths)
+      len = static_cast<std::uint8_t>(rng.uniform_int(span));
+    lengths[rng.uniform_int(static_cast<std::uint32_t>(n))] =
+        static_cast<std::uint8_t>(1 + rng.uniform_int(15));
+    BitWriter bw;
+    bw.put(static_cast<std::uint32_t>(n), 16);
+    for (std::uint8_t len : lengths) bw.put(len, 4);
+    Bytes header = bw.finish();
+    BitReader br(header);
+    HuffmanTable table = HuffmanTable::read_table(br);
+    expect_decoders_agree(table, random_bytes(rng, 24));
+  }
+}
+
+TEST(Huffman, TableDecodeMatchesSerialAtEveryTruncation) {
+  Pcg32 rng(79);
+  std::vector<std::uint64_t> freq(120);
+  for (auto& f : freq)
+    f = 1 + static_cast<std::uint64_t>(std::exp(rng.uniform(0, 20)));
+  HuffmanTable table = HuffmanTable::from_frequencies(freq);
+  BitWriter bw;
+  for (int i = 0; i < 400; ++i)
+    table.encode(bw, static_cast<int>(rng.uniform_int(120)));
+  const Bytes data = bw.finish();
+  for (std::size_t cut = 0; cut <= data.size(); ++cut)
+    expect_decoders_agree(
+        table, Bytes(data.begin(), data.begin() + static_cast<long>(cut)));
+}
+
+TEST(BitIo, PeekSkipAndWideGetsAgreeWithBitwiseReads) {
+  Pcg32 rng(80);
+  const Bytes data = random_bytes(rng, 37);
+  BitReader wide(data), bitwise(data);
+  while (wide.bits_remaining() > 0) {
+    const int bits = static_cast<int>(std::min<std::size_t>(
+        1 + rng.uniform_int(32), wide.bits_remaining()));
+    std::uint32_t expected = 0;
+    for (int i = 0; i < bits; ++i)
+      expected = (expected << 1) |
+                 static_cast<std::uint32_t>(bitwise.get_bit());
+    ASSERT_EQ(wide.peek(bits), expected);
+    if (rng.uniform() < 0.5) {
+      wide.skip(bits);
+    } else {
+      ASSERT_EQ(wide.get(bits), expected);
+    }
+    ASSERT_EQ(wide.bits_consumed(), bitwise.bits_consumed());
+  }
+  EXPECT_THROW(wide.get(1), DecodeError);
 }
 
 class DctSizeTest : public ::testing::TestWithParam<int> {};

@@ -5,7 +5,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
+#include "device/fleets.h"
 #include "image/color.h"
 #include "image/draw.h"
 #include "image/image.h"
@@ -243,6 +246,43 @@ TEST(Affine, ComposeMatchesSequentialApplication) {
   ab.apply(1.5f, 2.5f, x2, y2);
   EXPECT_NEAR(x1, x2, 1e-4f);
   EXPECT_NEAR(y1, y2, 1e-4f);
+}
+
+TEST(Affine, WarpMatchesPerChannelBilinearBitForBit) {
+  Pcg32 rng(12);
+  const Image src = random_image(40, 30, 3, rng);
+  const float cx = 20.0f;
+  const float cy = 15.0f;
+  std::vector<Affine> warps;
+  // The fleet's mounts, built the way the capture path frames a scene.
+  for (const PhoneProfile& phone : end_to_end_fleet())
+    warps.push_back(Affine::rotate_about(phone.mount_tilt, cx, cy)
+                        .compose(Affine::translate(phone.mount_dx,
+                                                   phone.mount_dy)));
+  // Affines that sample far outside the source on every side.
+  warps.push_back(Affine::translate(-100.0f, 57.5f));
+  warps.push_back(Affine::scale_about(3.5f, -2.25f, cx, cy));
+  warps.push_back(Affine::rotate_about(2.4f, -30.0f, 80.0f));
+  for (std::size_t i = 0; i < warps.size(); ++i) {
+    for (int out_w : {40, 23}) {
+      const int out_h = out_w == 40 ? 30 : 41;
+      const Image got = warp_affine(src, warps[i], out_w, out_h);
+      Image want(out_w, out_h, 3);
+      for (int y = 0; y < out_h; ++y)
+        for (int x = 0; x < out_w; ++x) {
+          float sx, sy;
+          warps[i].apply(static_cast<float>(x), static_cast<float>(y), sx,
+                         sy);
+          for (int c = 0; c < 3; ++c)
+            want.at(x, y, c) = src.sample_bilinear(sx, sy, c);
+        }
+      ASSERT_TRUE(got.same_shape(want));
+      EXPECT_EQ(std::memcmp(got.data().data(), want.data().data(),
+                            want.size() * sizeof(float)),
+                0)
+          << "warp " << i << " at " << out_w << "x" << out_h;
+    }
+  }
 }
 
 TEST(Affine, RotationPreservesCenter) {

@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
+#include "device/fleets.h"
 #include "image/metrics.h"
 #include "isp/pipeline.h"
 #include "isp/raw.h"
@@ -64,6 +67,45 @@ TEST(Sensor, DeterministicGivenSameRngState) {
   RawImage a = expose_sensor(scene, cfg, rng1);
   RawImage b = expose_sensor(scene, cfg, rng2);
   EXPECT_EQ(a.data(), b.data());
+}
+
+TEST(Sensor, SampledShotsFromOneSignalMatchExposeBitForBit) {
+  std::vector<SensorConfig> configs;
+  for (const PhoneProfile& phone : end_to_end_fleet())
+    configs.push_back(phone.sensor);
+  SensorConfig optics;
+  optics.width = 40;
+  optics.height = 36;
+  optics.pattern = BayerPattern::kBggr;
+  optics.defocus = 0.6f;
+  optics.chroma_aberration = 0.03f;
+  optics.unit_seed = 5;
+  configs.push_back(optics);
+
+  Pcg32 scene_rng(21);
+  Image scene(128, 128, 3);
+  for (float& v : scene.data())
+    v = static_cast<float>(scene_rng.uniform(0.0, 1.2));
+  // A black band exercises the no-electrons branch of the shot noise.
+  for (int y = 0; y < 24; ++y)
+    for (int x = 0; x < 128; ++x)
+      for (int c = 0; c < 3; ++c) scene.at(x, y, c) = 0.0f;
+
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    const SensorConfig& cfg = configs[i];
+    const Image signal = sensor_signal(scene, cfg);
+    ASSERT_EQ(signal.channels(), 1);
+    Pcg32 split_rng(17, i), whole_rng(17, i);
+    for (int shot = 0; shot < 2; ++shot) {
+      RawImage split = sample_sensor(signal, cfg, split_rng);
+      RawImage whole = expose_sensor(scene, cfg, whole_rng);
+      ASSERT_EQ(split.data().size(), whole.data().size());
+      EXPECT_EQ(std::memcmp(split.data().data(), whole.data().data(),
+                            split.data().size() * sizeof(float)),
+                0)
+          << "config " << i << " shot " << shot;
+    }
+  }
 }
 
 TEST(Sensor, TemporalNoiseDiffersAcrossShots) {
