@@ -62,11 +62,11 @@ inline int run_micro(const std::string& name, const std::string& title,
                      int argc, char** argv,
                      const std::function<void(Run&)>& post = {}) {
   Run run(name, title, argc, argv);
-  // The benchmark library times its own hot loops; per-iteration span
-  // tracing and drift auditing would swamp their buffers and perturb the
-  // numbers, so both stay off for micros. (The profiler, when armed via
-  // --profile, aggregates in place and is cheap enough to keep.)
-  obs::Tracer::global().set_enabled(false);
+  // The benchmark library times its own hot loops; per-iteration stage
+  // histograms and drift auditing would perturb the numbers, so both
+  // stay off for micros. (The profiler, when armed via --profile,
+  // aggregates in place and is cheap enough to keep.)
+  obs::MetricsRegistry::global().set_enabled(false);
   obs::DriftAuditor::global().set_enabled(false);
 
   // Forward only the flags the harness does not own.

@@ -2,10 +2,9 @@
 // workspace, rig sizes, CSV emission, and the per-run observability
 // hook. Every bench prints the paper's rows/series and writes a
 // machine-readable CSV to bench_out/; the Run wrapper additionally emits
-// a provenance manifest (`<name>.meta.json`), a Chrome trace
-// (`<name>.trace.json`, open in chrome://tracing or
-// https://ui.perfetto.dev) and a flat stage-timing CSV aggregated from
-// the span histograms.
+// a provenance manifest (`<name>.meta.json`) and a flat stage-timing CSV
+// (`<name>_stage_timing.csv`) from the ES_TRACE_SCOPE stage histograms.
+// `--profile` adds the logical call tree (`<name>.profile.json`/.html).
 #pragma once
 
 #include <algorithm>
@@ -306,11 +305,11 @@ inline void banner(const std::string& title) {
   std::printf("================================================================\n");
 }
 
-/// One bench execution: prints the banner, enables span tracing for the
-/// process, tracks artifact-write failures, and on finish() exports the
-/// run's trace, stage-timing CSV and provenance manifest. main() should
-/// `return run.finish();` so a bench whose artifacts failed to land
-/// exits non-zero.
+/// One bench execution: prints the banner, enables the stage histograms
+/// and counters for the process, tracks artifact-write failures, and on
+/// finish() exports the run's stage-timing CSV and provenance manifest.
+/// main() should `return run.finish();` so a bench whose artifacts
+/// failed to land exits non-zero.
 class Run {
  public:
   Run(std::string name, const std::string& title)
@@ -329,7 +328,7 @@ class Run {
                                 apply_backend_flag(argc, argv))),
         manifest_(name_) {
     banner(title);
-    obs::Tracer::global().set_enabled(true);
+    obs::MetricsRegistry::global().set_enabled(true);
     obs::DriftAuditor::global().set_enabled(true);
     if (apply_profile_flag(argc, argv)) open_profile_root();
     apply_telemetry_flag(argc, argv);
@@ -474,15 +473,14 @@ class Run {
     return true;
   }
 
-  /// Export trace + stage timing (tracing builds), drift reports (drift
-  /// builds with the auditor enabled) and the provenance manifest;
-  /// returns the process exit code. Dropped span events and any artifact
-  /// that failed to land surface here as a non-zero exit. Afterwards the
-  /// run is archived: one record line appended to bench_out/runs.jsonl
-  /// and the candidate baseline bench_out/BENCH_<name>.json rewritten —
-  /// archiving runs after artifact export so the drift-report and
-  /// ledger digests the export adds to the manifest make it into the
-  /// record.
+  /// Export stage timing, drift reports (with the auditor enabled) and
+  /// the provenance manifest; returns the process exit code. Any
+  /// artifact that failed to land surfaces here as a non-zero exit.
+  /// Afterwards the run is archived: one record line appended to
+  /// bench_out/runs.jsonl and the candidate baseline
+  /// bench_out/BENCH_<name>.json rewritten — archiving runs after
+  /// artifact export so the drift-report and ledger digests the export
+  /// adds to the manifest make it into the record.
   int finish() {
     manifest_.set_wall_seconds(timer_.seconds());
     // Close the root profile scope and freeze the profiler before any
@@ -636,11 +634,12 @@ class Run {
 /// LAST execution's result.
 ///
 /// Ordering matters: the N-1 timing-only repeats run FIRST with the
-/// tracer and drift auditor muted, then every cross-run accumulator
-/// (metrics registry, drift ledgers, fault receipts) is cleared, and the
-/// authoritative repeat runs LAST with observability restored — so its
-/// artifacts, ledger cross-checks and digests are byte-identical to a
-/// --repeats 1 run while the archive still gets N timing samples.
+/// metrics registry and drift auditor muted, then every cross-run
+/// accumulator (metrics registry, drift ledgers, fault receipts) is
+/// cleared, and the authoritative repeat runs LAST with observability
+/// restored — so its artifacts, ledger cross-checks and digests are
+/// byte-identical to a --repeats 1 run while the archive still gets N
+/// timing samples.
 template <typename Fn>
 auto run_repeats(Run& run, Fn&& body) {
   const int repeats = run.repeats();
@@ -660,12 +659,12 @@ auto run_repeats(Run& run, Fn&& body) {
     return result;
   };
   if (repeats > 1) {
-    const bool tracer_was = obs::Tracer::global().enabled();
+    const bool metrics_was = obs::MetricsRegistry::global().enabled();
     const bool drift_was = obs::DriftAuditor::global().enabled();
     const bool profiler_was = obs::Profiler::global().enabled();
     const bool telemetry_was = obs::DeviceHealthRegistry::global().enabled();
     const bool timeline_was = obs::TimelineRecorder::global().enabled();
-    obs::Tracer::global().set_enabled(false);
+    obs::MetricsRegistry::global().set_enabled(false);
     obs::DriftAuditor::global().set_enabled(false);
     obs::Profiler::global().set_enabled(false);
     obs::DeviceHealthRegistry::global().set_enabled(false);
@@ -682,7 +681,7 @@ auto run_repeats(Run& run, Fn&& body) {
     obs::DeviceHealthRegistry::global().clear();  // keeps enabled()
     obs::TimelineRecorder::global().clear();      // keeps enabled() + knobs
     reset_rig_run_counter();
-    obs::Tracer::global().set_enabled(tracer_was);
+    obs::MetricsRegistry::global().set_enabled(metrics_was);
     obs::DriftAuditor::global().set_enabled(drift_was);
     obs::Profiler::global().set_enabled(profiler_was);
     obs::DeviceHealthRegistry::global().set_enabled(telemetry_was);

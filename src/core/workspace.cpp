@@ -104,7 +104,7 @@ Model Workspace::base_model() {
   WallTimer timer;
   // One-time cached-artifact construction: its millions of forward
   // passes are not part of the run being measured, so keep them out of
-  // the trace and the stage-timing histograms.
+  // the stage-timing histograms and the profile.
   obs::SuspendTracing suspend;
   TensorDataset train = make_pretrain_dataset(config_.pretrain);
   TensorDataset val = make_validation_dataset(config_.pretrain);

@@ -123,7 +123,7 @@ std::vector<std::pair<std::string, double>> stage_wall_ms_from_registry() {
   std::vector<std::pair<std::string, double>> out;
   for (const auto& [name, summary] :
        MetricsRegistry::global().histograms()) {
-    if (!is_timing_histogram(name) || summary.count == 0) continue;
+    if (summary.count == 0) continue;
     out.emplace_back(name, static_cast<double>(summary.sum) / 1e6);
   }
   return out;  // registry snapshots are already name-sorted

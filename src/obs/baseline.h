@@ -125,8 +125,8 @@ double mad_of(const std::vector<double>& values, double median);
 /// fault_plan and isp_* belong to provenance.
 bool is_provenance_digest(const std::string& name);
 
-/// Per-stage wall totals (ms) from the global MetricsRegistry's timing
-/// histograms, sorted by name.
+/// Per-stage wall totals (ms) from the global MetricsRegistry's span
+/// histograms, sorted by name; stages that never fired are left out.
 std::vector<std::pair<std::string, double>> stage_wall_ms_from_registry();
 
 /// One-line JSON rendering (no trailing newline) of a run record.

@@ -7,7 +7,6 @@
 
 #include "image/metrics.h"
 #include "obs/metrics.h"
-#include "obs/obs.h"
 #include "obs/telemetry/telemetry.h"
 
 namespace edgestab::obs {
@@ -130,8 +129,8 @@ struct DriftAuditor::StageSlot {
   std::size_t item_cap = 0;         // id-based: audited iff item < cap
   std::map<int, StoredImage> refs;  // item -> reference artifact
   std::vector<StageRecord> records;
-  Histogram* psnr_hist = nullptr;
-  Histogram* ssim_hist = nullptr;
+  Histogram psnr_hist;  // milli-dB
+  Histogram ssim_hist;  // SSIM loss ppm
 };
 
 struct DriftAuditor::LogitSlot {
@@ -139,9 +138,9 @@ struct DriftAuditor::LogitSlot {
   std::map<int, std::pair<int, std::vector<float>>> refs;  // item -> (env, v)
   std::vector<LogitRecord> records;
   std::int64_t skipped = 0;
-  Histogram* l2_hist = nullptr;
-  Histogram* linf_hist = nullptr;
-  Histogram* kl_hist = nullptr;
+  Histogram l2_hist;  // micro-units
+  Histogram linf_hist;
+  Histogram kl_hist;
 };
 
 // ---------------------------------------------------------------------------
@@ -215,13 +214,6 @@ void DriftAuditor::tap_stage(int stage_index, const char* stage_name,
           max_audited_items_,
           std::max<std::size_t>(
               1, kMaxSlotRefBytes / std::max<std::size_t>(1, rgb.size())));
-      std::string base = std::string("drift.") + ctx.group + "." + stage_name;
-      owned->summary.psnr_metric = base + ".psnr_mdb";
-      owned->summary.ssim_metric = base + ".ssim_loss_ppm";
-      owned->psnr_hist =
-          &MetricsRegistry::global().histogram(owned->summary.psnr_metric);
-      owned->ssim_hist =
-          &MetricsRegistry::global().histogram(owned->summary.ssim_metric);
     }
     slot = owned.get();
 
@@ -309,8 +301,8 @@ void DriftAuditor::tap_stage(int stage_index, const char* stage_name,
 
   // Histograms are integer-bucketed atomics — order-independent, no
   // lock needed. The record is staged for the summary-time sorted fold.
-  slot->psnr_hist->record(scaled(rec.psnr_db, 1000.0));  // milli-dB
-  slot->ssim_hist->record(scaled(1.0 - rec.ssim, 1e6));  // loss ppm
+  slot->psnr_hist.record(scaled(rec.psnr_db, 1000.0));  // milli-dB
+  slot->ssim_hist.record(scaled(1.0 - rec.ssim, 1e6));  // loss ppm
   std::lock_guard<std::mutex> lock(mu_);
   slot->records.push_back(rec);
 }
@@ -327,16 +319,6 @@ void DriftAuditor::record_logits(const std::string& group, int item, int env,
     if (owned == nullptr) {
       owned = std::make_unique<LogitSlot>();
       owned->summary.group = group;
-      std::string base = "drift.logit." + group;
-      owned->summary.l2_metric = base + ".l2_micro";
-      owned->summary.linf_metric = base + ".linf_micro";
-      owned->summary.kl_metric = base + ".kl_micro";
-      owned->l2_hist =
-          &MetricsRegistry::global().histogram(owned->summary.l2_metric);
-      owned->linf_hist =
-          &MetricsRegistry::global().histogram(owned->summary.linf_metric);
-      owned->kl_hist =
-          &MetricsRegistry::global().histogram(owned->summary.kl_metric);
     }
     slot = owned.get();
 
@@ -393,9 +375,9 @@ void DriftAuditor::record_logits(const std::string& group, int item, int env,
       static_cast<double>(logits[static_cast<std::size_t>(top1)]) - second;
   rec.top1_agree = top1 == argmax(ref);
 
-  slot->l2_hist->record(scaled(l2, 1e6));
-  slot->linf_hist->record(scaled(linf, 1e6));
-  slot->kl_hist->record(scaled(kl, 1e6));
+  slot->l2_hist.record(scaled(l2, 1e6));
+  slot->linf_hist.record(scaled(linf, 1e6));
+  slot->kl_hist.record(scaled(kl, 1e6));
   std::lock_guard<std::mutex> lock(mu_);
   slot->records.push_back(rec);
 }
@@ -424,6 +406,8 @@ std::vector<StageDriftSummary> DriftAuditor::stage_summaries() const {
       s.channel_var_delta.add(r.var_delta);
       if (r.identical) ++s.identical_pairs;
     }
+    s.psnr_mdb = slot->psnr_hist.summary();
+    s.ssim_loss_ppm = slot->ssim_hist.summary();
     out.push_back(std::move(s));
   }
   std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
@@ -449,6 +433,9 @@ std::vector<LogitDriftSummary> DriftAuditor::logit_summaries() const {
       ++s.comparisons;
       if (r.top1_agree) ++s.top1_agree;
     }
+    s.l2_micro = slot->l2_hist.summary();
+    s.linf_micro = slot->linf_hist.summary();
+    s.kl_micro = slot->kl_hist.summary();
     out.push_back(std::move(s));
   }
   return out;

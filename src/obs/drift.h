@@ -6,7 +6,7 @@
 // *same* stimulus through several environments, taps inside the ISP and
 // the classifier compare each environment's intermediate artifact
 // against the first environment that produced one (the reference phone)
-// and fold the divergence into MetricsRegistry histograms:
+// and fold the divergence into the auditor's own per-slot histograms:
 //
 //   ES_DRIFT_SCOPE("capture", stimulus_id, phone_index);  // RAII context
 //   ...
@@ -49,6 +49,7 @@
 
 #include "image/image.h"
 #include "obs/flip_ledger.h"
+#include "obs/metrics.h"
 
 namespace edgestab::obs {
 
@@ -82,10 +83,10 @@ struct StageDriftSummary {
   DriftStat channel_mean_delta;  ///< mean over channels of |Δmean|
   DriftStat channel_var_delta;   ///< mean over channels of |Δvar|
   std::int64_t identical_pairs = 0;  ///< comparisons with zero MSE
-  /// Histogram names registered with MetricsRegistry (empty until the
-  /// first comparison): drift.<group>.<stage>.psnr_mdb / .ssim_loss_ppm.
-  std::string psnr_metric;
-  std::string ssim_metric;
+  /// Quantile histograms in integer units: PSNR in milli-dB, SSIM loss
+  /// (1 - SSIM) in ppm.
+  HistogramSummary psnr_mdb;
+  HistogramSummary ssim_loss_ppm;
 };
 
 /// Pairwise logit drift accumulated for one group.
@@ -97,7 +98,8 @@ struct LogitDriftSummary {
   DriftStat top1_margin; ///< top1 - top2 logit gap of the *current* env
   std::int64_t comparisons = 0;
   std::int64_t top1_agree = 0;  ///< comparisons where argmax matched ref
-  std::string l2_metric, linf_metric, kl_metric;
+  /// Quantile histograms of l2/linf/kl in micro-units.
+  HistogramSummary l2_micro, linf_micro, kl_micro;
 };
 
 /// Thread-local tap context: which (group, item, env) subsequent

@@ -1,5 +1,5 @@
 // Minimal streaming JSON writer + strict parser for the observability
-// layer (Chrome traces, provenance manifests, the cross-run baseline
+// layer (provenance manifests, drift/profile reports, the cross-run baseline
 // archive). The writer handles comma placement and string escaping; the
 // caller is responsible for well-formed nesting (checked with ES_CHECK
 // so malformed exporter code fails loudly in tests). The parser accepts

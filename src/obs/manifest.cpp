@@ -221,7 +221,6 @@ std::string RunManifest::to_json() const {
     w.key("stage_timing_ms");
     w.begin_object();
     for (const auto& [name, s] : histograms) {
-      if (!is_timing_histogram(name)) continue;
       w.key(name);
       w.begin_object();
       w.key("count").value(s.count);

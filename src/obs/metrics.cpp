@@ -168,7 +168,6 @@ CsvWriter stage_timing_csv(const MetricsRegistry& registry) {
                  "p99_ms"});
   auto ms = [](double ns) { return ns / 1e6; };
   for (const auto& [name, s] : registry.histograms()) {
-    if (!is_timing_histogram(name)) continue;
     csv.add_row({name, std::to_string(s.count),
                  std::to_string(ms(static_cast<double>(s.sum))),
                  std::to_string(ms(s.mean())), std::to_string(ms(s.p50)),

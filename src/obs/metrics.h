@@ -112,9 +112,20 @@ class Histogram {
 
 /// Process-wide registry of named metrics. References returned by
 /// counter()/histogram() stay valid for the registry's lifetime.
+///
+/// Disabled by default: the span macros (ES_TRACE_SCOPE's stage
+/// histogram) and ES_COUNT record nothing until a bench opts in with
+/// set_enabled(true); SuspendTracing mutes them around one-time
+/// cached-artifact construction. Direct record()/add() calls are not
+/// gated.
 class MetricsRegistry {
  public:
   static MetricsRegistry& global();
+
+  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
+  void set_enabled(bool enabled) {
+    enabled_.store(enabled, std::memory_order_relaxed);
+  }
 
   Counter& counter(const std::string& name);
   Histogram& histogram(const std::string& name);
@@ -124,7 +135,8 @@ class MetricsRegistry {
   std::vector<std::pair<std::string, std::uint64_t>> counters() const;
   std::vector<std::pair<std::string, HistogramSummary>> histograms() const;
 
-  /// Zero every metric (tests; the names stay registered).
+  /// Zero every metric (tests; the names stay registered). Leaves
+  /// enabled() untouched.
   void reset();
 
   MetricsRegistry() = default;
@@ -132,21 +144,15 @@ class MetricsRegistry {
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
  private:
+  std::atomic<bool> enabled_{false};
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
 
-/// Histograms under the "drift." prefix hold scaled divergence units
-/// (milli-dB, ppm, micro — see obs/drift.h), not span nanoseconds; the
-/// timing exporters skip them (the drift report owns their presentation).
-inline bool is_timing_histogram(const std::string& name) {
-  return name.rfind("drift.", 0) != 0;
-}
-
-/// Flat stage-timing table from every timing histogram in the registry,
-/// one row per stage with count/total/mean/p50/p95/p99 in milliseconds
-/// (histogram values are nanoseconds, the unit ScopedSpan records).
+/// Flat stage-timing table from every histogram in the registry, one row
+/// per stage with count/total/mean/p50/p95/p99 in milliseconds
+/// (histogram values are nanoseconds, the unit TraceScope records).
 CsvWriter stage_timing_csv(const MetricsRegistry& registry);
 
 }  // namespace edgestab::obs

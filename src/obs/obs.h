@@ -1,10 +1,11 @@
 // Umbrella header + instrumentation macros for the observability layer.
 //
-// Hot-path sites use the macros, not the classes. A span costs only a
-// relaxed atomic load until a bench enables the tracer.
+// Hot-path sites use the macros, not the classes. A span costs two
+// relaxed atomic loads until a bench enables the metrics registry or
+// the profiler.
 //
 //   {
-//     ES_TRACE_SCOPE("isp", "demosaic");   // span + latency histogram
+//     ES_TRACE_SCOPE("isp", "demosaic");   // stage histogram + profile node
 //     rgb = demosaic(raw, kind);
 //   }
 //   ES_COUNT("codec.bytes_encoded", out.size());
@@ -13,18 +14,80 @@
 // scope (never as the single statement of an unbraced `if`). The
 // category/name arguments must be string literals; the span feeds the
 // registry histogram named "<category>.<name>", resolved once per call
-// site via a static local.
-//
-// The same sites also feed the hot-path profiler (obs/profiler.h):
-// ES_TRACE_SCOPE additionally opens a profile scope on the logical call
-// tree. The profiler caches intern lookups by pointer identity, which is
-// one more reason the arguments must be literals.
+// site via a static local, and the hot-path profiler (obs/profiler.h)
+// node of the same label on the logical call tree. The profiler caches
+// intern lookups by pointer identity, which is one more reason the
+// arguments must be literals.
 #pragma once
+
+#include <cstdint>
 
 #include "obs/manifest.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
-#include "obs/trace.h"
+
+namespace edgestab::obs {
+
+/// RAII stage span: reads the steady clock once at entry and once at
+/// exit and hands that one duration to every sink armed at entry — the
+/// call site's stage histogram (MetricsRegistry::enabled()) and the
+/// profiler's call-tree node (Profiler::enabled()). Sinks are latched at
+/// construction, so muting either mid-scope never unpairs a profiler
+/// begin/end. With both armed, a label's histogram count and sum equal
+/// its profiler calls and inclusive time, summed over its tree nodes.
+class TraceScope {
+ public:
+  TraceScope(const char* category, const char* name, Histogram& histogram)
+      : histogram_(MetricsRegistry::global().enabled() ? &histogram
+                                                       : nullptr),
+        profiled_(Profiler::global().enabled()) {
+    if (histogram_ == nullptr && !profiled_) return;
+    start_ns_ = steady_now_ns();
+    if (profiled_) Profiler::global().begin_scope(category, name, start_ns_);
+  }
+  ~TraceScope() {
+    if (histogram_ == nullptr && !profiled_) return;
+    const std::uint64_t end_ns = steady_now_ns();
+    if (profiled_) Profiler::global().end_scope(end_ns);
+    if (histogram_ != nullptr) histogram_->record(end_ns - start_ns_);
+  }
+
+  TraceScope(const TraceScope&) = delete;
+  TraceScope& operator=(const TraceScope&) = delete;
+
+ private:
+  Histogram* histogram_;
+  bool profiled_;
+  std::uint64_t start_ns_ = 0;
+};
+
+/// RAII guard that mutes the stage histograms, ES_COUNT and the hot-path
+/// profiler for a region (nesting-safe). Used around one-time
+/// cached-artifact construction, e.g. base-model pretraining, whose
+/// millions of forward passes are not part of the run being measured
+/// and would otherwise pollute stage timing and allocation attribution.
+class SuspendTracing {
+ public:
+  SuspendTracing()
+      : metrics_was_enabled_(MetricsRegistry::global().enabled()),
+        profiler_was_enabled_(Profiler::global().enabled()) {
+    MetricsRegistry::global().set_enabled(false);
+    if (profiler_was_enabled_) Profiler::global().set_enabled(false);
+  }
+  ~SuspendTracing() {
+    MetricsRegistry::global().set_enabled(metrics_was_enabled_);
+    if (profiler_was_enabled_) Profiler::global().set_enabled(true);
+  }
+
+  SuspendTracing(const SuspendTracing&) = delete;
+  SuspendTracing& operator=(const SuspendTracing&) = delete;
+
+ private:
+  bool metrics_was_enabled_;
+  bool profiler_was_enabled_;
+};
+
+}  // namespace edgestab::obs
 
 #ifndef ES_OBS_CONCAT
 #define ES_OBS_CONCAT_INNER(a, b) a##b
@@ -36,14 +99,12 @@
                                                    __LINE__) =             \
       ::edgestab::obs::MetricsRegistry::global().histogram(category        \
                                                            "." name);      \
-  ::edgestab::obs::ScopedSpan ES_OBS_CONCAT(es_obs_span_, __LINE__)(       \
-      category, name, &ES_OBS_CONCAT(es_obs_hist_, __LINE__));             \
-  ::edgestab::obs::ProfileScope ES_OBS_CONCAT(es_obs_pscope_,              \
-                                              __LINE__)(category, name)
+  ::edgestab::obs::TraceScope ES_OBS_CONCAT(es_obs_span_, __LINE__)(       \
+      category, name, ES_OBS_CONCAT(es_obs_hist_, __LINE__))
 
 #define ES_COUNT(name, delta)                                              \
   do {                                                                     \
-    if (::edgestab::obs::Tracer::global().enabled()) {                     \
+    if (::edgestab::obs::MetricsRegistry::global().enabled()) {            \
       static ::edgestab::obs::Counter& es_obs_counter =                    \
           ::edgestab::obs::MetricsRegistry::global().counter(name);        \
       es_obs_counter.add(static_cast<std::uint64_t>(delta));               \

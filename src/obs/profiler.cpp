@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
@@ -23,13 +22,6 @@
 namespace edgestab::obs {
 
 namespace {
-
-std::uint64_t now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 /// One aggregated call-tree node. Lives in a std::deque that only grows
 /// under the intern mutex, so pointers handed out to frames, caches and
@@ -260,17 +252,17 @@ void Profiler::clear() {
   }
 }
 
-void Profiler::begin_scope(const char* category, const char* name) {
+void Profiler::begin_scope(const char* category, const char* name,
+                           std::uint64_t start_ns) {
   Node* node = intern(innermost(), category, name);
-  t_stack.push_back(Frame{node, now_ns(), 0});
+  t_stack.push_back(Frame{node, start_ns, 0});
 }
 
-void Profiler::end_scope() {
+void Profiler::end_scope(std::uint64_t end) {
   ES_CHECK_MSG(!t_stack.empty(),
                "Profiler::end_scope() without a matching begin_scope()");
   Frame frame = t_stack.back();
   t_stack.pop_back();
-  std::uint64_t end = now_ns();
   std::uint64_t duration =
       end >= frame.start_ns ? end - frame.start_ns : 0;
   // Exclusive = duration minus same-thread child time. Children executed

@@ -1,16 +1,15 @@
 // Hot-path profiler: span-tree time attribution + allocation tracking.
 //
-// The tracer (obs/trace.h) records raw per-thread span events — great
-// for timeline views, but its nesting is physical (which OS thread ran
-// the code), so the same run folds into different trees at different
-// --threads settings: the pool's dynamic scheduling makes chunk bodies
-// children of whatever lane claimed them. The profiler instead maintains
-// a LOGICAL call tree, live: every profile scope pushes onto a
-// thread-local stack, and the thread pool propagates the submitting
-// scope across the fan-out edge (runtime/task_context.h), so a span that
-// runs on a worker lane still nests under the scope that dispatched it.
-// Node identity — (parent, category, name) — is therefore invariant
-// under thread count, and so are call counts and allocation totals.
+// The stage histograms (obs/metrics.h) answer "how long does each stage
+// take" as one flat row per label. The profiler answers "where did the
+// time and the allocations go" on a LOGICAL call tree, built live: every
+// profile scope pushes onto a thread-local stack, and the thread pool
+// propagates the submitting scope across the fan-out edge
+// (runtime/task_context.h), so a span that runs on a worker lane still
+// nests under the scope that dispatched it rather than under whatever
+// the lane happened to be running. Node identity — (parent, category,
+// name) — is therefore invariant under thread count, and so are call
+// counts and allocation totals.
 //
 // Per node the profiler aggregates: call count, inclusive wall time,
 // exclusive wall time (inclusive minus same-thread child time), a
@@ -35,10 +34,12 @@
 // report their own inclusive/exclusive, which overlap in wall terms —
 // the profile reports per-node attribution, not a partition of wall.
 //
-// Scopes come from the ES_TRACE_SCOPE macro (obs/obs.h); allocations
-// from the tracked containers (util/alloc_track.h).
+// Scopes come from the ES_TRACE_SCOPE macro (obs/obs.h), whose one
+// clock pair also feeds the stage histogram, and from ProfileScope;
+// allocations from the tracked containers (util/alloc_track.h).
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -49,6 +50,14 @@
 namespace edgestab::obs {
 
 class RunManifest;
+
+/// The span clock: monotonic nanoseconds shared by every scope kind.
+inline std::uint64_t steady_now_ns() {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
 
 /// One aggregated call-tree node, snapshotted. Nodes arrive in DFS
 /// preorder with siblings sorted by label, so `depth` reconstructs the
@@ -104,10 +113,12 @@ class Profiler {
   /// between runs).
   void clear();
 
-  /// Scope hot path (ProfileScope calls these; begin/end must pair on
-  /// the same thread).
-  void begin_scope(const char* category, const char* name);
-  void end_scope();
+  /// Scope hot path (TraceScope and ProfileScope call these; begin/end
+  /// must pair on the same thread). The caller reads the clock
+  /// (steady_now_ns) so a scope can share its reading with other sinks.
+  void begin_scope(const char* category, const char* name,
+                   std::uint64_t start_ns);
+  void end_scope(std::uint64_t end_ns);
 
   /// Allocation hot path (installed into util/alloc_track hooks).
   void on_alloc(AllocSite site, std::size_t bytes);
@@ -130,20 +141,21 @@ class Profiler {
   Profiler() = default;
 };
 
-/// RAII profile scope; no-op unless the profiler is enabled at
-/// construction (an end always pairs with its begin even if the
-/// profiler is muted mid-scope). Usually emitted via the macros in
-/// obs/obs.h rather than constructed directly.
+/// RAII profile-only scope (no stage histogram); no-op unless the
+/// profiler is enabled at construction (an end always pairs with its
+/// begin even if the profiler is muted mid-scope). Stage sites use
+/// ES_TRACE_SCOPE (obs/obs.h); this is for scopes with a run-time name,
+/// such as a bench's root.
 class ProfileScope {
  public:
   ProfileScope(const char* category, const char* name) {
     Profiler& profiler = Profiler::global();
     if (!profiler.enabled()) return;
     active_ = true;
-    profiler.begin_scope(category, name);
+    profiler.begin_scope(category, name, steady_now_ns());
   }
   ~ProfileScope() {
-    if (active_) Profiler::global().end_scope();
+    if (active_) Profiler::global().end_scope(steady_now_ns());
   }
 
   ProfileScope(const ProfileScope&) = delete;

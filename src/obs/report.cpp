@@ -14,7 +14,6 @@
 #include "obs/telemetry/telemetry.h"
 #include "obs/timeline/timeline.h"
 #include "obs/timeline/timeline_report.h"
-#include "obs/trace.h"
 #include "util/check.h"
 #include "util/csv.h"
 #include "util/hashing.h"
@@ -45,31 +44,16 @@ void emit_stat(JsonWriter& w, const char* key, const DriftStat& s) {
   w.end_object();
 }
 
-// p50/p95/p99 from the registry histogram the auditor fed, converted
-// back from its integer unit (milli-dB, ppm, micro).
-struct Quantiles {
-  double p50 = 0.0, p95 = 0.0, p99 = 0.0;
-  bool valid = false;
-};
-
-Quantiles quantiles_of(const std::string& metric, double scale) {
-  Quantiles q;
-  if (metric.empty()) return q;
-  Histogram& h = MetricsRegistry::global().histogram(metric);
-  if (h.count() == 0) return q;
-  q.p50 = h.p50() / scale;
-  q.p95 = h.p95() / scale;
-  q.p99 = h.p99() / scale;
-  q.valid = true;
-  return q;
-}
-
-void emit_quantiles(JsonWriter& w, const char* key, const Quantiles& q) {
+// p50/p95/p99 of a drift histogram, converted back from its integer
+// unit (milli-dB, ppm, micro) by `scale`. An empty histogram summarizes
+// to zeros.
+void emit_quantiles(JsonWriter& w, const char* key, const HistogramSummary& h,
+                    double scale) {
   w.key(key);
   w.begin_object();
-  w.key("p50").value(q.p50);
-  w.key("p95").value(q.p95);
-  w.key("p99").value(q.p99);
+  w.key("p50").value(h.p50 / scale);
+  w.key("p95").value(h.p95 / scale);
+  w.key("p99").value(h.p99 / scale);
   w.end_object();
 }
 
@@ -125,10 +109,9 @@ std::string drift_json(const DriftAuditor& auditor,
     w.key("identical_pairs")
         .value(static_cast<std::int64_t>(s.identical_pairs));
     emit_stat(w, "psnr_db", s.psnr_db);
-    emit_quantiles(w, "psnr_db_quantiles", quantiles_of(s.psnr_metric, 1e3));
+    emit_quantiles(w, "psnr_db_quantiles", s.psnr_mdb, 1e3);
     emit_stat(w, "ssim", s.ssim);
-    emit_quantiles(w, "ssim_loss_quantiles",
-                   quantiles_of(s.ssim_metric, 1e6));
+    emit_quantiles(w, "ssim_loss_quantiles", s.ssim_loss_ppm, 1e6);
     emit_stat(w, "channel_mean_delta", s.channel_mean_delta);
     emit_stat(w, "channel_var_delta", s.channel_var_delta);
     w.end_object();
@@ -147,11 +130,11 @@ std::string drift_json(const DriftAuditor& auditor,
                    ? static_cast<double>(s.top1_agree) / s.comparisons
                    : 0.0);
     emit_stat(w, "l2", s.l2);
-    emit_quantiles(w, "l2_quantiles", quantiles_of(s.l2_metric, 1e6));
+    emit_quantiles(w, "l2_quantiles", s.l2_micro, 1e6);
     emit_stat(w, "linf", s.linf);
-    emit_quantiles(w, "linf_quantiles", quantiles_of(s.linf_metric, 1e6));
+    emit_quantiles(w, "linf_quantiles", s.linf_micro, 1e6);
     emit_stat(w, "kl", s.kl);
-    emit_quantiles(w, "kl_quantiles", quantiles_of(s.kl_metric, 1e6));
+    emit_quantiles(w, "kl_quantiles", s.kl_micro, 1e6);
     emit_stat(w, "top1_margin", s.top1_margin);
     w.end_object();
   }
@@ -286,15 +269,14 @@ std::string drift_html(const DriftAuditor& auditor,
       "<th>PSNR p95</th><th>SSIM mean</th><th>SSIM min</th>"
       "<th>|&Delta;mean|</th><th>|&Delta;var|</th></tr>\n";
   for (const StageDriftSummary& s : auditor.stage_summaries()) {
-    Quantiles q = quantiles_of(s.psnr_metric, 1e3);
     html += "<tr>";
     td(html, s.group, true);
     td(html, s.stage, true);
     td(html, std::to_string(s.psnr_db.count));
     td(html, std::to_string(s.identical_pairs));
     td(html, fmt(s.psnr_db.mean(), 2));
-    td(html, fmt(q.p50, 2));
-    td(html, fmt(q.p95, 2));
+    td(html, fmt(s.psnr_mdb.p50 / 1e3, 2));
+    td(html, fmt(s.psnr_mdb.p95 / 1e3, 2));
     td(html, fmt(s.ssim.mean(), 4));
     td(html, fmt(s.ssim.count > 0 ? s.ssim.min : 0.0, 4));
     td(html, fmt(s.channel_mean_delta.mean(), 5));
@@ -335,19 +317,18 @@ std::string drift_html(const DriftAuditor& auditor,
   for (const LogitDriftSummary& s : auditor.logit_summaries()) {
     struct Row {
       const char* metric;
-      const std::string* name;
+      const HistogramSummary* hist;
       const DriftStat* stat;
-    } rows[] = {{"L2", &s.l2_metric, &s.l2},
-                {"Linf", &s.linf_metric, &s.linf},
-                {"KL", &s.kl_metric, &s.kl}};
+    } rows[] = {{"L2", &s.l2_micro, &s.l2},
+                {"Linf", &s.linf_micro, &s.linf},
+                {"KL", &s.kl_micro, &s.kl}};
     for (const Row& r : rows) {
-      Quantiles q = quantiles_of(*r.name, 1e6);
       html += "<tr>";
       td(html, s.group, true);
       td(html, r.metric, true);
-      td(html, fmt(q.p50, 5));
-      td(html, fmt(q.p95, 5));
-      td(html, fmt(q.p99, 5));
+      td(html, fmt(r.hist->p50 / 1e6, 5));
+      td(html, fmt(r.hist->p95 / 1e6, 5));
+      td(html, fmt(r.hist->p99 / 1e6, 5));
       td(html, fmt(r.stat->count > 0 ? r.stat->max : 0.0, 5));
       html += "</tr>\n";
     }
@@ -480,12 +461,8 @@ bool write_drift_report(const DriftAuditor& auditor,
 bool export_run_artifacts(const std::string& bench_name,
                           const std::string& dir, RunManifest& manifest) {
   bool ok = true;
-  Tracer& tracer = Tracer::global();
-  // Freeze and flush: no span may race the export, and the exporting
-  // thread's staged events must land before the snapshot (worker
-  // threads flushed their staging when they exited).
-  tracer.set_enabled(false);
-  tracer.flush();
+  // Freeze: no span or counter may race the export.
+  MetricsRegistry::global().set_enabled(false);
 
   std::string timing_file = bench_name + "_stage_timing.csv";
   std::string timing_path = dir + "/" + timing_file;
@@ -496,27 +473,6 @@ bool export_run_artifacts(const std::string& bench_name,
   } catch (const CheckError& e) {
     std::fprintf(stderr, "[csv] FAILED %s: %s\n", timing_path.c_str(),
                  e.what());
-    ok = false;
-  }
-
-  std::string trace_file = bench_name + ".trace.json";
-  if (write_chrome_trace(tracer, dir + "/" + trace_file)) {
-    std::printf("[trace] %s/%s (%zu spans, %llu dropped)\n", dir.c_str(),
-                trace_file.c_str(), tracer.size(),
-                static_cast<unsigned long long>(tracer.dropped()));
-    manifest.add_artifact(trace_file);
-  } else {
-    ok = false;
-  }
-  if (tracer.dropped() > 0) {
-    std::fprintf(stderr,
-                 "[trace] %llu span events dropped (per-thread buffer "
-                 "full) — the trace is incomplete\n",
-                 static_cast<unsigned long long>(tracer.dropped()));
-    // Recorded only when non-zero so a clean run's meta.json stays
-    // byte-identical to one from before drop accounting existed.
-    manifest.set_field("trace_dropped_spans",
-                       static_cast<double>(tracer.dropped()));
     ok = false;
   }
 

@@ -2,17 +2,17 @@
 //
 // `drift_json` / `drift_html` render the DriftAuditor's accumulated
 // state — drift-by-stage tables, logit-drift distributions (p50/p95/p99
-// pulled from the MetricsRegistry histograms the auditor feeds), and
-// the prediction-flip ledger — as `bench_out/<name>.drift.json` and a
-// self-contained HTML fleet report a browser can open directly.
+// from the auditor's own per-slot histograms), and the prediction-flip
+// ledger — as `bench_out/<name>.drift.json` and a self-contained HTML
+// fleet report a browser can open directly.
 //
 // `export_run_artifacts` is bench::Run's finish() body hoisted into the
-// obs library so its failure paths (unwritable out-dir, dropped span
-// events, short writes) are unit-testable without linking a bench: it
-// flushes and freezes the tracer, writes the stage-timing CSV, Chrome
-// trace, drift reports (when the auditor is enabled) and the provenance
-// manifest — folding the drift digests into the manifest first — and
-// returns false if any artifact failed to land or spans were dropped.
+// obs library so its failure paths (unwritable out-dir, short writes)
+// are unit-testable without linking a bench: it freezes the metrics
+// registry, writes the stage-timing CSV, the profile, drift, fleet and
+// timeline reports (each when armed) and the provenance manifest —
+// folding their digests into the manifest first — and returns false if
+// any artifact failed to land.
 #pragma once
 
 #include <string>

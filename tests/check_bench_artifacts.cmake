@@ -1,6 +1,6 @@
 # Runs one bench binary end-to-end in a scratch directory and asserts its
-# artifacts land: the result CSV, the provenance manifest, the Chrome
-# trace with its stage-timing CSV, and the drift reports. Invoked by the
+# artifacts land: the result CSV, the provenance manifest, the
+# stage-timing CSV, and the drift reports. Invoked by the
 # `bench_artifacts` ctest entry; the model cache lives in the build tree
 # so only the first run pays for pretraining.
 #
@@ -36,16 +36,20 @@ if(NOT meta MATCHES "edgestab-run-manifest-v1")
   message(FATAL_ERROR "manifest ${out}/${BENCH_NAME}.meta.json lacks schema")
 endif()
 
-set(trace "${out}/${BENCH_NAME}.trace.json")
-if(NOT EXISTS "${trace}")
-  message(FATAL_ERROR "bench produced no ${trace}")
+# The stage-timing CSV must hold its header plus at least one stage row,
+# and the manifest must carry the same histograms as stage_timing_ms.
+set(timing "${out}/${BENCH_NAME}_stage_timing.csv")
+if(NOT EXISTS "${timing}")
+  message(FATAL_ERROR "missing ${timing}")
 endif()
-file(READ "${trace}" trace_doc)
-if(NOT trace_doc MATCHES "traceEvents")
-  message(FATAL_ERROR "${trace} is not a Chrome trace document")
+file(STRINGS "${timing}" timing_rows)
+list(LENGTH timing_rows timing_row_count)
+list(GET timing_rows 0 timing_header)
+if(NOT timing_header MATCHES "^stage,count," OR timing_row_count LESS 2)
+  message(FATAL_ERROR "${timing} lacks a header and a stage row")
 endif()
-if(NOT EXISTS "${out}/${BENCH_NAME}_stage_timing.csv")
-  message(FATAL_ERROR "missing ${out}/${BENCH_NAME}_stage_timing.csv")
+if(NOT meta MATCHES "\"stage_timing_ms\"")
+  message(FATAL_ERROR "manifest lacks stage_timing_ms")
 endif()
 
 set(drift_json "${out}/${BENCH_NAME}.drift.json")

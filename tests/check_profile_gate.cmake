@@ -12,6 +12,9 @@
 #   3. Run --profile --threads 2: the profile digest and the allocation
 #      totals must be bit-identical to the single-threaded run (the
 #      lane-merge determinism contract), CSVs again byte-identical.
+#      Across steps 1-3 the stage-timing CSV's stage and count columns
+#      must be equal: every stage span is also a profile scope, and
+#      profiler call counts are thread-invariant.
 #   4. Promote the candidate BENCH_fig3.json — which must contain the
 #      profile headline metrics — and re-run profiled: `sentinel
 #      compare` must exit 0 with zero regressed metrics.
@@ -76,11 +79,39 @@ function(check_csvs_match label)
   endforeach()
 endfunction()
 
+# The (stage, count) columns of fig3_stage_timing.csv; the timing columns
+# differ between ANY two runs and are left out.
+function(read_stage_counts out_var)
+  file(STRINGS "${WORK_DIR}/bench_out/fig3_stage_timing.csv" rows)
+  set(counts "")
+  foreach(row ${rows})
+    if(NOT row MATCHES "^([^,]+),([^,]+),")
+      message(FATAL_ERROR "malformed stage-timing row: ${row}")
+    endif()
+    list(APPEND counts "${CMAKE_MATCH_1},${CMAKE_MATCH_2}")
+  endforeach()
+  set(${out_var} "${counts}" PARENT_SCOPE)
+endfunction()
+
+function(check_stage_counts_match label)
+  read_stage_counts(counts)
+  if(NOT counts STREQUAL ref_counts)
+    message(FATAL_ERROR
+      "${label}: fig3_stage_timing.csv stage/count columns differ from "
+      "the unprofiled reference\nref: ${ref_counts}\ngot: ${counts}")
+  endif()
+endfunction()
+
 # --- 1. warm-up + unprofiled reference -----------------------------------
 # fig3[a-d]_*.csv are the result tables; fig3_stage_timing.csv is
 # measured latency and differs between ANY two runs, so it is no
-# byte-identity subject.
+# byte-identity subject (only its stage and count columns are compared).
 run_bench("reference run" ref_out --threads 1)
+read_stage_counts(ref_counts)
+list(LENGTH ref_counts ref_count_rows)
+if(ref_count_rows LESS 2)
+  message(FATAL_ERROR "reference run wrote no stage-timing rows")
+endif()
 file(GLOB plain_csvs "${WORK_DIR}/bench_out/fig3[abcd]_*.csv")
 if(plain_csvs STREQUAL "")
   message(FATAL_ERROR "reference run produced no fig3 CSVs")
@@ -105,6 +136,7 @@ if(t1_alloc_count EQUAL 0)
   message(FATAL_ERROR "profiled run attributed zero allocations")
 endif()
 check_csvs_match("profiled t1 run")
+check_stage_counts_match("profiled t1 run")
 
 # --- 3. profiled two-thread run: lane-merge determinism ------------------
 run_bench("profiled t2 run" t2_out --threads 2 --profile)
@@ -123,6 +155,7 @@ if(NOT t1_alloc_count EQUAL t2_alloc_count OR
     "t2=${t2_alloc_count}/${t2_alloc_bytes}")
 endif()
 check_csvs_match("profiled t2 run")
+check_stage_counts_match("profiled t2 run")
 
 # --- 4. profile metrics must survive a clean sentinel compare ------------
 file(READ "${WORK_DIR}/bench_out/BENCH_fig3.json" candidate)

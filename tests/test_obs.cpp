@@ -1,18 +1,17 @@
 // Unit tests for the observability layer: JSON writer output and
-// escaping, histogram bucketing and quantiles, registry behavior, span
-// recording/nesting/suspension, Chrome-trace export (validated with a
-// minimal JSON parser), the provenance manifest document, the divergence
-// auditor (stage taps, logit drift, prediction-flip ledger), the drift
-// report exporters, and the shared end-of-run artifact export including
-// its failure paths.
+// escaping (validated with a minimal JSON parser), histogram bucketing
+// and quantiles, registry behavior, span recording and suspension, the
+// provenance manifest document, the divergence auditor (stage taps,
+// logit drift, prediction-flip ledger), the drift report exporters, and
+// the shared end-of-run artifact export including its failure paths.
 #include <gtest/gtest.h>
 
 #include <cctype>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
-#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -136,17 +135,17 @@ class JsonChecker {
   std::size_t pos_ = 0;
 };
 
-// Restores the tracer to a clean, disabled state around each span test so
-// tests do not leak state into one another.
-struct TracerSandbox {
-  TracerSandbox() {
-    Tracer::global().clear();
-    Tracer::global().set_enabled(true);
+// Enables the global metrics registry with zeroed metrics around each
+// span test, and leaves it disabled and zeroed, so tests do not leak
+// state into one another.
+struct MetricsSandbox {
+  MetricsSandbox() {
+    MetricsRegistry::global().reset();
+    MetricsRegistry::global().set_enabled(true);
   }
-  ~TracerSandbox() {
-    Tracer::global().set_enabled(false);
-    Tracer::global().set_max_events_per_thread(Tracer::kMaxEventsPerThread);
-    Tracer::global().clear();
+  ~MetricsSandbox() {
+    MetricsRegistry::global().set_enabled(false);
+    MetricsRegistry::global().reset();
   }
 };
 
@@ -337,114 +336,55 @@ TEST(MetricsRegistry, StageTimingCsvShape) {
   EXPECT_NE(text.find("isp.demosaic,1,2"), std::string::npos);
 }
 
-// ---- Tracer / ScopedSpan ----------------------------------------------------
+// ---- TraceScope -------------------------------------------------------------
 
-TEST(Tracer, RecordsNestedSpansWithDepth) {
-  TracerSandbox sandbox;
-  {
-    ScopedSpan outer("test", "outer");
-    ScopedSpan inner("test", "inner");
-  }
-  auto events = Tracer::global().snapshot();
-  ASSERT_EQ(events.size(), 2u);
-  // Inner destructs first, so it is recorded first.
-  EXPECT_STREQ(events[0].name, "inner");
-  EXPECT_EQ(events[0].depth, 1);
-  EXPECT_STREQ(events[1].name, "outer");
-  EXPECT_EQ(events[1].depth, 0);
-  EXPECT_GE(events[1].duration_ns, events[0].duration_ns);
-}
-
-TEST(Tracer, DisabledTracerRecordsNothing) {
-  TracerSandbox sandbox;
-  Tracer::global().set_enabled(false);
-  {
-    ScopedSpan span("test", "ignored");
-  }
-  EXPECT_EQ(Tracer::global().size(), 0u);
-}
-
-TEST(Tracer, SuspendTracingIsNestingSafe) {
-  TracerSandbox sandbox;
-  {
-    SuspendTracing outer;
-    EXPECT_FALSE(Tracer::global().enabled());
-    {
-      SuspendTracing inner;
-      EXPECT_FALSE(Tracer::global().enabled());
-    }
-    EXPECT_FALSE(Tracer::global().enabled());
-    ScopedSpan span("test", "suppressed");
-  }
-  EXPECT_TRUE(Tracer::global().enabled());
-  EXPECT_EQ(Tracer::global().size(), 0u);
-}
-
-TEST(Tracer, SpanFeedsHistogram) {
-  TracerSandbox sandbox;
+TEST(TraceScope, SpanFeedsHistogram) {
+  MetricsSandbox sandbox;
   Histogram h;
   {
-    ScopedSpan span("test", "timed", &h);
+    TraceScope span("test", "timed", h);
   }
   EXPECT_EQ(h.count(), 1u);
 }
 
-TEST(Tracer, ThreadsGetDistinctIds) {
-  TracerSandbox sandbox;
+TEST(TraceScope, DisabledMetricsRecordNothing) {
+  MetricsSandbox sandbox;
+  MetricsRegistry::global().set_enabled(false);
+  Histogram h;
   {
-    ScopedSpan span("test", "main_thread");
+    TraceScope span("test", "ignored", h);
+    ES_COUNT("test.disabled_count", 1);
   }
-  std::thread([] { ScopedSpan span("test", "worker"); }).join();
-  auto events = Tracer::global().snapshot();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_NE(events[0].thread_id, events[1].thread_id);
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_EQ(MetricsRegistry::global().counter("test.disabled_count").value(),
+            0u);
 }
 
-TEST(Tracer, DroppedEventsAreCountedAgainstTheCap) {
-  TracerSandbox sandbox;
-  Tracer::global().set_max_events_per_thread(4);
-  for (int i = 0; i < 10; ++i) {
-    ScopedSpan span("test", "capped");
-  }
-  EXPECT_EQ(Tracer::global().size(), 4u);
-  EXPECT_EQ(Tracer::global().dropped(), 6u);
-}
-
-TEST(Tracer, WorkerStagingFlushesAtThreadExit) {
-  TracerSandbox sandbox;
-  std::thread([] {
-    for (int i = 0; i < 3; ++i) {
-      ScopedSpan span("test", "worker_staged");
+TEST(TraceScope, SuspendTracingIsNestingSafe) {
+  MetricsSandbox sandbox;
+  Histogram h;
+  {
+    SuspendTracing outer;
+    EXPECT_FALSE(MetricsRegistry::global().enabled());
+    {
+      SuspendTracing inner;
+      EXPECT_FALSE(MetricsRegistry::global().enabled());
     }
-    // No flush/snapshot here: fewer than kFlushChunk events sit in the
-    // worker's staging vector until its thread-exit flush.
-  }).join();
-  auto events = Tracer::global().snapshot();
-  ASSERT_EQ(events.size(), 3u);
-  for (const SpanEvent& e : events) EXPECT_STREQ(e.name, "worker_staged");
-}
-
-TEST(Tracer, ChromeTraceJsonRoundTrips) {
-  TracerSandbox sandbox;
-  {
-    ScopedSpan outer("isp", "pipeline");
-    ScopedSpan inner("isp", "demosaic \"quoted\"");
+    EXPECT_FALSE(MetricsRegistry::global().enabled());
+    TraceScope span("test", "suppressed", h);
   }
-  std::string doc = chrome_trace_json(Tracer::global());
-  EXPECT_TRUE(JsonChecker(doc).valid()) << doc;
-  EXPECT_NE(doc.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(doc.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(doc.find("\"demosaic \\\"quoted\\\"\""), std::string::npos);
-  EXPECT_NE(doc.find("\"cat\":\"isp\""), std::string::npos);
+  EXPECT_TRUE(MetricsRegistry::global().enabled());
+  EXPECT_EQ(h.count(), 0u);
 }
 
-TEST(Tracer, MacroEmitsSpanAndCounter) {
-  TracerSandbox sandbox;
+TEST(TraceScope, MacroEmitsSpanAndCounter) {
+  MetricsSandbox sandbox;
   {
     ES_TRACE_SCOPE("test", "macro_span");
     ES_COUNT("test.macro_count", 2);
   }
-  EXPECT_EQ(Tracer::global().size(), 1u);
+  EXPECT_EQ(MetricsRegistry::global().histogram("test.macro_span").count(),
+            1u);
   EXPECT_GE(MetricsRegistry::global().counter("test.macro_count").value(),
             2u);
 }
@@ -524,11 +464,14 @@ TEST(DriftAuditor, TapComparesAgainstReferenceEnvironment) {
   EXPECT_NEAR(s.channel_var_delta.mean(), 0.0, 1e-3);
   EXPECT_LT(s.ssim.mean(), 1.0);
   EXPECT_EQ(s.identical_pairs, 0);
-  // The comparison also fed the registry histograms named in the summary.
-  EXPECT_EQ(s.psnr_metric, "drift.unit.demosaic.psnr_mdb");
-  EXPECT_EQ(
-      MetricsRegistry::global().histogram(s.psnr_metric).count() >= 1, true);
-  EXPECT_FALSE(is_timing_histogram(s.psnr_metric));
+  // The comparison fed the slot's own quantile histograms, not the
+  // stage-timing registry.
+  EXPECT_EQ(s.psnr_mdb.count, 1u);
+  EXPECT_EQ(s.ssim_loss_ppm.count, 1u);
+  // One sample: every quantile clamps to it (rounded to a milli-dB).
+  EXPECT_NEAR(s.psnr_mdb.p50 / 1e3, s.psnr_db.mean(), 1e-3);
+  for (const auto& [name, summary] : MetricsRegistry::global().histograms())
+    EXPECT_NE(name.rfind("drift.", 0), 0u) << name;
 }
 
 TEST(DriftAuditor, IdenticalImagesHitPsnrCap) {
@@ -610,7 +553,8 @@ TEST(DriftAuditor, LogitDriftMetrics) {
   EXPECT_NEAR(s.linf.mean(), 2.0, 1e-6);
   EXPECT_GT(s.kl.mean(), 0.0);
   EXPECT_NEAR(s.top1_margin.mean(), 2.0, 1e-6);
-  EXPECT_EQ(s.l2_metric, "drift.logit.logits.l2_micro");
+  EXPECT_EQ(s.l2_micro.count, 1u);
+  EXPECT_EQ(s.kl_micro.count, 1u);
 }
 
 TEST(DriftAuditor, EnvLabelsDefaultAndOverride) {
@@ -925,19 +869,22 @@ TEST(DriftReport, HtmlIsSelfContainedAndEscaped) {
 // ---- export_run_artifacts ---------------------------------------------------
 
 TEST(ExportRunArtifacts, WritesManifestTraceAndDriftArtifacts) {
-  TracerSandbox tracer_sandbox;
+  MetricsSandbox metrics_sandbox;
   DriftSandbox drift_sandbox;
   feed_auditor_for_report();
   {
-    ScopedSpan span("test", "exported_span");
+    ES_TRACE_SCOPE("test", "exported_span");
   }
   namespace fs = std::filesystem;
   fs::path dir = scratch_dir("es_export_ok");
   RunManifest m("unit_export");
   EXPECT_TRUE(export_run_artifacts("unit_export", dir.string(), m));
   EXPECT_TRUE(fs::exists(dir / "unit_export.meta.json"));
-  EXPECT_TRUE(fs::exists(dir / "unit_export.trace.json"));
-  EXPECT_TRUE(fs::exists(dir / "unit_export_stage_timing.csv"));
+  std::ifstream timing(dir / "unit_export_stage_timing.csv");
+  std::string timing_doc((std::istreambuf_iterator<char>(timing)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_NE(timing_doc.find("\ntest.exported_span,1,"), std::string::npos)
+      << timing_doc;
   EXPECT_TRUE(fs::exists(dir / "unit_export.drift.json"));
   EXPECT_TRUE(fs::exists(dir / "unit_export.drift.html"));
   std::string manifest_doc = m.to_json();
@@ -949,7 +896,7 @@ TEST(ExportRunArtifacts, WritesManifestTraceAndDriftArtifacts) {
 }
 
 TEST(ExportRunArtifacts, FailsWhenOutDirIsNotWritable) {
-  TracerSandbox tracer_sandbox;
+  MetricsSandbox metrics_sandbox;
   namespace fs = std::filesystem;
   fs::path blocker = fs::path(testing::TempDir()) / "es_export_blocked";
   fs::remove_all(blocker);
@@ -963,24 +910,6 @@ TEST(ExportRunArtifacts, FailsWhenOutDirIsNotWritable) {
   EXPECT_FALSE(
       export_run_artifacts("unit_blocked", (blocker / "deeper").string(), m));
   fs::remove_all(blocker);
-}
-
-TEST(ExportRunArtifacts, DroppedSpansFailTheExport) {
-  TracerSandbox sandbox;
-  Tracer::global().set_max_events_per_thread(1);
-  for (int i = 0; i < 3; ++i) {
-    ScopedSpan span("test", "overflow");
-  }
-  ASSERT_GT(Tracer::global().dropped(), 0u);
-  namespace fs = std::filesystem;
-  fs::path dir = scratch_dir("es_export_dropped");
-  RunManifest m("unit_dropped");
-  EXPECT_FALSE(export_run_artifacts("unit_dropped", dir.string(), m));
-  // The artifacts themselves still land: an incomplete trace is flagged
-  // through the exit code, not by suppressing the files.
-  EXPECT_TRUE(fs::exists(dir / "unit_dropped.trace.json"));
-  EXPECT_TRUE(fs::exists(dir / "unit_dropped.meta.json"));
-  fs::remove_all(dir);
 }
 
 }  // namespace

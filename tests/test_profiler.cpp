@@ -1,5 +1,6 @@
 // Unit tests for the hot-path profiler (obs/profiler.h): scope nesting
-// and the exclusive-time identity, canonical snapshot ordering,
+// and the exclusive-time identity, one ES_TRACE_SCOPE clock pair feeding
+// both the stage histogram and the profiler, canonical snapshot ordering,
 // allocation attribution through the util/alloc_track hooks, lane-merge
 // determinism (identical digests and alloc totals at any thread count),
 // the profile JSON round trip and report rendering.
@@ -9,6 +10,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -186,6 +188,57 @@ TEST_F(ProfilerTest, SuspendTracingAlsoMutesProfiler) {
   p.set_enabled(false);
   EXPECT_TRUE(p.snapshot().empty());
   EXPECT_EQ(p.totals().alloc_count, 0u);
+}
+
+// Nested stage sites for the one-clock test: the leaf runs under two
+// different parents, so its label spans two profiler nodes.
+void one_clock_leaf() { ES_TRACE_SCOPE("one_clock", "leaf"); }
+
+void one_clock_mid() {
+  ES_TRACE_SCOPE("one_clock", "mid");
+  one_clock_leaf();
+  one_clock_leaf();
+}
+
+TEST_F(ProfilerTest, TraceScopeFeedsHistogramAndProfilerFromOneClockPair) {
+  MetricsRegistry& registry = MetricsRegistry::global();
+  registry.reset();
+  registry.set_enabled(true);
+  Profiler& p = Profiler::global();
+  p.set_enabled(true);
+  for (int i = 0; i < 3; ++i) {
+    ES_TRACE_SCOPE("one_clock", "outer");
+    one_clock_mid();
+    one_clock_leaf();
+  }
+  p.set_enabled(false);
+  registry.set_enabled(false);
+
+  struct Totals {
+    std::uint64_t calls = 0;
+    std::uint64_t incl_ns = 0;
+  };
+  std::map<std::string, Totals> by_label;
+  for (const ProfileNode& node : p.snapshot()) {
+    Totals& t = by_label[node.category + "." + node.name];
+    t.calls += node.calls;
+    t.incl_ns += node.incl_ns;
+  }
+  const std::pair<const char*, std::uint64_t> expected[] = {
+      {"one_clock.outer", 3}, {"one_clock.mid", 3}, {"one_clock.leaf", 9}};
+  for (const auto& [label, calls] : expected) {
+    const Histogram& h = registry.histogram(label);
+    EXPECT_EQ(by_label[label].calls, calls) << label;
+    // The same duration went to both sinks: exact, not approximate.
+    EXPECT_EQ(h.count(), by_label[label].calls) << label;
+    EXPECT_EQ(h.sum(), by_label[label].incl_ns) << label;
+  }
+  EXPECT_NE(find_node(p.snapshot(), "one_clock.outer/one_clock.leaf"),
+            nullptr);
+  EXPECT_NE(find_node(p.snapshot(),
+                      "one_clock.outer/one_clock.mid/one_clock.leaf"),
+            nullptr);
+  registry.reset();
 }
 
 // One deterministic parallel workload: each item opens a profile scope
