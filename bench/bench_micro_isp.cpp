@@ -1,7 +1,16 @@
-// Microbenchmark: ISP stage costs and full pipeline latency.
+// Microbenchmark: capture front-end, ISP stage costs and full pipeline
+// latency.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "bench_micro_util.h"
+#include "data/labels.h"
+#include "data/render.h"
+#include "data/screen.h"
+#include "device/capture.h"
+#include "device/fleets.h"
 #include "isp/pipeline.h"
 #include "isp/sensor.h"
 #include "isp/software_isp.h"
@@ -52,6 +61,35 @@ void BM_SensorExposure(benchmark::State& state) {
   }
 }
 
+// The capture front end: a 96x96 stimulus shown on the 2x screen, then
+// framed by a phone mount and sampled down to the 64x64 sensor.
+Image bench_stimulus() {
+  return render_scene({target_classes().front(), 3, 0.25f}, 96);
+}
+
+void BM_DisplayOnScreen(benchmark::State& state) {
+  const Image stimulus = bench_stimulus();
+  const ScreenConfig screen;
+  for (auto _ : state) {
+    Image emission = display_on_screen(stimulus, screen);
+    benchmark::DoNotOptimize(emission);
+  }
+}
+
+void BM_PhoneSignal(benchmark::State& state) {
+  const Image emission = display_on_screen(bench_stimulus(), ScreenConfig{});
+  const std::vector<PhoneProfile> fleet = end_to_end_fleet();
+  const auto mounted =
+      std::find_if(fleet.begin(), fleet.end(), [](const PhoneProfile& p) {
+        return p.mount_tilt != 0.0f;
+      });
+  ES_CHECK(mounted != fleet.end());
+  for (auto _ : state) {
+    Image signal = phone_signal(*mounted, emission);
+    benchmark::DoNotOptimize(signal);
+  }
+}
+
 BENCHMARK_CAPTURE(BM_Demosaic, bilinear, DemosaicKind::kBilinear)
     ->Arg(64)->Arg(128);
 BENCHMARK_CAPTURE(BM_Demosaic, malvar, DemosaicKind::kMalvar)
@@ -59,6 +97,8 @@ BENCHMARK_CAPTURE(BM_Demosaic, malvar, DemosaicKind::kMalvar)
 BENCHMARK_CAPTURE(BM_FullIsp, neutral, false)->Arg(64)->Arg(128);
 BENCHMARK_CAPTURE(BM_FullIsp, opinionated, true)->Arg(64)->Arg(128);
 BENCHMARK(BM_SensorExposure)->Arg(64)->Arg(128);
+BENCHMARK(BM_DisplayOnScreen);
+BENCHMARK(BM_PhoneSignal);
 
 }  // namespace
 }  // namespace edgestab

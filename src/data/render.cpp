@@ -4,6 +4,7 @@
 
 #include "data/labels.h"
 #include "image/draw.h"
+#include "obs/obs.h"
 #include "util/rng.h"
 
 namespace edgestab {
@@ -515,6 +516,7 @@ void render_sunhat(Ctx& ctx) {
 }  // namespace
 
 Image render_scene(const SceneSpec& spec, int size) {
+  ES_TRACE_SCOPE("data", "render");
   ES_CHECK(size >= 32);
   ES_CHECK(spec.class_id >= 0 && spec.class_id < kNumClasses);
   ES_CHECK(spec.view_angle >= -1.0f && spec.view_angle <= 1.0f);

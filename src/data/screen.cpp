@@ -2,38 +2,47 @@
 
 #include "image/color.h"
 #include "image/resize.h"
+#include "obs/obs.h"
 
 namespace edgestab {
 
 Image display_on_screen(const Image& srgb_image, const ScreenConfig& config) {
+  ES_TRACE_SCOPE("data", "display");
   ES_CHECK(srgb_image.channels() == 3);
   ES_CHECK(config.output_scale >= 1);
 
   // Upsample to the emitted resolution (the monitor is much denser than
   // the photographed framing).
-  Image up = config.output_scale == 1
-                 ? srgb_image
-                 : resize(srgb_image,
-                          srgb_image.width() * config.output_scale,
-                          srgb_image.height() * config.output_scale,
-                          ResizeFilter::kBilinear);
+  Image emission = config.output_scale == 1
+                       ? srgb_image
+                       : resize(srgb_image,
+                                srgb_image.width() * config.output_scale,
+                                srgb_image.height() * config.output_scale,
+                                ResizeFilter::kBilinear);
 
-  Image emission = srgb_decode(up);
-  for (int y = 0; y < emission.height(); ++y)
-    for (int x = 0; x < emission.width(); ++x) {
-      // Subpixel grid: every third emitted column favors one channel.
-      for (int c = 0; c < 3; ++c) {
-        float grid = 1.0f;
-        if (config.pixel_grid > 0.0f)
-          grid = (x % 3 == c) ? 1.0f + config.pixel_grid
-                              : 1.0f - config.pixel_grid * 0.5f;
-        float v = emission.at(x, y, c);
-        v = config.black_level + (1.0f - config.black_level) * v;
-        v *= config.backlight *
-             config.white_point[static_cast<std::size_t>(c)] * grid;
-        emission.at(x, y, c) = v;
-      }
+  // Backlight, white point and subpixel grid fold into one gain per
+  // (channel, x % 3): every third emitted column favors one channel.
+  float gain[3][3];
+  for (int c = 0; c < 3; ++c)
+    for (int phase = 0; phase < 3; ++phase) {
+      float grid = 1.0f;
+      if (config.pixel_grid > 0.0f)
+        grid = (phase == c) ? 1.0f + config.pixel_grid
+                            : 1.0f - config.pixel_grid * 0.5f;
+      gain[c][phase] = config.backlight *
+                       config.white_point[static_cast<std::size_t>(c)] * grid;
     }
+  const int w = emission.width();
+  for (int c = 0; c < 3; ++c) {
+    float* p = emission.plane(c).data();
+    for (int y = 0; y < emission.height(); ++y, p += w)
+      for (int x = 0; x < w; ++x) {
+        float v = srgb_decode(p[x]);
+        v = config.black_level + (1.0f - config.black_level) * v;
+        v *= gain[c][x % 3];
+        p[x] = v;
+      }
+  }
   return emission;
 }
 

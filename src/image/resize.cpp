@@ -2,71 +2,77 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 namespace edgestab {
 
 namespace {
 
-float catmull_rom(float p0, float p1, float p2, float p3, float t) {
-  float a = -0.5f * p0 + 1.5f * p1 - 1.5f * p2 + 0.5f * p3;
-  float b = p0 - 2.5f * p1 + 2.0f * p2 - 0.5f * p3;
-  float c = -0.5f * p0 + 0.5f * p2;
-  return ((a * t + b) * t + c) * t + p1;
+// Every kernel here is plane-major and keeps the per-sample float
+// expressions of Image::sample_bilinear and of a per-output box sum, so
+// its result is bit-identical to those references (tests/test_image.cpp).
+
+// Image::sample_bilinear's floor, weight and clamped taps along one axis.
+struct Tap {
+  int a;    ///< clamp(floor(s), 0, n - 1)
+  int b;    ///< clamp(floor(s) + 1, 0, n - 1)
+  float t;  ///< s - floor(s)
+};
+
+Tap bilinear_tap(float s, int n) {
+  float f = std::floor(s);
+  int i = static_cast<int>(f);
+  return {std::clamp(i, 0, n - 1), std::clamp(i + 1, 0, n - 1), s - f};
 }
 
-Image resize_nearest(const Image& src, int out_w, int out_h) {
-  Image out(out_w, out_h, src.channels());
-  for (int y = 0; y < out_h; ++y) {
-    int sy = std::min(static_cast<int>((y + 0.5f) * src.height() / out_h),
-                      src.height() - 1);
-    for (int x = 0; x < out_w; ++x) {
-      int sx = std::min(static_cast<int>((x + 0.5f) * src.width() / out_w),
-                        src.width() - 1);
-      for (int c = 0; c < src.channels(); ++c)
-        out.at(x, y, c) = src.at(sx, sy, c);
-    }
-  }
-  return out;
+// One output row's tables: four int and two float columns. Each thread
+// reuses its own, so a resample allocates only its output image.
+struct RowTables {
+  std::vector<int> i[4];
+  std::vector<float> f[2];
+};
+
+RowTables& row_tables(int out_w) {
+  thread_local RowTables tables;
+  for (auto& v : tables.i) v.resize(static_cast<std::size_t>(out_w));
+  for (auto& v : tables.f) v.resize(static_cast<std::size_t>(out_w));
+  return tables;
 }
 
 Image resize_bilinear(const Image& src, int out_w, int out_h) {
   Image out(out_w, out_h, src.channels());
-  float sx_scale = static_cast<float>(src.width()) / out_w;
-  float sy_scale = static_cast<float>(src.height()) / out_h;
-  for (int y = 0; y < out_h; ++y) {
-    float sy = (y + 0.5f) * sy_scale - 0.5f;
-    for (int x = 0; x < out_w; ++x) {
-      float sx = (x + 0.5f) * sx_scale - 0.5f;
-      for (int c = 0; c < src.channels(); ++c)
-        out.at(x, y, c) = src.sample_bilinear(sx, sy, c);
-    }
+  const int w = src.width();
+  const int h = src.height();
+  float sx_scale = static_cast<float>(w) / out_w;
+  float sy_scale = static_cast<float>(h) / out_h;
+  RowTables& tables = row_tables(out_w);
+  int* xa = tables.i[0].data();
+  int* xb = tables.i[1].data();
+  float* tx = tables.f[0].data();
+  for (int x = 0; x < out_w; ++x) {
+    float sx = (x + 0.5f) * sx_scale - 0.5f;
+    const Tap col = bilinear_tap(sx, w);
+    xa[x] = col.a;
+    xb[x] = col.b;
+    tx[x] = col.t;
   }
-  return out;
-}
-
-Image resize_bicubic(const Image& src, int out_w, int out_h) {
-  Image out(out_w, out_h, src.channels());
-  float sx_scale = static_cast<float>(src.width()) / out_w;
-  float sy_scale = static_cast<float>(src.height()) / out_h;
-  for (int y = 0; y < out_h; ++y) {
-    float sy = (y + 0.5f) * sy_scale - 0.5f;
-    int y1 = static_cast<int>(std::floor(sy));
-    float ty = sy - y1;
-    for (int x = 0; x < out_w; ++x) {
-      float sx = (x + 0.5f) * sx_scale - 0.5f;
-      int x1 = static_cast<int>(std::floor(sx));
-      float tx = sx - x1;
-      for (int c = 0; c < src.channels(); ++c) {
-        float rows[4];
-        for (int j = 0; j < 4; ++j) {
-          int yy = y1 - 1 + j;
-          rows[j] = catmull_rom(src.at_clamped(x1 - 1, yy, c),
-                                src.at_clamped(x1, yy, c),
-                                src.at_clamped(x1 + 1, yy, c),
-                                src.at_clamped(x1 + 2, yy, c), tx);
-        }
-        out.at(x, y, c) =
-            catmull_rom(rows[0], rows[1], rows[2], rows[3], ty);
+  for (int c = 0; c < src.channels(); ++c) {
+    const float* in = src.plane(c).data();
+    float* dst = out.plane(c).data();
+    for (int y = 0; y < out_h; ++y, dst += out_w) {
+      float sy = (y + 0.5f) * sy_scale - 0.5f;
+      const Tap row = bilinear_tap(sy, h);
+      const float* r0 = in + static_cast<std::size_t>(row.a) * w;
+      const float* r1 = in + static_cast<std::size_t>(row.b) * w;
+      const float ty = row.t;
+      for (int x = 0; x < out_w; ++x) {
+        float v00 = r0[xa[x]];
+        float v10 = r0[xb[x]];
+        float v01 = r1[xa[x]];
+        float v11 = r1[xb[x]];
+        float top = v00 + (v10 - v00) * tx[x];
+        float bot = v01 + (v11 - v01) * tx[x];
+        dst[x] = top + (bot - top) * ty;
       }
     }
   }
@@ -77,21 +83,35 @@ Image resize_area(const Image& src, int out_w, int out_h) {
   Image out(out_w, out_h, src.channels());
   float sx_scale = static_cast<float>(src.width()) / out_w;
   float sy_scale = static_cast<float>(src.height()) / out_h;
+  RowTables& tables = row_tables(out_w);
+  // Each output column's box [x0, x1) in the source.
+  int* x0 = tables.i[0].data();
+  int* x1 = tables.i[1].data();
+  float* inv = tables.f[0].data();
+  float* sum = tables.f[1].data();
+  for (int x = 0; x < out_w; ++x) {
+    x0[x] = static_cast<int>(x * sx_scale);
+    x1[x] = std::max(x0[x] + 1, static_cast<int>((x + 1) * sx_scale));
+    x1[x] = std::min(x1[x], src.width());
+  }
   for (int y = 0; y < out_h; ++y) {
     int y0 = static_cast<int>(y * sy_scale);
     int y1 = std::max(y0 + 1, static_cast<int>((y + 1) * sy_scale));
     y1 = std::min(y1, src.height());
-    for (int x = 0; x < out_w; ++x) {
-      int x0 = static_cast<int>(x * sx_scale);
-      int x1 = std::max(x0 + 1, static_cast<int>((x + 1) * sx_scale));
-      x1 = std::min(x1, src.width());
-      float inv = 1.0f / static_cast<float>((x1 - x0) * (y1 - y0));
-      for (int c = 0; c < src.channels(); ++c) {
-        float sum = 0.0f;
-        for (int yy = y0; yy < y1; ++yy)
-          for (int xx = x0; xx < x1; ++xx) sum += src.at(xx, yy, c);
-        out.at(x, y, c) = sum * inv;
+    for (int x = 0; x < out_w; ++x)
+      inv[x] = 1.0f / static_cast<float>((x1[x] - x0[x]) * (y1 - y0));
+    for (int c = 0; c < src.channels(); ++c) {
+      const float* in = src.plane(c).data();
+      // Every output's running sum advances one source row at a time,
+      // so each sum still adds its box in (row, column) order.
+      std::fill(sum, sum + out_w, 0.0f);
+      for (int yy = y0; yy < y1; ++yy) {
+        const float* row = in + static_cast<std::size_t>(yy) * src.width();
+        for (int x = 0; x < out_w; ++x)
+          for (int xx = x0[x]; xx < x1[x]; ++xx) sum[x] += row[xx];
       }
+      float* dst = out.plane(c).data() + static_cast<std::size_t>(y) * out_w;
+      for (int x = 0; x < out_w; ++x) dst[x] = sum[x] * inv[x];
     }
   }
   return out;
@@ -104,33 +124,11 @@ Image resize(const Image& src, int out_w, int out_h, ResizeFilter filter) {
   ES_CHECK(out_w > 0 && out_h > 0);
   if (out_w == src.width() && out_h == src.height()) return src;
   switch (filter) {
-    case ResizeFilter::kNearest: return resize_nearest(src, out_w, out_h);
     case ResizeFilter::kBilinear: return resize_bilinear(src, out_w, out_h);
-    case ResizeFilter::kBicubic: return resize_bicubic(src, out_w, out_h);
     case ResizeFilter::kArea: return resize_area(src, out_w, out_h);
   }
   ES_CHECK_MSG(false, "unknown filter");
   return {};
-}
-
-Image crop(const Image& src, int x0, int y0, int w, int h) {
-  ES_CHECK(x0 >= 0 && y0 >= 0 && w > 0 && h > 0);
-  ES_CHECK(x0 + w <= src.width() && y0 + h <= src.height());
-  Image out(w, h, src.channels());
-  for (int y = 0; y < h; ++y)
-    for (int x = 0; x < w; ++x)
-      for (int c = 0; c < src.channels(); ++c)
-        out.at(x, y, c) = src.at(x0 + x, y0 + y, c);
-  return out;
-}
-
-Image flip_horizontal(const Image& src) {
-  Image out(src.width(), src.height(), src.channels());
-  for (int y = 0; y < src.height(); ++y)
-    for (int x = 0; x < src.width(); ++x)
-      for (int c = 0; c < src.channels(); ++c)
-        out.at(x, y, c) = src.at(src.width() - 1 - x, y, c);
-  return out;
 }
 
 Affine Affine::identity() { return {{1, 0, 0, 0, 1, 0}}; }
@@ -172,43 +170,43 @@ Image warp_affine(const Image& src, const Affine& out_to_src, int out_w,
   Image out(out_w, out_h, src.channels());
   const int w = src.width();
   const int h = src.height();
-  const std::size_t in_plane = src.pixel_count();
-  const std::size_t out_plane = out.pixel_count();
-  const float* in = src.data().data();
-  float* dst = out.data().data();
-  for (int y = 0; y < out_h; ++y)
+  // Per output row: the four flat tap indices and both weights of every
+  // column, then one gather-and-lerp pass per plane.
+  RowTables& tables = row_tables(out_w);
+  int* i00 = tables.i[0].data();
+  int* i10 = tables.i[1].data();
+  int* i01 = tables.i[2].data();
+  int* i11 = tables.i[3].data();
+  float* tx = tables.f[0].data();
+  float* ty = tables.f[1].data();
+  for (int y = 0; y < out_h; ++y) {
     for (int x = 0; x < out_w; ++x) {
       float sx, sy;
       out_to_src.apply(static_cast<float>(x), static_cast<float>(y), sx, sy);
-      // Image::sample_bilinear's floor, weights and clamped taps, computed
-      // once for every plane.
-      float fx = std::floor(sx);
-      float fy = std::floor(sy);
-      int x0 = static_cast<int>(fx);
-      int y0 = static_cast<int>(fy);
-      float tx = sx - fx;
-      float ty = sy - fy;
-      const std::size_t xa =
-          static_cast<std::size_t>(std::clamp(x0, 0, w - 1));
-      const std::size_t xb =
-          static_cast<std::size_t>(std::clamp(x0 + 1, 0, w - 1));
-      const std::size_t ra =
-          static_cast<std::size_t>(std::clamp(y0, 0, h - 1) * w);
-      const std::size_t rb =
-          static_cast<std::size_t>(std::clamp(y0 + 1, 0, h - 1) * w);
-      const std::size_t o = static_cast<std::size_t>(y) * out_w + x;
-      for (int c = 0; c < src.channels(); ++c) {
-        const float* p = in + static_cast<std::size_t>(c) * in_plane;
-        float v00 = p[ra + xa];
-        float v10 = p[ra + xb];
-        float v01 = p[rb + xa];
-        float v11 = p[rb + xb];
-        float top = v00 + (v10 - v00) * tx;
-        float bot = v01 + (v11 - v01) * tx;
-        dst[static_cast<std::size_t>(c) * out_plane + o] =
-            top + (bot - top) * ty;
+      const Tap col = bilinear_tap(sx, w);
+      const Tap row = bilinear_tap(sy, h);
+      i00[x] = row.a * w + col.a;
+      i10[x] = row.a * w + col.b;
+      i01[x] = row.b * w + col.a;
+      i11[x] = row.b * w + col.b;
+      tx[x] = col.t;
+      ty[x] = row.t;
+    }
+    for (int c = 0; c < src.channels(); ++c) {
+      const float* p = src.plane(c).data();
+      float* dst =
+          out.plane(c).data() + static_cast<std::size_t>(y) * out_w;
+      for (int x = 0; x < out_w; ++x) {
+        float v00 = p[i00[x]];
+        float v10 = p[i10[x]];
+        float v01 = p[i01[x]];
+        float v11 = p[i11[x]];
+        float top = v00 + (v10 - v00) * tx[x];
+        float bot = v01 + (v11 - v01) * tx[x];
+        dst[x] = top + (bot - top) * ty[x];
       }
     }
+  }
   return out;
 }
 

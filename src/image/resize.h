@@ -5,22 +5,16 @@
 
 namespace edgestab {
 
+// The values are pinned: they name the AllFilters test cases, and 0 and 2
+// belonged to the removed nearest and Catmull-Rom filters.
 enum class ResizeFilter {
-  kNearest,
-  kBilinear,
-  kBicubic,  ///< Catmull-Rom
-  kArea,     ///< box average — best for large downscales (screen capture)
+  kBilinear = 1,
+  kArea = 3,  ///< box average — best for large downscales (screen capture)
 };
 
 /// Resize to (out_w, out_h) with the given filter.
 Image resize(const Image& src, int out_w, int out_h,
              ResizeFilter filter = ResizeFilter::kBilinear);
-
-/// Crop a rectangle; the rectangle must lie fully inside the source.
-Image crop(const Image& src, int x0, int y0, int w, int h);
-
-/// Horizontal mirror.
-Image flip_horizontal(const Image& src);
 
 /// 2x3 affine matrix mapping output pixel coordinates to source
 /// coordinates: src = M * [x, y, 1]^T.

@@ -3,12 +3,17 @@
 // and normalization, and lab-rig structure.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "data/dataset.h"
 #include "data/lab_rig.h"
 #include "data/labels.h"
 #include "data/render.h"
 #include "data/screen.h"
+#include "image/color.h"
 #include "image/metrics.h"
+#include "image/resize.h"
+#include "util/rng.h"
 
 namespace edgestab {
 namespace {
@@ -106,6 +111,50 @@ TEST(Screen, BlackLevelLiftsShadows) {
   config.pixel_grid = 0.0f;
   Image emission = display_on_screen(black, config);
   for (float v : emission.data()) EXPECT_GT(v, 0.0f);
+}
+
+TEST(Screen, MatchesPerPixelReferenceBitForBit) {
+  Pcg32 rng(21);
+  Image srgb(48, 40, 3);
+  for (float& v : srgb.data()) v = static_cast<float>(rng.uniform());
+  // Values outside [0,1] exercise srgb_decode's clamp.
+  srgb.at(0, 0, 0) = -0.25f;
+  srgb.at(1, 0, 1) = 1.5f;
+  for (int scale : {1, 2}) {
+    for (float pixel_grid : {0.05f, 0.0f}) {
+      ScreenConfig config;
+      config.output_scale = scale;
+      config.pixel_grid = pixel_grid;
+      config.backlight = 0.83f;
+      config.black_level = 0.021f;
+      const Image got = display_on_screen(srgb, config);
+      // srgb_decode of the whole upsampled image, then the black level
+      // and the backlight, white point and subpixel grid per pixel.
+      Image up = scale == 1 ? srgb
+                            : resize(srgb, srgb.width() * scale,
+                                     srgb.height() * scale,
+                                     ResizeFilter::kBilinear);
+      Image want = srgb_decode(up);
+      for (int y = 0; y < want.height(); ++y)
+        for (int x = 0; x < want.width(); ++x)
+          for (int c = 0; c < 3; ++c) {
+            float grid = 1.0f;
+            if (config.pixel_grid > 0.0f)
+              grid = (x % 3 == c) ? 1.0f + config.pixel_grid
+                                  : 1.0f - config.pixel_grid * 0.5f;
+            float v = want.at(x, y, c);
+            v = config.black_level + (1.0f - config.black_level) * v;
+            v *= config.backlight *
+                 config.white_point[static_cast<std::size_t>(c)] * grid;
+            want.at(x, y, c) = v;
+          }
+      ASSERT_TRUE(got.same_shape(want));
+      EXPECT_EQ(std::memcmp(got.data().data(), want.data().data(),
+                            want.size() * sizeof(float)),
+                0)
+          << "output_scale " << scale << ", pixel_grid " << pixel_grid;
+    }
+  }
 }
 
 TEST(Dataset, InputNormalizationRange) {
