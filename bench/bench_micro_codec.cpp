@@ -3,6 +3,7 @@
 
 #include "bench_micro_util.h"
 #include "codec/codec.h"
+#include "codec/jpeg_like.h"
 #include "image/draw.h"
 #include "util/rng.h"
 
@@ -49,6 +50,18 @@ void BM_Decode(benchmark::State& state, ImageFormat format) {
   }
 }
 
+/// One JPEG stream decoded by each OS-decoder variant (table 5's
+/// chroma upsampling filters and fixed-point IDCT).
+void BM_DecodeJpegVariant(benchmark::State& state,
+                          JpegDecodeOptions options) {
+  const JpegLikeCodec codec(90, options);
+  const Bytes data = codec.encode(bench_image(64));
+  for (auto _ : state) {
+    ImageU8 out = codec.decode(data);
+    benchmark::DoNotOptimize(out);
+  }
+}
+
 BENCHMARK_CAPTURE(BM_Encode, jpeg, ImageFormat::kJpegLike)
     ->Arg(64)->Arg(128);
 BENCHMARK_CAPTURE(BM_Encode, png, ImageFormat::kPngLike)
@@ -65,6 +78,15 @@ BENCHMARK_CAPTURE(BM_Decode, webp, ImageFormat::kWebpLike)
     ->Arg(64)->Arg(128);
 BENCHMARK_CAPTURE(BM_Decode, heif, ImageFormat::kHeifLike)
     ->Arg(64)->Arg(128);
+BENCHMARK_CAPTURE(BM_DecodeJpegVariant, nearest,
+                  JpegDecodeOptions{JpegDecodeOptions::Upsample::kNearest,
+                                    false});
+BENCHMARK_CAPTURE(BM_DecodeJpegVariant, bilinear,
+                  JpegDecodeOptions{JpegDecodeOptions::Upsample::kBilinear,
+                                    false});
+BENCHMARK_CAPTURE(BM_DecodeJpegVariant, fixed_idct,
+                  JpegDecodeOptions{JpegDecodeOptions::Upsample::kNearest,
+                                    true});
 
 }  // namespace
 }  // namespace edgestab

@@ -20,7 +20,7 @@ namespace edgestab {
 enum class ImageFormat {
   kJpegLike,  ///< 8x8 DCT, 4:2:0 chroma, Huffman — "JPEG"
   kPngLike,   ///< per-row filters + LZ + Huffman, lossless — "PNG"
-  kWebpLike,  ///< 4x4 transform + spatial prediction — "WebP"
+  kWebpLike,  ///< 8x8 transform + spatial prediction — "WebP"
   kHeifLike,  ///< 16x16 DCT + DC intra prediction — "HEIF"
 };
 

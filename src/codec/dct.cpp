@@ -151,15 +151,16 @@ void idct8_fixed(const float* coeffs, float* block) {
                         65536.0));
     return t;
   }();
+  std::int64_t fixed[64];  // coefficients with an 8-bit fraction
+  for (int i = 0; i < 64; ++i)
+    fixed[i] = static_cast<std::int64_t>(std::lround(coeffs[i] * 256.0f));
   std::int64_t tmp[64];
   for (int y = 0; y < 8; ++y)
     for (int kx = 0; kx < 8; ++kx) {
       std::int64_t sum = 0;
-      for (int ky = 0; ky < 8; ++ky) {
-        auto c = static_cast<std::int64_t>(
-            std::lround(coeffs[ky * 8 + kx] * 256.0f));  // 8-bit fraction
-        sum += c * kBasis[static_cast<std::size_t>(ky * 8 + y)];
-      }
+      for (int ky = 0; ky < 8; ++ky)
+        sum += fixed[ky * 8 + kx] *
+               kBasis[static_cast<std::size_t>(ky * 8 + y)];
       tmp[y * 8 + kx] = sum >> 16;
     }
   for (int y = 0; y < 8; ++y)

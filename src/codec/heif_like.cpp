@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 
 #include "codec/coeffs.h"
 #include "codec/dct.h"
@@ -16,6 +15,7 @@ namespace {
 using codec_detail::ChromaUpsample;
 using codec_detail::Plane;
 using codec_detail::YccPlanes;
+using codec_detail::load_block;
 using codec_detail::make_plane;
 using codec_detail::pad_to;
 using codec_detail::planes_to_rgb;
@@ -23,25 +23,41 @@ using codec_detail::rgb_to_planes;
 
 constexpr std::uint32_t kMagic = 0x484c;  // "HL"
 constexpr int kBlock = 16;
-constexpr int kBlockArea = kBlock * kBlock;
+constexpr std::size_t kBlockArea = kBlock * kBlock;
 
-/// Frequency-weighted quantization surface for 16x16 coefficients:
-/// step(u, v) = base * (1 + slope * (u + v)), scaled by quality.
-std::array<float, kBlockArea> quant_surface(int quality, bool chroma) {
+/// Frequency-weighted quantization steps for 16x16 coefficients in
+/// zigzag order: step(u, v) = base * (1 + slope * (u + v)), scaled by
+/// quality.
+std::array<float, kBlockArea> zigzag_steps(int quality, bool chroma) {
   int scale = quality < 50 ? 5000 / quality : 200 - 2 * quality;
   float base = (chroma ? 13.0f : 9.0f) * static_cast<float>(scale) / 100.0f;
   float slope = chroma ? 0.45f : 0.30f;
-  std::array<float, kBlockArea> q{};
-  for (int v = 0; v < kBlock; ++v)
-    for (int u = 0; u < kBlock; ++u)
-      q[static_cast<std::size_t>(v * kBlock + u)] = std::clamp(
-          base * (1.0f + slope * static_cast<float>(u + v)), 1.0f, 1024.0f);
-  return q;
+  const auto& zz = codec_detail::zigzag_order(kBlock);
+  std::array<float, kBlockArea> steps{};
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    const int u = zz[i] % kBlock;
+    const int v = zz[i] / kBlock;
+    steps[i] = std::clamp(base * (1.0f + slope * static_cast<float>(u + v)),
+                          1.0f, 1024.0f);
+  }
+  return steps;
 }
 
+/// Zigzag coefficients of one plane, kBlockArea per block in block
+/// raster order.
 struct CodedPlane {
-  std::vector<std::vector<int>> zz;  // zigzag coefficients per block
   int blocks_x = 0, blocks_y = 0;
+  std::vector<int> zz;
+
+  std::size_t block_count() const {
+    return static_cast<std::size_t>(blocks_x) * blocks_y;
+  }
+  std::span<int> block(std::size_t b) {
+    return {zz.data() + b * kBlockArea, kBlockArea};
+  }
+  std::span<const int> block(std::size_t b) const {
+    return {zz.data() + b * kBlockArea, kBlockArea};
+  }
 };
 
 /// Flat prediction value from reconstructed top/left edges.
@@ -63,72 +79,57 @@ float predict_dc(const Plane& recon, int bx, int by) {
   return count > 0 ? sum / static_cast<float>(count) : 0.0f;
 }
 
+/// Dequantize and inverse-transform block (bx, by) and write it, plus its
+/// DC prediction, into `recon` — the encoder's reconstruction loop and
+/// the decoder share it.
+void reconstruct_block(std::span<const int> q,
+                       const std::array<float, kBlockArea>& steps, float pred,
+                       Plane& recon, int bx, int by) {
+  float dq[kBlockArea], rec[kBlockArea];
+  codec_detail::dequantize_block(q.data(), steps.data(), kBlock, dq);
+  idct_2d(dq, rec, kBlock);
+  for (int y = 0; y < kBlock; ++y) {
+    float* row = &recon.at(bx * kBlock, by * kBlock + y);
+    for (int x = 0; x < kBlock; ++x) row[x] = rec[y * kBlock + x] + pred;
+  }
+}
+
 CodedPlane code_plane(const Plane& src, int quality, bool chroma) {
-  auto quant = quant_surface(quality, chroma);
-  const auto& zz = codec_detail::zigzag_order(kBlock);
+  const auto steps = zigzag_steps(quality, chroma);
 
   CodedPlane out;
   out.blocks_x = pad_to(src.w, kBlock) / kBlock;
   out.blocks_y = pad_to(src.h, kBlock) / kBlock;
+  out.zz.resize(out.block_count() * kBlockArea);
   Plane recon = make_plane(out.blocks_x * kBlock, out.blocks_y * kBlock);
 
-  std::vector<float> resid(kBlockArea), coeffs(kBlockArea), dq(kBlockArea),
-      rec(kBlockArea);
+  float resid[kBlockArea], coeffs[kBlockArea];
+  std::size_t bi = 0;
   for (int by = 0; by < out.blocks_y; ++by)
-    for (int bx = 0; bx < out.blocks_x; ++bx) {
-      float pred = predict_dc(recon, bx, by);
-      for (int y = 0; y < kBlock; ++y)
-        for (int x = 0; x < kBlock; ++x)
-          resid[static_cast<std::size_t>(y * kBlock + x)] =
-              src.at_clamped(bx * kBlock + x, by * kBlock + y) - pred;
-      fdct_2d(resid.data(), coeffs.data(), kBlock);
-      std::vector<int> q(kBlockArea);
-      for (int i = 0; i < kBlockArea; ++i)
-        q[static_cast<std::size_t>(i)] = static_cast<int>(std::lround(
-            coeffs[static_cast<std::size_t>(
-                zz[static_cast<std::size_t>(i)])] /
-            quant[static_cast<std::size_t>(zz[static_cast<std::size_t>(i)])]));
-      out.zz.push_back(q);
-
-      std::fill(dq.begin(), dq.end(), 0.0f);
-      for (int i = 0; i < kBlockArea; ++i)
-        dq[static_cast<std::size_t>(zz[static_cast<std::size_t>(i)])] =
-            static_cast<float>(q[static_cast<std::size_t>(i)]) *
-            quant[static_cast<std::size_t>(zz[static_cast<std::size_t>(i)])];
-      idct_2d(dq.data(), rec.data(), kBlock);
-      for (int y = 0; y < kBlock; ++y)
-        for (int x = 0; x < kBlock; ++x)
-          recon.at(bx * kBlock + x, by * kBlock + y) =
-              rec[static_cast<std::size_t>(y * kBlock + x)] + pred;
+    for (int bx = 0; bx < out.blocks_x; ++bx, ++bi) {
+      const float pred = predict_dc(recon, bx, by);
+      load_block(src, bx * kBlock, by * kBlock, kBlock, resid);
+      for (float& v : resid) v -= pred;
+      fdct_2d(resid, coeffs, kBlock);
+      const std::span<int> q = out.block(bi);
+      codec_detail::quantize_block(coeffs, steps.data(), kBlock, q.data());
+      reconstruct_block(q, steps, pred, recon, bx, by);
     }
   return out;
 }
 
 Plane decode_plane(const CodedPlane& cp, int w, int h, int quality,
                    bool chroma) {
-  auto quant = quant_surface(quality, chroma);
-  const auto& zz = codec_detail::zigzag_order(kBlock);
+  const auto steps = zigzag_steps(quality, chroma);
   Plane recon = make_plane(cp.blocks_x * kBlock, cp.blocks_y * kBlock);
-
-  std::vector<float> dq(kBlockArea), rec(kBlockArea);
   std::size_t bi = 0;
   for (int by = 0; by < cp.blocks_y; ++by)
-    for (int bx = 0; bx < cp.blocks_x; ++bx, ++bi) {
-      float pred = predict_dc(recon, bx, by);
-      std::fill(dq.begin(), dq.end(), 0.0f);
-      for (int i = 0; i < kBlockArea; ++i)
-        dq[static_cast<std::size_t>(zz[static_cast<std::size_t>(i)])] =
-            static_cast<float>(cp.zz[bi][static_cast<std::size_t>(i)]) *
-            quant[static_cast<std::size_t>(zz[static_cast<std::size_t>(i)])];
-      idct_2d(dq.data(), rec.data(), kBlock);
-      for (int y = 0; y < kBlock; ++y)
-        for (int x = 0; x < kBlock; ++x)
-          recon.at(bx * kBlock + x, by * kBlock + y) =
-              rec[static_cast<std::size_t>(y * kBlock + x)] + pred;
-    }
+    for (int bx = 0; bx < cp.blocks_x; ++bx, ++bi)
+      reconstruct_block(cp.block(bi), steps, predict_dc(recon, bx, by), recon,
+                        bx, by);
   Plane out = make_plane(w, h);
   for (int y = 0; y < h; ++y)
-    for (int x = 0; x < w; ++x) out.at(x, y) = recon.at(x, y);
+    std::copy_n(&recon.at(0, y), w, &out.at(0, y));
   return out;
 }
 
@@ -152,12 +153,9 @@ Bytes HeifLikeCodec::encode(const ImageU8& image) const {
   std::vector<std::uint64_t> dc_freq(16, 0), ac_freq(256, 0);
   for (const CodedPlane* cp : {&cy, &ccb, &ccr}) {
     int prev_dc = 0;
-    for (const auto& block : cp->zz) {
-      int diff = block[0] - prev_dc;
-      prev_dc = block[0];
-      ++dc_freq[static_cast<std::size_t>(codec_detail::category_of(diff))];
-      codec_detail::count_ac_tokens(block, ac_freq);
-    }
+    for (std::size_t b = 0; b < cp->block_count(); ++b)
+      codec_detail::count_block_tokens(cp->block(b), prev_dc, dc_freq,
+                                       ac_freq);
   }
   HuffmanTable dc_table = HuffmanTable::from_frequencies(dc_freq);
   HuffmanTable ac_table = HuffmanTable::from_frequencies(ac_freq);
@@ -171,14 +169,9 @@ Bytes HeifLikeCodec::encode(const ImageU8& image) const {
   ac_table.write_table(bw);
   for (const CodedPlane* cp : {&cy, &ccb, &ccr}) {
     int prev_dc = 0;
-    for (const auto& block : cp->zz) {
-      int diff = block[0] - prev_dc;
-      prev_dc = block[0];
-      int cat = codec_detail::category_of(diff);
-      dc_table.encode(bw, cat);
-      codec_detail::put_amplitude(bw, diff, cat);
-      codec_detail::encode_ac(block, ac_table, bw);
-    }
+    for (std::size_t b = 0; b < cp->block_count(); ++b)
+      codec_detail::encode_block(cp->block(b), prev_dc, dc_table, ac_table,
+                                 bw);
   }
   Bytes out = bw.finish();
   ES_COUNT("codec.bytes_encoded", out.size());
@@ -210,19 +203,17 @@ ImageU8 HeifLikeCodec::decode_impl(std::span<const std::uint8_t> data) const {
     cp.blocks_x = pad_to(pw, kBlock) / kBlock;
     cp.blocks_y = pad_to(ph, kBlock) / kBlock;
     // DC code + EOB is at least 2 bits per block; reject streams too
-    // short for the plane before the block vectors grow.
+    // short for the plane before the coefficients grow.
     ES_DECODE_CHECK(br.bits_remaining() >=
                         2 * static_cast<std::size_t>(cp.blocks_x) *
                             static_cast<std::size_t>(cp.blocks_y),
                     DecodeStatus::kTruncated, "plane data truncated");
+    // They then grow block by block as the stream decodes: a corrupt
+    // header's block count is never allocated up front.
     int prev_dc = 0;
-    for (int b = 0; b < cp.blocks_x * cp.blocks_y; ++b) {
-      std::vector<int> block(kBlockArea, 0);
-      int cat = dc_table.decode(br);
-      prev_dc += codec_detail::get_amplitude(br, cat);
-      block[0] = prev_dc;
-      codec_detail::decode_ac(block, ac_table, br);
-      cp.zz.push_back(std::move(block));
+    for (std::size_t b = 0; b < cp.block_count(); ++b) {
+      cp.zz.resize(cp.zz.size() + kBlockArea);
+      codec_detail::decode_block(cp.block(b), prev_dc, dc_table, ac_table, br);
     }
     return cp;
   };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <queue>
+#include <string>
 
 #include "codec/status.h"
 #include "util/check.h"
@@ -148,14 +149,13 @@ void HuffmanTable::build_lookup() {
   }
 }
 
-void HuffmanTable::encode(BitWriter& bw, int symbol) const {
-  ES_DCHECK(symbol >= 0 && symbol < symbol_count());
-  std::uint8_t len = lengths_[static_cast<std::size_t>(symbol)];
-  ES_CHECK_MSG(len > 0, "huffman: encoding symbol with no code: " << symbol);
-  bw.put(codes_[static_cast<std::size_t>(symbol)], len);
+void HuffmanTable::throw_no_code(int symbol) {
+  detail::check_failed("len > 0", __FILE__, __LINE__,
+                       "huffman: encoding symbol with no code: " +
+                           std::to_string(symbol));
 }
 
-int HuffmanTable::decode(BitReader& br) const {
+int HuffmanTable::decode_long(BitReader& br) const {
   // Near the end of the stream a code may be longer than what is left,
   // so the short tail always takes the bit-serial path: it reads exactly
   // as many bits as the code needs and reports truncation where it runs
@@ -163,11 +163,6 @@ int HuffmanTable::decode(BitReader& br) const {
   if (br.bits_remaining() < static_cast<std::size_t>(kLookupBits))
     return decode_serial(br, 0, 1);
   const std::uint32_t bits = br.peek(kLookupBits);
-  const std::uint32_t entry = lookup_[bits];
-  if (entry != 0) {
-    br.skip(static_cast<int>(entry & 15u));
-    return static_cast<int>(entry >> 4);
-  }
   br.skip(kLookupBits);
   return decode_serial(br, bits, kLookupBits + 1);
 }

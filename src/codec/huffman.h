@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "codec/bitio.h"
+#include "util/check.h"
 
 namespace edgestab {
 
@@ -32,12 +33,27 @@ class HuffmanTable {
   const std::vector<std::uint8_t>& lengths() const { return lengths_; }
 
   /// Emit the code for `symbol` (must have a code).
-  void encode(BitWriter& bw, int symbol) const;
+  void encode(BitWriter& bw, int symbol) const {
+    ES_DCHECK(symbol >= 0 && symbol < symbol_count());
+    const std::uint8_t len = lengths_[static_cast<std::size_t>(symbol)];
+    if (len == 0) [[unlikely]]
+      throw_no_code(symbol);
+    bw.put(codes_[static_cast<std::size_t>(symbol)], len);
+  }
 
   /// Decode one symbol. Throws DecodeError kTruncated when the stream
   /// ends inside a code and kCorrupt when no code matches within
   /// kMaxBits bits.
-  int decode(BitReader& br) const;
+  int decode(BitReader& br) const {
+    if (br.bits_remaining() >= static_cast<std::size_t>(kLookupBits)) {
+      const std::uint32_t entry = lookup_[br.peek(kLookupBits)];
+      if (entry != 0) {
+        br.skip(static_cast<int>(entry & 15u));
+        return static_cast<int>(entry >> 4);
+      }
+    }
+    return decode_long(br);
+  }
 
   /// Serialize code lengths (u16 count + 4 bits per symbol).
   void write_table(BitWriter& bw) const;
@@ -50,6 +66,10 @@ class HuffmanTable {
  private:
   void build_canonical();
   void build_lookup();
+  [[noreturn]] static void throw_no_code(int symbol);
+  /// decode() past the lookup table: codes longer than kLookupBits, and
+  /// every code in the stream's last kLookupBits - 1 bits.
+  int decode_long(BitReader& br) const;
   /// The canonical bit-serial decode, continuing from the `len - 1` bits
   /// already read into `code`.
   int decode_serial(BitReader& br, std::uint32_t code, int len) const;

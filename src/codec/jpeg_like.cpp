@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 
+#include "codec/coeffs.h"
 #include "codec/dct.h"
-#include "codec/huffman.h"
 #include "codec/planes.h"
 #include "obs/obs.h"
 
@@ -16,9 +15,12 @@ namespace {
 using codec_detail::ChromaUpsample;
 using codec_detail::Plane;
 using codec_detail::YccPlanes;
+using codec_detail::dequantize_block;
+using codec_detail::load_block;
 using codec_detail::make_plane;
 using codec_detail::pad_to;
 using codec_detail::planes_to_rgb;
+using codec_detail::quantize_block;
 using codec_detail::rgb_to_planes;
 
 constexpr std::uint32_t kMagic = 0x4a4c;  // "JL"
@@ -36,52 +38,16 @@ constexpr std::array<int, 64> kChromaQuant = {
     99, 99, 99, 99, 99, 99, 99, 99, 99, 99, 99, 99, 99, 99, 99, 99,
     99, 99, 99, 99, 99, 99, 99, 99, 99, 99, 99, 99, 99, 99, 99, 99};
 
-constexpr std::array<int, 64> kZigzag = {
-    0,  1,  8,  16, 9,  2,  3,  10, 17, 24, 32, 25, 18, 11, 4,  5,
-    12, 19, 26, 33, 40, 48, 41, 34, 27, 20, 13, 6,  7,  14, 21, 28,
-    35, 42, 49, 56, 57, 50, 43, 36, 29, 22, 15, 23, 30, 37, 44, 51,
-    58, 59, 52, 45, 38, 31, 39, 46, 53, 60, 61, 54, 47, 55, 62, 63};
-
-/// libjpeg quality scaling.
-std::array<int, 64> scaled_quant(const std::array<int, 64>& base,
-                                 int quality) {
+/// libjpeg quality scaling, as float quantizer steps in zigzag order.
+std::array<float, 64> scaled_quant(const std::array<int, 64>& base,
+                                   int quality) {
   int scale = quality < 50 ? 5000 / quality : 200 - 2 * quality;
-  std::array<int, 64> out{};
-  for (int i = 0; i < 64; ++i) {
-    int q = (base[static_cast<std::size_t>(i)] * scale + 50) / 100;
-    out[static_cast<std::size_t>(i)] = std::clamp(q, 1, 255);
+  std::array<float, 64> out{};
+  for (std::size_t i = 0; i < 64; ++i) {
+    int q = (base[i] * scale + 50) / 100;
+    out[i] = static_cast<float>(std::clamp(q, 1, 255));
   }
   return out;
-}
-
-/// Magnitude category (bit count) of a coefficient.
-int category_of(int v) {
-  int a = std::abs(v);
-  int c = 0;
-  while (a > 0) {
-    a >>= 1;
-    ++c;
-  }
-  return c;
-}
-
-void put_amplitude(BitWriter& bw, int v, int category) {
-  if (category == 0) return;
-  std::uint32_t bits =
-      v >= 0 ? static_cast<std::uint32_t>(v)
-             : static_cast<std::uint32_t>(v + (1 << category) - 1);
-  bw.put(bits, category);
-}
-
-int get_amplitude(BitReader& br, int category) {
-  if (category == 0) return 0;
-  // A corrupt table can carry symbols far outside the valid category
-  // range; shifting by them below would be undefined.
-  ES_DECODE_CHECK(category <= 30, DecodeStatus::kCorrupt,
-                  "bad amplitude category " << category);
-  auto bits = static_cast<int>(br.get(category));
-  if (bits < (1 << (category - 1))) bits -= (1 << category) - 1;
-  return bits;
 }
 
 /// Quantized zigzag coefficients of one plane in block raster order.
@@ -91,110 +57,41 @@ struct QuantizedPlane {
 };
 
 QuantizedPlane quantize_plane(const Plane& plane,
-                              const std::array<int, 64>& quant) {
+                              const std::array<float, 64>& steps) {
   QuantizedPlane qp;
   qp.blocks_x = pad_to(plane.w, 8) / 8;
   qp.blocks_y = pad_to(plane.h, 8) / 8;
   qp.blocks.reserve(static_cast<std::size_t>(qp.blocks_x) * qp.blocks_y);
-  float block[64];
-  float coeffs[64];
+  float block[64], coeffs[64];
   for (int by = 0; by < qp.blocks_y; ++by)
     for (int bx = 0; bx < qp.blocks_x; ++bx) {
-      for (int y = 0; y < 8; ++y)
-        for (int x = 0; x < 8; ++x)
-          block[y * 8 + x] =
-              plane.at_clamped(bx * 8 + x, by * 8 + y);
+      load_block(plane, bx * 8, by * 8, 8, block);
       fdct_2d(block, coeffs, 8);
-      std::array<int, 64> q{};
-      for (int i = 0; i < 64; ++i) {
-        float c = coeffs[kZigzag[static_cast<std::size_t>(i)]];
-        q[static_cast<std::size_t>(i)] = static_cast<int>(std::lround(
-            c / static_cast<float>(quant[static_cast<std::size_t>(i)])));
-      }
-      qp.blocks.push_back(q);
+      quantize_block(coeffs, steps.data(), 8, qp.blocks.emplace_back().data());
     }
   return qp;
 }
 
 Plane dequantize_plane(const QuantizedPlane& qp, int w, int h,
-                       const std::array<int, 64>& quant, bool fixed_idct) {
+                       const std::array<float, 64>& steps, bool fixed_idct) {
   Plane plane = make_plane(w, h);
-  float coeffs[64];
-  float block[64];
+  float coeffs[64], block[64];
   std::size_t bi = 0;
   for (int by = 0; by < qp.blocks_y; ++by)
     for (int bx = 0; bx < qp.blocks_x; ++bx, ++bi) {
-      const auto& q = qp.blocks[bi];
-      std::fill(coeffs, coeffs + 64, 0.0f);
-      for (int i = 0; i < 64; ++i)
-        coeffs[kZigzag[static_cast<std::size_t>(i)]] =
-            static_cast<float>(q[static_cast<std::size_t>(i)]) *
-            static_cast<float>(quant[static_cast<std::size_t>(i)]);
+      dequantize_block(qp.blocks[bi].data(), steps.data(), 8, coeffs);
       if (fixed_idct) {
         idct8_fixed(coeffs, block);
       } else {
         idct_2d(coeffs, block, 8);
       }
-      for (int y = 0; y < 8 && by * 8 + y < h; ++y)
-        for (int x = 0; x < 8 && bx * 8 + x < w; ++x)
-          plane.at(bx * 8 + x, by * 8 + y) = block[y * 8 + x];
+      const int x0 = bx * 8;
+      const int y0 = by * 8;
+      const int cols = std::min(8, w - x0);
+      for (int y = 0; y < 8 && y0 + y < h; ++y)
+        std::copy_n(block + y * 8, cols, &plane.at(x0, y0 + y));
     }
   return plane;
-}
-
-void encode_plane_tokens(const QuantizedPlane& qp, const HuffmanTable& dc,
-                         const HuffmanTable& ac, BitWriter& bw) {
-  int prev_dc = 0;
-  for (const auto& block : qp.blocks) {
-    int diff = block[0] - prev_dc;
-    prev_dc = block[0];
-    int cat = category_of(diff);
-    dc.encode(bw, cat);
-    put_amplitude(bw, diff, cat);
-    int run = 0;
-    for (int i = 1; i < 64; ++i) {
-      int v = block[static_cast<std::size_t>(i)];
-      if (v == 0) {
-        ++run;
-        continue;
-      }
-      while (run >= 16) {
-        ac.encode(bw, 0xF0);
-        run -= 16;
-      }
-      int size = category_of(v);
-      ac.encode(bw, run * 16 + size);
-      put_amplitude(bw, v, size);
-      run = 0;
-    }
-    if (run > 0) ac.encode(bw, 0x00);  // EOB
-  }
-}
-
-void count_plane_tokens(const QuantizedPlane& qp,
-                        std::vector<std::uint64_t>& dc_freq,
-                        std::vector<std::uint64_t>& ac_freq) {
-  int prev_dc = 0;
-  for (const auto& block : qp.blocks) {
-    int diff = block[0] - prev_dc;
-    prev_dc = block[0];
-    ++dc_freq[static_cast<std::size_t>(category_of(diff))];
-    int run = 0;
-    for (int i = 1; i < 64; ++i) {
-      int v = block[static_cast<std::size_t>(i)];
-      if (v == 0) {
-        ++run;
-        continue;
-      }
-      while (run >= 16) {
-        ++ac_freq[0xF0];
-        run -= 16;
-      }
-      ++ac_freq[static_cast<std::size_t>(run * 16 + category_of(v))];
-      run = 0;
-    }
-    if (run > 0) ++ac_freq[0x00];
-  }
 }
 
 }  // namespace
@@ -223,8 +120,11 @@ Bytes JpegLikeCodec::encode(const ImageU8& image) const {
   QuantizedPlane qcr = quantize_plane(planes.cr, chroma_q);
 
   std::vector<std::uint64_t> dc_freq(12, 0), ac_freq(256, 0);
-  for (const QuantizedPlane* qp : {&qy, &qcb, &qcr})
-    count_plane_tokens(*qp, dc_freq, ac_freq);
+  for (const QuantizedPlane* qp : {&qy, &qcb, &qcr}) {
+    int prev_dc = 0;
+    for (const auto& block : qp->blocks)
+      codec_detail::count_block_tokens(block, prev_dc, dc_freq, ac_freq);
+  }
   HuffmanTable dc_table = HuffmanTable::from_frequencies(dc_freq);
   HuffmanTable ac_table = HuffmanTable::from_frequencies(ac_freq);
 
@@ -235,8 +135,11 @@ Bytes JpegLikeCodec::encode(const ImageU8& image) const {
   bw.put(static_cast<std::uint32_t>(quality_), 8);
   dc_table.write_table(bw);
   ac_table.write_table(bw);
-  for (const QuantizedPlane* qp : {&qy, &qcb, &qcr})
-    encode_plane_tokens(*qp, dc_table, ac_table, bw);
+  for (const QuantizedPlane* qp : {&qy, &qcb, &qcr}) {
+    int prev_dc = 0;
+    for (const auto& block : qp->blocks)
+      codec_detail::encode_block(block, prev_dc, dc_table, ac_table, bw);
+  }
   Bytes out = bw.finish();
   ES_COUNT("codec.bytes_encoded", out.size());
   return out;
@@ -276,28 +179,13 @@ ImageU8 JpegLikeCodec::decode_impl(std::span<const std::uint8_t> data) const {
                         2 * static_cast<std::size_t>(qp.blocks_x) *
                             static_cast<std::size_t>(qp.blocks_y),
                     DecodeStatus::kTruncated, "plane data truncated");
+    // The vector then grows only as blocks decode: a corrupt header's
+    // block count is never allocated up front.
+    const auto n_blocks = static_cast<std::size_t>(qp.blocks_x) * qp.blocks_y;
     int prev_dc = 0;
-    for (int b = 0; b < qp.blocks_x * qp.blocks_y; ++b) {
-      std::array<int, 64> block{};
-      int cat = dc_table.decode(br);
-      prev_dc += get_amplitude(br, cat);
-      block[0] = prev_dc;
-      int i = 1;
-      while (i < 64) {
-        int s = ac_table.decode(br);
-        if (s == 0x00) break;
-        if (s == 0xF0) {
-          i += 16;
-          continue;
-        }
-        i += s >> 4;
-        ES_DECODE_CHECK(i < 64, DecodeStatus::kCorrupt,
-                        "coefficient overrun");
-        block[static_cast<std::size_t>(i)] = get_amplitude(br, s & 15);
-        ++i;
-      }
-      qp.blocks.push_back(block);
-    }
+    for (std::size_t b = 0; b < n_blocks; ++b)
+      codec_detail::decode_block(qp.blocks.emplace_back(), prev_dc, dc_table,
+                                 ac_table, br);
     return qp;
   };
 

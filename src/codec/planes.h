@@ -25,6 +25,10 @@ struct Plane {
 
 Plane make_plane(int w, int h);
 
+/// Copy the n*n block whose top-left sample is (x0, y0) into `out`
+/// (row-major); samples past the plane's edge repeat the edge.
+void load_block(const Plane& p, int x0, int y0, int n, float* out);
+
 struct YccPlanes {
   Plane y;   ///< full resolution, level-shifted to [-128, 127]
   Plane cb;  ///< half resolution (4:2:0), centered on 0

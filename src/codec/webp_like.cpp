@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 
 #include "codec/coeffs.h"
 #include "codec/dct.h"
@@ -16,6 +15,7 @@ namespace {
 using codec_detail::ChromaUpsample;
 using codec_detail::Plane;
 using codec_detail::YccPlanes;
+using codec_detail::load_block;
 using codec_detail::make_plane;
 using codec_detail::pad_to;
 using codec_detail::planes_to_rgb;
@@ -27,16 +27,19 @@ constexpr int kArea = kB * kB;
 
 enum PredMode { kPredDc = 0, kPredHorizontal = 1, kPredVertical = 2 };
 
-/// Quantizer steps from quality (libjpeg-style scale; WebP-like leans on
+/// Quantizer steps from quality in zigzag order: the DC step, then the
+/// AC step everywhere else (libjpeg-style scale; WebP-like leans on
 /// prediction so its AC step is coarser than JPEG's for the same q).
-void quant_steps(int quality, bool chroma, float& dc_step, float& ac_step) {
+std::array<float, kArea> zigzag_steps(int quality, bool chroma) {
   int scale = quality < 50 ? 5000 / quality : 200 - 2 * quality;
   float base_dc = chroma ? 22.0f : 16.0f;
   float base_ac = chroma ? 56.0f : 40.0f;
-  dc_step = std::clamp(base_dc * static_cast<float>(scale) / 100.0f, 1.0f,
-                       255.0f);
-  ac_step = std::clamp(base_ac * static_cast<float>(scale) / 100.0f, 1.0f,
-                       255.0f);
+  std::array<float, kArea> steps{};
+  steps.fill(std::clamp(base_ac * static_cast<float>(scale) / 100.0f, 1.0f,
+                        255.0f));
+  steps[0] = std::clamp(base_dc * static_cast<float>(scale) / 100.0f, 1.0f,
+                        255.0f);
+  return steps;
 }
 
 /// Fill a kB x kB prediction from reconstructed neighbors.
@@ -85,23 +88,34 @@ struct CodedPlane {
   int blocks_x = 0, blocks_y = 0;
 };
 
+/// Dequantize and inverse-transform block (bx, by) and write it, plus its
+/// prediction, into `recon` — the encoder's reconstruction loop and the
+/// decoder share it.
+void reconstruct_block(const std::array<int, kArea>& q,
+                       const std::array<float, kArea>& steps,
+                       const float* pred, Plane& recon, int bx, int by) {
+  float dq[kArea], rec[kArea];
+  codec_detail::dequantize_block(q.data(), steps.data(), kB, dq);
+  idct_2d(dq, rec, kB);
+  for (int y = 0; y < kB; ++y) {
+    float* row = &recon.at(bx * kB, by * kB + y);
+    for (int x = 0; x < kB; ++x) row[x] = rec[y * kB + x] + pred[y * kB + x];
+  }
+}
+
 /// Encode one plane with reconstruction-in-the-loop prediction.
 CodedPlane code_plane(const Plane& src, int quality, bool chroma) {
-  float dc_step, ac_step;
-  quant_steps(quality, chroma, dc_step, ac_step);
-  const auto& zz = codec_detail::zigzag_order(kB);
+  const auto steps = zigzag_steps(quality, chroma);
 
   CodedPlane out;
   out.blocks_x = pad_to(src.w, kB) / kB;
   out.blocks_y = pad_to(src.h, kB) / kB;
   Plane recon = make_plane(out.blocks_x * kB, out.blocks_y * kB);
 
-  float block[kArea], pred[kArea], resid[kArea], coeffs[kArea], rec[kArea];
+  float block[kArea], pred[kArea], resid[kArea], coeffs[kArea];
   for (int by = 0; by < out.blocks_y; ++by)
     for (int bx = 0; bx < out.blocks_x; ++bx) {
-      for (int y = 0; y < kB; ++y)
-        for (int x = 0; x < kB; ++x)
-          block[y * kB + x] = src.at_clamped(bx * kB + x, by * kB + y);
+      load_block(src, bx * kB, by * kB, kB, block);
 
       // Pick the mode with the smallest residual energy.
       int best_mode = kPredDc;
@@ -123,65 +137,33 @@ CodedPlane code_plane(const Plane& src, int quality, bool chroma) {
 
       for (int i = 0; i < kArea; ++i) resid[i] = block[i] - best_pred[i];
       fdct_2d(resid, coeffs, kB);
-      std::array<int, kArea> q{};
-      for (int i = 0; i < kArea; ++i) {
-        float step = (zz[static_cast<std::size_t>(i)] == 0) ? dc_step
-                                                            : ac_step;
-        q[static_cast<std::size_t>(i)] = static_cast<int>(
-            std::lround(coeffs[zz[static_cast<std::size_t>(i)]] / step));
-      }
+      std::array<int, kArea>& q = out.zz.emplace_back();
+      codec_detail::quantize_block(coeffs, steps.data(), kB, q.data());
       out.modes.push_back(best_mode);
-      out.zz.push_back(q);
 
       // Reconstruct for downstream predictions.
-      float dq[kArea];
-      std::fill(dq, dq + kArea, 0.0f);
-      for (int i = 0; i < kArea; ++i) {
-        float step = (zz[static_cast<std::size_t>(i)] == 0) ? dc_step
-                                                            : ac_step;
-        dq[zz[static_cast<std::size_t>(i)]] =
-            static_cast<float>(q[static_cast<std::size_t>(i)]) * step;
-      }
-      idct_2d(dq, rec, kB);
-      for (int y = 0; y < kB; ++y)
-        for (int x = 0; x < kB; ++x)
-          recon.at(bx * kB + x, by * kB + y) =
-              rec[y * kB + x] + best_pred[y * kB + x];
+      reconstruct_block(q, steps, best_pred, recon, bx, by);
     }
   return out;
 }
 
 Plane decode_plane(const CodedPlane& cp, int w, int h, int quality,
                    bool chroma) {
-  float dc_step, ac_step;
-  quant_steps(quality, chroma, dc_step, ac_step);
-  const auto& zz = codec_detail::zigzag_order(kB);
+  const auto steps = zigzag_steps(quality, chroma);
   Plane recon = make_plane(cp.blocks_x * kB, cp.blocks_y * kB);
 
-  float pred[kArea], dq[kArea], rec[kArea];
+  float pred[kArea];
   std::size_t bi = 0;
   for (int by = 0; by < cp.blocks_y; ++by)
     for (int bx = 0; bx < cp.blocks_x; ++bx, ++bi) {
       predict_block(recon, bx, by, static_cast<PredMode>(cp.modes[bi]),
                     pred);
-      std::fill(dq, dq + kArea, 0.0f);
-      for (int i = 0; i < kArea; ++i) {
-        float step = (zz[static_cast<std::size_t>(i)] == 0) ? dc_step
-                                                            : ac_step;
-        dq[zz[static_cast<std::size_t>(i)]] =
-            static_cast<float>(cp.zz[bi][static_cast<std::size_t>(i)]) *
-            step;
-      }
-      idct_2d(dq, rec, kB);
-      for (int y = 0; y < kB; ++y)
-        for (int x = 0; x < kB; ++x)
-          recon.at(bx * kB + x, by * kB + y) =
-              rec[y * kB + x] + pred[y * kB + x];
+      reconstruct_block(cp.zz[bi], steps, pred, recon, bx, by);
     }
   // Crop to the nominal size.
   Plane out = make_plane(w, h);
   for (int y = 0; y < h; ++y)
-    for (int x = 0; x < w; ++x) out.at(x, y) = recon.at(x, y);
+    std::copy_n(&recon.at(0, y), w, &out.at(0, y));
   return out;
 }
 
@@ -206,13 +188,8 @@ Bytes WebpLikeCodec::encode(const ImageU8& image) const {
   std::vector<std::uint64_t> dc_freq(16, 0), ac_freq(256, 0);
   for (const CodedPlane* cp : {&cy, &ccb, &ccr}) {
     int prev_dc = 0;
-    for (const auto& block : cp->zz) {
-      int diff = block[0] - prev_dc;
-      prev_dc = block[0];
-      ++dc_freq[static_cast<std::size_t>(codec_detail::category_of(diff))];
-      codec_detail::count_ac_tokens(
-          std::span<const int>(block.data(), block.size()), ac_freq);
-    }
+    for (const auto& block : cp->zz)
+      codec_detail::count_block_tokens(block, prev_dc, dc_freq, ac_freq);
   }
   HuffmanTable dc_table = HuffmanTable::from_frequencies(dc_freq);
   HuffmanTable ac_table = HuffmanTable::from_frequencies(ac_freq);
@@ -228,14 +205,7 @@ Bytes WebpLikeCodec::encode(const ImageU8& image) const {
     int prev_dc = 0;
     for (std::size_t b = 0; b < cp->zz.size(); ++b) {
       bw.put(static_cast<std::uint32_t>(cp->modes[b]), 2);
-      const auto& block = cp->zz[b];
-      int diff = block[0] - prev_dc;
-      prev_dc = block[0];
-      int cat = codec_detail::category_of(diff);
-      dc_table.encode(bw, cat);
-      codec_detail::put_amplitude(bw, diff, cat);
-      codec_detail::encode_ac(
-          std::span<const int>(block.data(), block.size()), ac_table, bw);
+      codec_detail::encode_block(cp->zz[b], prev_dc, dc_table, ac_table, bw);
     }
   }
   Bytes out = bw.finish();
@@ -273,18 +243,14 @@ ImageU8 WebpLikeCodec::decode_impl(std::span<const std::uint8_t> data) const {
                         4 * static_cast<std::size_t>(cp.blocks_x) *
                             static_cast<std::size_t>(cp.blocks_y),
                     DecodeStatus::kTruncated, "plane data truncated");
+    const auto n_blocks = static_cast<std::size_t>(cp.blocks_x) * cp.blocks_y;
     int prev_dc = 0;
-    for (int b = 0; b < cp.blocks_x * cp.blocks_y; ++b) {
+    for (std::size_t b = 0; b < n_blocks; ++b) {
       cp.modes.push_back(static_cast<int>(br.get(2)));
       ES_DECODE_CHECK(cp.modes.back() <= 2, DecodeStatus::kCorrupt,
                       "bad prediction mode");
-      std::array<int, kArea> block{};
-      int cat = dc_table.decode(br);
-      prev_dc += codec_detail::get_amplitude(br, cat);
-      block[0] = prev_dc;
-      codec_detail::decode_ac(std::span<int>(block.data(), block.size()),
-                              ac_table, br);
-      cp.zz.push_back(block);
+      codec_detail::decode_block(cp.zz.emplace_back(), prev_dc, dc_table,
+                                 ac_table, br);
     }
     return cp;
   };

@@ -1,6 +1,6 @@
-// WebP-like codec: per-4x4-block spatial prediction (DC / horizontal /
+// WebP-like codec: per-8x8-block spatial prediction (DC / horizontal /
 // vertical, chosen by residual energy) from *reconstructed* neighbors,
-// 4x4 DCT of the residual, flat quality-scaled quantization, run/size +
+// 8x8 DCT of the residual, flat quality-scaled quantization, run/size +
 // Huffman entropy coding. Small files, prediction-style artifacts —
 // distinctly different reconstruction errors from the DCT-only codecs.
 #pragma once

@@ -5,20 +5,6 @@
 
 namespace edgestab {
 
-void rgb_to_ycbcr(float r, float g, float b, float& y, float& cb, float& cr) {
-  y = 0.299f * r + 0.587f * g + 0.114f * b;
-  cb = 0.5f + (b - y) * 0.564f;
-  cr = 0.5f + (r - y) * 0.713f;
-}
-
-void ycbcr_to_rgb(float y, float cb, float cr, float& r, float& g, float& b) {
-  float cbc = cb - 0.5f;
-  float crc = cr - 0.5f;
-  r = y + 1.403f * crc;
-  g = y - 0.344f * cbc - 0.714f * crc;
-  b = y + 1.773f * cbc;
-}
-
 Image rgb_to_ycbcr(const Image& rgb) {
   ES_CHECK(rgb.channels() == 3);
   Image out(rgb.width(), rgb.height(), 3);

@@ -10,8 +10,22 @@ namespace edgestab {
 
 /// Full-range BT.601 RGB -> YCbCr. Inputs/outputs in [0,1]; Cb/Cr are
 /// stored offset by +0.5 so the whole image stays in [0,1].
-void rgb_to_ycbcr(float r, float g, float b, float& y, float& cb, float& cr);
-void ycbcr_to_rgb(float y, float cb, float cr, float& r, float& g, float& b);
+/// Inline so the codecs' per-pixel plane loops compile them in place.
+inline void rgb_to_ycbcr(float r, float g, float b, float& y, float& cb,
+                         float& cr) {
+  y = 0.299f * r + 0.587f * g + 0.114f * b;
+  cb = 0.5f + (b - y) * 0.564f;
+  cr = 0.5f + (r - y) * 0.713f;
+}
+
+inline void ycbcr_to_rgb(float y, float cb, float cr, float& r, float& g,
+                         float& b) {
+  float cbc = cb - 0.5f;
+  float crc = cr - 0.5f;
+  r = y + 1.403f * crc;
+  g = y - 0.344f * cbc - 0.714f * crc;
+  b = y + 1.773f * cbc;
+}
 
 /// Whole-image conversions (3-channel planar).
 Image rgb_to_ycbcr(const Image& rgb);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "codec/bitio.h"
@@ -13,7 +14,9 @@
 #include "codec/dct.h"
 #include "codec/huffman.h"
 #include "codec/jpeg_like.h"
+#include "codec/planes.h"
 #include "codec/png_like.h"
+#include "image/color.h"
 #include "image/draw.h"
 #include "image/metrics.h"
 #include "util/md5.h"
@@ -310,6 +313,49 @@ TEST(BitIo, PeekSkipAndWideGetsAgreeWithBitwiseReads) {
   EXPECT_THROW(wide.get(1), DecodeError);
 }
 
+/// The reader's 64-bit window built one byte at a time: the byte at the
+/// read position and the seven after it, big-endian, zero past the end.
+std::uint32_t byte_loop_peek(const Bytes& data, std::size_t bit_pos,
+                             int bits) {
+  if (bits == 0) return 0;
+  const std::size_t byte = bit_pos >> 3;
+  const std::size_t avail = std::min<std::size_t>(8, data.size() - byte);
+  std::uint64_t window = 0;
+  for (std::size_t i = 0; i < avail; ++i)
+    window = (window << 8) | data[byte + i];
+  window <<= 8 * (8 - avail);
+  return static_cast<std::uint32_t>((window << (bit_pos & 7)) >>
+                                    (64 - bits));
+}
+
+TEST(BitIo, PeekAndGetMatchByteLoopWindowAtEveryOffset) {
+  Pcg32 rng(81);
+  for (std::size_t n = 0; n <= 24; ++n) {
+    const Bytes data = random_bytes(rng, n);
+    for (std::size_t pos = 0; pos <= 8 * n; ++pos)
+      for (int bits = 0; bits <= 32; ++bits) {
+        BitReader br(data);
+        br.skip(static_cast<int>(pos));
+        if (pos + static_cast<std::size_t>(bits) > 8 * n) {
+          try {
+            br.get(bits);
+            ADD_FAILURE() << "n=" << n << " pos=" << pos << " bits=" << bits;
+          } catch (const DecodeError& e) {
+            EXPECT_EQ(e.status(), DecodeStatus::kTruncated);
+          }
+          EXPECT_EQ(br.bits_consumed(), pos);
+          continue;
+        }
+        const std::uint32_t want = byte_loop_peek(data, pos, bits);
+        ASSERT_EQ(br.peek(bits), want)
+            << "n=" << n << " pos=" << pos << " bits=" << bits;
+        ASSERT_EQ(br.get(bits), want)
+            << "n=" << n << " pos=" << pos << " bits=" << bits;
+        ASSERT_EQ(br.bits_consumed(), pos + static_cast<std::size_t>(bits));
+      }
+  }
+}
+
 class DctSizeTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(DctSizeTest, ForwardInverseIdentity) {
@@ -392,6 +438,47 @@ TEST(Coeffs, AmplitudeRoundTrip) {
   }
 }
 
+TEST(Coeffs, CategoryOfMatchesShiftLoop) {
+  for (int v = -(1 << 20); v <= (1 << 20); ++v) {
+    int a = std::abs(v);
+    int want = 0;
+    while (a > 0) {
+      a >>= 1;
+      ++want;
+    }
+    ASSERT_EQ(codec_detail::category_of(v), want) << "v=" << v;
+  }
+}
+
+TEST(Coeffs, RoundHalfAwayMatchesLround) {
+  auto expect_matches = [](float v) {
+    ASSERT_EQ(codec_detail::round_half_away(v),
+              static_cast<int>(std::lround(v)))
+        << "v=" << v;
+  };
+  // Every half-integer up to 2^22 (above it floats have no .5 part) and
+  // its two neighbouring floats, both signs.
+  for (int k = 0; k <= (1 << 22); ++k) {
+    const float half = static_cast<float>(k) + 0.5f;
+    for (float v : {half, std::nextafter(half, 0.0f),
+                    std::nextafter(half, 2.0f * half + 1.0f)}) {
+      expect_matches(v);
+      expect_matches(-v);
+    }
+  }
+  // Integers, zeros and a log-spaced sweep of quotients like the
+  // quantizers produce.
+  for (float v : {0.0f, -0.0f, 1.0f, -1.0f, 0.49999997f, -0.49999997f,
+                  8388607.5f, 16777216.0f, 1e9f, -1e9f})
+    expect_matches(v);
+  Pcg32 rng(92);
+  for (int i = 0; i < 200000; ++i) {
+    const float v = static_cast<float>(std::ldexp(
+        rng.uniform(-1.0, 1.0), static_cast<int>(rng.uniform_int(30))));
+    expect_matches(v);
+  }
+}
+
 TEST(Coeffs, AcRoundTripWithLongRuns) {
   std::vector<int> block(64, 0);
   block[0] = 7;     // DC, not coded here
@@ -409,6 +496,166 @@ TEST(Coeffs, AcRoundTripWithLongRuns) {
   codec_detail::decode_ac(out, table, br);
   out[0] = block[0];
   EXPECT_EQ(out, block);
+}
+
+// ---- Colour planes: bit-for-bit against per-pixel references --------------
+
+/// rgb_to_planes as one colour conversion per pixel into full-resolution
+/// chroma planes, then a (dy, dx)-ordered 2x2 box average per chroma
+/// sample.
+codec_detail::YccPlanes per_pixel_rgb_to_planes(const ImageU8& image) {
+  using codec_detail::make_plane;
+  const int w = image.width();
+  const int h = image.height();
+  codec_detail::YccPlanes out;
+  out.y = make_plane(w, h);
+  codec_detail::Plane cb_full = make_plane(w, h);
+  codec_detail::Plane cr_full = make_plane(w, h);
+  for (int y = 0; y < h; ++y)
+    for (int x = 0; x < w; ++x) {
+      float r = image.at(x, y, 0) / 255.0f;
+      float g = image.at(x, y, 1) / 255.0f;
+      float b = image.at(x, y, 2) / 255.0f;
+      float yy, cb, cr;
+      rgb_to_ycbcr(r, g, b, yy, cb, cr);
+      out.y.at(x, y) = yy * 255.0f - 128.0f;
+      cb_full.at(x, y) = (cb - 0.5f) * 255.0f;
+      cr_full.at(x, y) = (cr - 0.5f) * 255.0f;
+    }
+  const int cw = (w + 1) / 2;
+  const int ch = (h + 1) / 2;
+  out.cb = make_plane(cw, ch);
+  out.cr = make_plane(cw, ch);
+  for (int y = 0; y < ch; ++y)
+    for (int x = 0; x < cw; ++x) {
+      float scb = 0.0f, scr = 0.0f;
+      int count = 0;
+      for (int dy = 0; dy < 2; ++dy)
+        for (int dx = 0; dx < 2; ++dx) {
+          int sx = 2 * x + dx, sy = 2 * y + dy;
+          if (sx >= w || sy >= h) continue;
+          scb += cb_full.at(sx, sy);
+          scr += cr_full.at(sx, sy);
+          ++count;
+        }
+      out.cb.at(x, y) = scb / static_cast<float>(count);
+      out.cr.at(x, y) = scr / static_cast<float>(count);
+    }
+  return out;
+}
+
+/// planes_to_rgb with the chroma sample looked up (nearest) or
+/// interpolated (bilinear) separately for every output pixel.
+ImageU8 per_pixel_planes_to_rgb(const codec_detail::YccPlanes& planes, int w,
+                                int h, codec_detail::ChromaUpsample upsample) {
+  auto chroma_at = [&](const codec_detail::Plane& p, int x, int y) {
+    if (upsample == codec_detail::ChromaUpsample::kNearest) {
+      return p.at(std::min(x / 2, p.w - 1), std::min(y / 2, p.h - 1));
+    }
+    float fx2 = (static_cast<float>(x) - 0.5f) / 2.0f;
+    float fy2 = (static_cast<float>(y) - 0.5f) / 2.0f;
+    int x0 = std::clamp(static_cast<int>(std::floor(fx2)), 0, p.w - 1);
+    int y0 = std::clamp(static_cast<int>(std::floor(fy2)), 0, p.h - 1);
+    int x1 = std::min(x0 + 1, p.w - 1);
+    int y1 = std::min(y0 + 1, p.h - 1);
+    float tx = std::clamp(fx2 - static_cast<float>(x0), 0.0f, 1.0f);
+    float ty = std::clamp(fy2 - static_cast<float>(y0), 0.0f, 1.0f);
+    float top = p.at(x0, y0) + (p.at(x1, y0) - p.at(x0, y0)) * tx;
+    float bot = p.at(x0, y1) + (p.at(x1, y1) - p.at(x0, y1)) * tx;
+    return top + (bot - top) * ty;
+  };
+  ImageU8 out(w, h, 3);
+  for (int y = 0; y < h; ++y)
+    for (int x = 0; x < w; ++x) {
+      float yy = (planes.y.at(x, y) + 128.0f) / 255.0f;
+      float cb = chroma_at(planes.cb, x, y) / 255.0f + 0.5f;
+      float cr = chroma_at(planes.cr, x, y) / 255.0f + 0.5f;
+      float r, g, b;
+      ycbcr_to_rgb(yy, cb, cr, r, g, b);
+      out.at(x, y, 0) = static_cast<std::uint8_t>(
+          std::clamp(r * 255.0f + 0.5f, 0.0f, 255.0f));
+      out.at(x, y, 1) = static_cast<std::uint8_t>(
+          std::clamp(g * 255.0f + 0.5f, 0.0f, 255.0f));
+      out.at(x, y, 2) = static_cast<std::uint8_t>(
+          std::clamp(b * 255.0f + 0.5f, 0.0f, 255.0f));
+    }
+  return out;
+}
+
+void expect_plane_bit_equal(const codec_detail::Plane& got,
+                            const codec_detail::Plane& want,
+                            const std::string& label) {
+  ASSERT_EQ(got.w, want.w) << label;
+  ASSERT_EQ(got.h, want.h) << label;
+  ASSERT_EQ(got.v.size(), want.v.size()) << label;
+  for (std::size_t i = 0; i < want.v.size(); ++i)
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(got.v[i]),
+              std::bit_cast<std::uint32_t>(want.v[i]))
+        << label << " sample " << i << ": " << got.v[i] << " vs "
+        << want.v[i];
+}
+
+/// Random u8 image with a few saturated pixels so the extremes of the
+/// colour conversion are covered.
+ImageU8 random_u8_image(int w, int h, Pcg32& rng) {
+  ImageU8 img(w, h, 3);
+  for (auto& v : img.data()) {
+    const std::uint32_t r = rng.next_u32();
+    v = (r & 0xf00) == 0 ? static_cast<std::uint8_t>((r & 1) * 255)
+                         : static_cast<std::uint8_t>(r);
+  }
+  return img;
+}
+
+struct PlaneShape {
+  int w, h;
+};
+constexpr PlaneShape kPlaneShapes[] = {
+    {64, 64}, {63, 47}, {17, 9}, {2, 1}, {1, 1}};
+
+std::string shape_name(const PlaneShape& s) {
+  return std::to_string(s.w) + "x" + std::to_string(s.h);
+}
+
+TEST(Planes, RgbToPlanesMatchesPerPixelLoopBitForBit) {
+  Pcg32 rng(90);
+  for (const PlaneShape& s : kPlaneShapes) {
+    const ImageU8 img = random_u8_image(s.w, s.h, rng);
+    const codec_detail::YccPlanes got = codec_detail::rgb_to_planes(img);
+    const codec_detail::YccPlanes want = per_pixel_rgb_to_planes(img);
+    expect_plane_bit_equal(got.y, want.y, shape_name(s) + " y");
+    expect_plane_bit_equal(got.cb, want.cb, shape_name(s) + " cb");
+    expect_plane_bit_equal(got.cr, want.cr, shape_name(s) + " cr");
+  }
+}
+
+TEST(Planes, PlanesToRgbMatchesPerPixelLoopBitForBit) {
+  Pcg32 rng(91);
+  auto random_plane = [&](int w, int h, double range) {
+    codec_detail::Plane p = codec_detail::make_plane(w, h);
+    for (float& v : p.v) v = static_cast<float>(rng.uniform(-range, range));
+    return p;
+  };
+  auto check = [&](int w, int h, double chroma_range) {
+    codec_detail::YccPlanes planes;
+    planes.y = random_plane(w, h, 140.0);
+    planes.cb = random_plane((w + 1) / 2, (h + 1) / 2, chroma_range);
+    planes.cr = random_plane((w + 1) / 2, (h + 1) / 2, chroma_range);
+    for (auto upsample : {codec_detail::ChromaUpsample::kNearest,
+                          codec_detail::ChromaUpsample::kBilinear}) {
+      const ImageU8 got = codec_detail::planes_to_rgb(planes, w, h, upsample);
+      const ImageU8 want = per_pixel_planes_to_rgb(planes, w, h, upsample);
+      ASSERT_TRUE(got == want)
+          << w << "x" << h << " upsample "
+          << (upsample == codec_detail::ChromaUpsample::kNearest ? "nearest"
+                                                                 : "bilinear");
+    }
+  };
+  // Decoded planes overshoot the nominal range, so the clamp is hit.
+  for (const PlaneShape& s : kPlaneShapes) check(s.w, s.h, 160.0);
+  // Rounding to bytes hides most one-ulp differences in the float path,
+  // so many in-range planes are swept too.
+  for (int i = 0; i < 64; ++i) check(64, 64, 64.0);
 }
 
 // ---- Full codec round trips ---------------------------------------------------
