@@ -34,6 +34,7 @@
 #include "obs/obs.h"
 #include "obs/progress.h"
 #include "obs/report.h"
+#include "obs/session.h"
 #include "obs/telemetry/anomaly.h"
 #include "obs/telemetry/telemetry.h"
 #include "obs/timeline/timeline.h"
@@ -100,10 +101,11 @@ inline int apply_thread_flag(int argc, char** argv) {
 
 /// Parse `--faults SPEC` / `--faults=SPEC` from a bench command line
 /// (falling back to the EDGESTAB_FAULTS environment variable) and arm
-/// the global injector. SPEC is "off", a preset ("light" | "moderate" |
-/// "heavy"), or a "k=v,k=v" list — see fault::parse_fault_plan. Returns
-/// the armed plan's summary, or "" when injection stays off. Every
-/// bench's Run wrapper calls this, so the knob exists uniformly.
+/// the current session's injector. SPEC is "off", a preset ("light" |
+/// "moderate" | "heavy"), or a "k=v,k=v" list — see
+/// fault::parse_fault_plan. Returns the armed plan's summary, or "" when
+/// injection stays off. Every bench's Run wrapper calls this, so the
+/// knob exists uniformly.
 inline std::string apply_fault_flag(int argc, char** argv) {
   std::string spec;
   if (const char* env = std::getenv("EDGESTAB_FAULTS")) spec = env;
@@ -116,13 +118,31 @@ inline std::string apply_fault_flag(int argc, char** argv) {
   }
   if (spec.empty()) return "";
   fault::FaultPlan plan = fault::parse_fault_plan(spec);
-  if (!plan.any()) {
-    fault::FaultInjector::global().reset();
-    return "";
-  }
+  if (!plan.any()) return "";
   fault::FaultInjector::global().configure(plan);
   std::printf("[fault] injection armed: %s\n", plan.summary().c_str());
   return plan.summary();
+}
+
+/// An on/off bench switch: the `env` variable (on unless empty, "0",
+/// "off" or "OFF"), overridden by `--NAME` / `--NAME=1|on` and
+/// `--NAME=0|off` on the command line.
+inline bool switch_flag(int argc, char** argv, const std::string& name,
+                        const char* env) {
+  bool on = false;
+  if (const char* value = std::getenv(env)) {
+    const std::string v = value;
+    on = !(v.empty() || v == "0" || v == "off" || v == "OFF");
+  }
+  const std::string flag = "--" + name;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == flag || arg == flag + "=1" || arg == flag + "=on")
+      on = true;
+    else if (arg == flag + "=0" || arg == flag + "=off")
+      on = false;
+  }
+  return on;
 }
 
 /// Parse `--profile` / `--profile=1` from a bench command line (falling
@@ -130,19 +150,7 @@ inline std::string apply_fault_flag(int argc, char** argv) {
 /// hot-path profiler (obs/profiler.h). Returns whether the profiler was
 /// armed. Pass argc = 0 to consult the environment only.
 inline bool apply_profile_flag(int argc, char** argv) {
-  bool want = false;
-  if (const char* env = std::getenv("EDGESTAB_PROFILE")) {
-    std::string v = env;
-    want = !(v.empty() || v == "0" || v == "off" || v == "OFF");
-  }
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--profile" || arg == "--profile=1" || arg == "--profile=on")
-      want = true;
-    else if (arg == "--profile=0" || arg == "--profile=off")
-      want = false;
-  }
-  if (!want) return false;
+  if (!switch_flag(argc, argv, "profile", "EDGESTAB_PROFILE")) return false;
   obs::Profiler::global().clear();
   obs::Profiler::global().set_enabled(true);
   std::printf("[profile] hot-path profiler armed\n");
@@ -151,43 +159,19 @@ inline bool apply_profile_flag(int argc, char** argv) {
 
 /// Parse `--telemetry` / `--telemetry=0|off` from a bench command line
 /// (falling back to the EDGESTAB_TELEMETRY environment variable) and
-/// arm the fleet health registry. EDGESTAB_TELEMETRY_WINDOW overrides
-/// the item-window width. Returns whether telemetry was armed. Arming
-/// also points the progress heartbeat at the registry's running alert
-/// estimate. Pass argc = 0 to consult the environment only.
+/// arm the current session's fleet health registry.
+/// EDGESTAB_TELEMETRY_WINDOW overrides the item-window width. Returns
+/// whether telemetry was armed. Pass argc = 0 to consult the
+/// environment only.
 inline bool apply_telemetry_flag(int argc, char** argv) {
-  bool want = false;
-  if (const char* env = std::getenv("EDGESTAB_TELEMETRY")) {
-    std::string v = env;
-    want = !(v.empty() || v == "0" || v == "off" || v == "OFF");
-  }
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--telemetry" || arg == "--telemetry=1" ||
-        arg == "--telemetry=on")
-      want = true;
-    else if (arg == "--telemetry=0" || arg == "--telemetry=off")
-      want = false;
-  }
-  auto& registry = obs::DeviceHealthRegistry::global();
-  if (!want) {
-    // An explicit --telemetry=off overrides an env-armed registry.
-    if (registry.enabled()) {
-      registry.set_enabled(false);
-      obs::ProgressMeter::set_alert_source(nullptr);
-    }
+  if (!switch_flag(argc, argv, "telemetry", "EDGESTAB_TELEMETRY"))
     return false;
-  }
-  if (registry.enabled()) return true;  // already armed (env + flag paths)
-  registry.clear();
+  auto& registry = obs::DeviceHealthRegistry::global();
   if (const char* env = std::getenv("EDGESTAB_TELEMETRY_WINDOW")) {
     int w = std::atoi(env);
     if (w > 0) registry.set_window_items(w);
   }
   registry.set_enabled(true);
-  obs::ProgressMeter::set_alert_source(+[]() -> std::int64_t {
-    return obs::DeviceHealthRegistry::global().live_alert_count();
-  });
   std::printf("[telemetry] fleet health telemetry armed (window %d items)\n",
               registry.window_items());
   return true;
@@ -195,18 +179,14 @@ inline bool apply_telemetry_flag(int argc, char** argv) {
 
 /// Parse `--timeline` / `--timeline=0|off` from a bench command line
 /// (falling back to the EDGESTAB_TIMELINE environment variable) and arm
-/// the service timeline recorder. `--timeline-epoch N` /
+/// the current session's service timeline recorder. `--timeline-epoch N` /
 /// EDGESTAB_TIMELINE_EPOCH sets the fold-epoch length in slots and
 /// `--trace-sample-rate X` / EDGESTAB_TRACE_SAMPLE_RATE the per-shot
 /// trace sample probability (stored as integer ppm). Returns whether
 /// the timeline was armed. Pass argc = 0 to consult the environment
 /// only.
 inline bool apply_timeline_flag(int argc, char** argv) {
-  bool want = false;
-  if (const char* env = std::getenv("EDGESTAB_TIMELINE")) {
-    std::string v = env;
-    want = !(v.empty() || v == "0" || v == "off" || v == "OFF");
-  }
+  if (!switch_flag(argc, argv, "timeline", "EDGESTAB_TIMELINE")) return false;
   int epoch = 0;
   double rate = -1.0;
   if (const char* env = std::getenv("EDGESTAB_TIMELINE_EPOCH"))
@@ -215,11 +195,7 @@ inline bool apply_timeline_flag(int argc, char** argv) {
     rate = std::atof(env);
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg == "--timeline" || arg == "--timeline=1" || arg == "--timeline=on")
-      want = true;
-    else if (arg == "--timeline=0" || arg == "--timeline=off")
-      want = false;
-    else if (arg == "--timeline-epoch" && i + 1 < argc)
+    if (arg == "--timeline-epoch" && i + 1 < argc)
       epoch = std::atoi(argv[i + 1]);
     else if (arg.rfind("--timeline-epoch=", 0) == 0)
       epoch = std::atoi(arg.c_str() + 17);
@@ -229,12 +205,6 @@ inline bool apply_timeline_flag(int argc, char** argv) {
       rate = std::atof(arg.c_str() + 20);
   }
   auto& recorder = obs::TimelineRecorder::global();
-  if (!want) {
-    // An explicit --timeline=off overrides an env-armed recorder.
-    if (recorder.enabled()) recorder.set_enabled(false);
-    return false;
-  }
-  if (!recorder.enabled()) recorder.clear();
   if (epoch > 0) recorder.set_epoch_slots(epoch);
   if (rate >= 0.0)
     recorder.set_trace_sample_ppm(
@@ -305,8 +275,10 @@ inline void banner(const std::string& title) {
   std::printf("================================================================\n");
 }
 
-/// One bench execution: prints the banner, enables the stage histograms
-/// and counters for the process, tracks artifact-write failures, and on
+/// One bench execution: opens the run's observability session (fresh
+/// fault injector, ledgers, drift auditor, telemetry and timeline — see
+/// obs/session.h), prints the banner, enables the stage histograms and
+/// counters for the process, tracks artifact-write failures, and on
 /// finish() exports the run's stage-timing CSV and provenance manifest.
 /// main() should `return run.finish();` so a bench whose artifacts
 /// failed to land exits non-zero.
@@ -616,6 +588,9 @@ class Run {
       ok_ = false;
   }
 
+  /// First member: every other member and the constructor's flag
+  /// handling already see the run's own session.
+  obs::Session session_;
   std::string name_;
   WallTimer timer_;
   obs::RunManifest manifest_;
@@ -633,13 +608,13 @@ class Run {
 /// RepeatSample (wall + getrusage deltas) per execution; returns the
 /// LAST execution's result.
 ///
-/// Ordering matters: the N-1 timing-only repeats run FIRST with the
-/// metrics registry and drift auditor muted, then every cross-run
-/// accumulator (metrics registry, drift ledgers, fault receipts) is
-/// cleared, and the authoritative repeat runs LAST with observability
-/// restored — so its artifacts, ledger cross-checks and digests are
-/// byte-identical to a --repeats 1 run while the archive still gets N
-/// timing samples.
+/// The N-1 timing-only repeats run FIRST, each in its own nested
+/// session that carries only the run's fault plan (so the same work is
+/// timed) and under SuspendTracing (so the stage histograms and the
+/// profiler see nothing). The authoritative repeat runs LAST in the
+/// run's own session, untouched by the warm-ups — its artifacts, ledger
+/// cross-checks and digests are byte-identical to a --repeats 1 run
+/// while the archive still gets N timing samples.
 template <typename Fn>
 auto run_repeats(Run& run, Fn&& body) {
   const int repeats = run.repeats();
@@ -658,34 +633,12 @@ auto run_repeats(Run& run, Fn&& body) {
     progress.tick();
     return result;
   };
-  if (repeats > 1) {
-    const bool metrics_was = obs::MetricsRegistry::global().enabled();
-    const bool drift_was = obs::DriftAuditor::global().enabled();
-    const bool profiler_was = obs::Profiler::global().enabled();
-    const bool telemetry_was = obs::DeviceHealthRegistry::global().enabled();
-    const bool timeline_was = obs::TimelineRecorder::global().enabled();
-    obs::MetricsRegistry::global().set_enabled(false);
-    obs::DriftAuditor::global().set_enabled(false);
-    obs::Profiler::global().set_enabled(false);
-    obs::DeviceHealthRegistry::global().set_enabled(false);
-    obs::TimelineRecorder::global().set_enabled(false);
-    for (int i = 0; i + 1 < repeats; ++i) (void)timed();
-    // Warm-up repeats must not leak into the authoritative run's
-    // metrics, drift report, or fault receipts — nor into the rig-run
-    // counter that names their groups. The profiler needs no clear: its
-    // scopes were inert while muted (activity is decided at scope entry),
-    // so only the authoritative repeat populates the call tree.
-    obs::MetricsRegistry::global().reset();
-    obs::DriftAuditor::global().clear();
-    obs::FaultLedger::global().clear();
-    obs::DeviceHealthRegistry::global().clear();  // keeps enabled()
-    obs::TimelineRecorder::global().clear();      // keeps enabled() + knobs
-    reset_rig_run_counter();
-    obs::MetricsRegistry::global().set_enabled(metrics_was);
-    obs::DriftAuditor::global().set_enabled(drift_was);
-    obs::Profiler::global().set_enabled(profiler_was);
-    obs::DeviceHealthRegistry::global().set_enabled(telemetry_was);
-    obs::TimelineRecorder::global().set_enabled(timeline_was);
+  const fault::FaultPlan plan = fault::FaultInjector::global().plan();
+  for (int i = 0; i + 1 < repeats; ++i) {
+    obs::SuspendTracing suspend;
+    obs::Session warm_up;
+    fault::FaultInjector::global().configure(plan);
+    (void)timed();
   }
   auto result = timed();
   progress.finish();

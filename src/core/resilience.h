@@ -40,7 +40,7 @@ ShotDelivery deliver_shot(const std::string& group, const Capture& capture,
 
 /// Pure core of deliver_shot: the same lossy-link retry loop, but the
 /// fault receipts are appended to `events` instead of being filed with
-/// the global ledger and telemetry. This is the form the streaming
+/// the session's ledger and telemetry. This is the form the streaming
 /// service consumes — its stage workers run ahead of the checkpoint
 /// cursor and must stay side-effect free, so the aggregator alone files
 /// the carried receipts, serially in item order (DESIGN.md §17).

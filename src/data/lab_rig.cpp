@@ -1,6 +1,5 @@
 #include "data/lab_rig.h"
 
-#include <atomic>
 #include <string>
 
 #include "data/labels.h"
@@ -8,6 +7,7 @@
 #include "obs/drift.h"
 #include "obs/fault_ledger.h"
 #include "obs/obs.h"
+#include "obs/session.h"
 #include "obs/telemetry/telemetry.h"
 #include "runtime/parallel.h"
 #include "runtime/seed.h"
@@ -48,14 +48,6 @@ void inject_capture_faults(const std::string& group,
 
 }  // namespace
 
-namespace {
-std::atomic<int> rig_run_counter{0};
-}  // namespace
-
-void reset_rig_run_counter() {
-  rig_run_counter.store(0, std::memory_order_relaxed);
-}
-
 LabRun run_lab_rig(const std::vector<PhoneProfile>& fleet,
                    const LabRigConfig& config) {
   ES_TRACE_SCOPE("rig", "run_lab_rig");
@@ -65,13 +57,13 @@ LabRun run_lab_rig(const std::vector<PhoneProfile>& fleet,
   ES_CHECK(config.shots_per_stimulus >= 1);
 
   // Group name for this rig run, shared by the drift auditor and the
-  // fault ledger. A process can run the rig more than once (end-to-end
+  // fault ledger. A session can run the rig more than once (end-to-end
   // rig, then the raw bank's rig); stimulus ids restart from 0 each
   // time, so each run gets its own group name to keep reference
-  // artifacts (and fault tallies) from colliding. The counter advances
-  // unconditionally so group names agree whether or not drift is armed.
-  // The string outlives every scope below.
-  const int rig_run = rig_run_counter.fetch_add(1, std::memory_order_relaxed);
+  // artifacts (and fault tallies) from colliding. The session's counter
+  // advances unconditionally so group names agree whether or not drift
+  // is armed. The string outlives every scope below.
+  const int rig_run = obs::Session::current().next_rig_run();
   const std::string group =
       rig_run == 0 ? "capture" : "capture#" + std::to_string(rig_run);
   if (obs::drift_enabled()) {

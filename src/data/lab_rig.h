@@ -57,13 +57,6 @@ struct LabRun {
 LabRun run_lab_rig(const std::vector<PhoneProfile>& fleet,
                    const LabRigConfig& config);
 
-/// Rewind the per-process rig-run counter that disambiguates drift /
-/// fault group names ("capture", "capture#1", ...). The bench repeat
-/// harness calls this after its warm-up repeats so the authoritative
-/// run's group names — and with them the drift-report digest — are
-/// byte-identical to a single-repeat run.
-void reset_rig_run_counter();
-
 /// Stable fingerprint of the rig configuration (seed, geometry, screen) —
 /// recorded in run manifests so a result row names the exact capture
 /// setup that produced it.

@@ -184,11 +184,6 @@ FaultPlan parse_fault_plan(const std::string& spec) {
   return plan;
 }
 
-FaultInjector& FaultInjector::global() {
-  static FaultInjector injector;
-  return injector;
-}
-
 void FaultInjector::configure(const FaultPlan& plan) {
   plan_ = plan;
   enabled_.store(plan.any(), std::memory_order_relaxed);

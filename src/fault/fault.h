@@ -8,9 +8,10 @@
 // at any thread count and across reruns — the property the paper's
 // instability metrics depend on.
 //
-// The injector is a process-wide singleton, configured from a FaultPlan
-// (per-site rates + burst model, parsed from a --faults spec). While no
-// plan is installed, every injection site costs one relaxed atomic load.
+// Each run session (obs/session.h) owns one injector, configured from a
+// FaultPlan (per-site rates + burst model, parsed from a --faults spec).
+// While no plan is installed, every injection site costs one relaxed
+// atomic load.
 #pragma once
 
 #include <atomic>
@@ -74,12 +75,16 @@ struct PayloadFaults {
   bool any() const { return bit_flips > 0 || truncated_bytes > 0; }
 };
 
-/// Process-wide deterministic fault source. Draw methods are const and
+/// Deterministic fault source, one per run session. Draw methods are const and
 /// thread-safe: each derives a private RNG from the fault seed and the
 /// call coordinates, so concurrent lanes never share stream state.
 class FaultInjector {
  public:
+  /// The current session's injector. Defined by obs::Session
+  /// (obs/session.cpp), which owns every run's injector.
   static FaultInjector& global();
+
+  FaultInjector() = default;
 
   /// Install a plan. Enables injection iff the plan has nonzero rates.
   void configure(const FaultPlan& plan);
@@ -111,8 +116,6 @@ class FaultInjector {
   double backoff_ms(int attempt) const;
 
  private:
-  FaultInjector() = default;
-
   std::atomic<bool> enabled_{false};
   FaultPlan plan_;
 };

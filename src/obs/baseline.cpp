@@ -16,6 +16,7 @@ namespace {
 
 constexpr char kRunRecordSchema[] = "edgestab-run-record-v1";
 constexpr char kBaselineSchema[] = "edgestab-baseline-v1";
+constexpr bool kOptional = JsonValue::kOptional;
 
 /// Numeric member with NaN for an explicit JSON null (the writer's
 /// rendering of NaN/Inf) and `fallback` when absent or mistyped.
@@ -212,17 +213,20 @@ bool parse_run_record(const JsonValue& doc, RunRecord* out,
     return false;
   }
   record.git_sha = string_member(doc, "git_sha");
-  record.created_unix =
-      static_cast<std::int64_t>(number_member(doc, "created_unix", 0.0));
+  if (!doc.read_int("created_unix", &record.created_unix, kOptional) ||
+      !doc.read_int("threads", &record.threads, kOptional) ||
+      !doc.read_int("max_rss_kb", &record.max_rss_kb, kOptional)) {
+    if (error != nullptr)
+      *error = "run record has a non-integer created_unix, threads or "
+               "max_rss_kb";
+    return false;
+  }
   if (const JsonValue* seed = doc.find("seed"); seed != nullptr) {
     record.has_seed = true;
     record.seed = static_cast<std::uint64_t>(seed->number_or(0.0));
   }
-  record.threads = static_cast<int>(number_member(doc, "threads", 1.0));
   record.fault_plan = string_member(doc, "fault_plan");
   record.items = number_member(doc, "items", 0.0);
-  record.max_rss_kb =
-      static_cast<long>(number_member(doc, "max_rss_kb", 0.0));
   record.digests = parse_digests(doc);
   if (const JsonValue* repeats = doc.find("repeats");
       repeats != nullptr && repeats->is_array()) {
@@ -461,16 +465,20 @@ bool parse_baseline(const JsonValue& doc, Baseline* out,
     return false;
   }
   baseline.git_sha = string_member(doc, "git_sha");
-  baseline.created_unix =
-      static_cast<std::int64_t>(number_member(doc, "created_unix", 0.0));
+  const auto refuse = [error](const char* message) {
+    if (error != nullptr) *error = message;
+    return false;
+  };
+  if (!doc.read_int("created_unix", &baseline.created_unix, kOptional))
+    return refuse("baseline created_unix is not an integer");
   if (const JsonValue* provenance = doc.find("provenance");
       provenance != nullptr && provenance->is_object()) {
     if (const JsonValue* seed = provenance->find("seed"); seed != nullptr) {
       baseline.has_seed = true;
       baseline.seed = static_cast<std::uint64_t>(seed->number_or(0.0));
     }
-    baseline.threads =
-        static_cast<int>(number_member(*provenance, "threads", 1.0));
+    if (!provenance->read_int("threads", &baseline.threads, kOptional))
+      return refuse("baseline threads is not an integer");
     baseline.fault_plan = string_member(*provenance, "fault_plan");
     baseline.digests = parse_digests(*provenance);
   }
@@ -486,7 +494,8 @@ bool parse_baseline(const JsonValue& doc, Baseline* out,
       metric.unit = string_member(m, "unit");
       metric.median = number_member(m, "median", 0.0);
       metric.mad = number_member(m, "mad", 0.0);
-      metric.n = static_cast<int>(number_member(m, "n", 0.0));
+      if (!m.read_int("n", &metric.n, kOptional))
+        return refuse("baseline metric n is not an integer");
       metric.abs_floor = number_member(m, "abs_floor", 0.0);
       metric.epsilon = number_member(m, "epsilon", 0.0);
       metric.text = string_member(m, "text");

@@ -160,10 +160,8 @@ DriftScope::~DriftScope() {
 // ---------------------------------------------------------------------------
 // DriftAuditor
 
-DriftAuditor& DriftAuditor::global() {
-  static DriftAuditor* auditor = new DriftAuditor();  // never destroyed
-  return *auditor;
-}
+DriftAuditor::DriftAuditor() = default;
+DriftAuditor::~DriftAuditor() = default;
 
 void DriftAuditor::set_max_audited_items(std::size_t n) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -449,17 +447,6 @@ std::int64_t DriftAuditor::skipped_items() const {
 std::int64_t DriftAuditor::skipped_bytes_items() const {
   std::lock_guard<std::mutex> lock(mu_);
   return skipped_bytes_items_;
-}
-
-void DriftAuditor::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  stages_.clear();
-  logits_.clear();
-  env_labels_.clear();
-  ledger_.clear();
-  ref_bytes_ = 0;
-  skipped_items_ = 0;
-  skipped_bytes_items_ = 0;
 }
 
 bool drift_enabled() {

@@ -15,7 +15,7 @@
 // Stage taps record PSNR, SSIM and per-channel mean/variance deltas;
 // logit taps (record_logits) record L2 / L-inf drift, KL divergence and
 // top-1 agreement vs. the reference environment. The prediction-flip
-// ledger (flip_ledger.h) rides along on the same singleton so exporters
+// ledger (flip_ledger.h) rides along in the same auditor so exporters
 // can emit one coherent <name>.drift.json + HTML fleet report.
 //
 // A disabled auditor costs one relaxed atomic load per tap.
@@ -118,10 +118,11 @@ class DriftScope {
   int prev_env_;
 };
 
-/// Process-wide divergence auditor. Bookkeeping (slot/reference maps,
-/// staged comparison records) is mutex-serialized; image comparisons run
-/// off-lock against immutable stored references; `enabled()` is a
-/// relaxed atomic so disabled taps stay cheap. Summaries fold staged
+/// Divergence auditor, one per run session (obs/session.h).
+/// Bookkeeping (slot/reference maps, staged comparison records) is
+/// mutex-serialized; image comparisons run off-lock against immutable
+/// stored references; `enabled()` is a relaxed atomic so disabled taps
+/// stay cheap. Summaries fold staged
 /// records in sorted (item, env) order — deterministic at any thread
 /// count (see the file comment for the caller-side ordering contract).
 class DriftAuditor {
@@ -131,7 +132,11 @@ class DriftAuditor {
   static constexpr std::size_t kMaxSlotRefBytes = 32ull << 20;
   static constexpr std::size_t kMaxLogitRefs = 65536;
 
+  /// The current session's auditor (obs/session.h).
   static DriftAuditor& global();
+
+  DriftAuditor();
+  ~DriftAuditor();  // the slot types are complete only in drift.cpp
 
   void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
@@ -172,13 +177,8 @@ class DriftAuditor {
   std::int64_t skipped_items() const;
   std::int64_t skipped_bytes_items() const;
 
-  /// Drop all accumulated state (refs, summaries, ledger, labels).
-  /// Leaves enabled() untouched.
-  void clear();
 
  private:
-  DriftAuditor() = default;
-
   struct StoredImage;
   struct StageKey;
   struct StageSlot;
@@ -197,7 +197,7 @@ class DriftAuditor {
   FlipLedger ledger_;
 };
 
-/// True when the global auditor is enabled.
+/// True when the current session's auditor is enabled.
 bool drift_enabled();
 
 }  // namespace edgestab::obs

@@ -38,11 +38,6 @@ const char* fault_event_kind_name(FaultEventKind kind) {
   return "unknown";
 }
 
-FaultLedger& FaultLedger::global() {
-  static FaultLedger ledger;
-  return ledger;
-}
-
 void FaultLedger::record(const std::string& group, const FaultEvent& event) {
   std::lock_guard<std::mutex> lock(mu_);
   raw_[group].push_back(event);

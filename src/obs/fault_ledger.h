@@ -98,6 +98,7 @@ class FaultLedger {
   /// per-device tallies are exact regardless.
   static constexpr std::size_t kMaxEntriesPerGroup = 20000;
 
+  /// The current session's ledger (obs/session.h).
   static FaultLedger& global();
 
   FaultLedger() = default;

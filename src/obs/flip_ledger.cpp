@@ -100,6 +100,4 @@ std::uint64_t FlipLedger::digest() const {
   return fp.value();
 }
 
-void FlipLedger::clear() { raw_.clear(); }
-
 }  // namespace edgestab::obs

@@ -103,8 +103,6 @@ class FlipLedger {
   /// manifest digest).
   std::uint64_t digest() const;
 
-  void clear();
-
  private:
   // Raw outcomes per group; summaries are rebuilt on demand so repeated
   // add_group calls for one group stay consistent.

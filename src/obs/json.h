@@ -8,7 +8,11 @@
 // records through.
 #pragma once
 
+#include <cmath>
+#include <concepts>
 #include <cstdint>
+#include <initializer_list>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -89,6 +93,45 @@ class JsonValue {
   }
   std::string string_or(std::string fallback) const {
     return is_string() ? string : std::move(fallback);
+  }
+
+  /// The number as a T when it is finite, integral and within T's
+  /// range; nullopt otherwise (and for non-numbers). Every integer read
+  /// back from disk goes through here: casting 1e300 or NaN to an
+  /// integer is undefined behaviour, and casting 2.5 truncates silently.
+  template <std::signed_integral T = long long>
+  std::optional<T> as_int() const {
+    // -min is 2^(bits-1), exact in a double; max is not.
+    constexpr double lo = static_cast<double>(std::numeric_limits<T>::min());
+    if (!is_number() || !std::isfinite(number) ||
+        std::trunc(number) != number || number < lo || number >= -lo)
+      return std::nullopt;
+    return static_cast<T>(number);
+  }
+
+  /// read_int(s) `optional` argument: an absent member keeps its value.
+  static constexpr bool kOptional = true;
+
+  /// Integer member `key` into `*out` through as_int(). An absent
+  /// member leaves `*out` as is and is accepted only when `optional`; a
+  /// present one must pass as_int(). False means: refuse the document.
+  template <std::signed_integral T>
+  bool read_int(std::string_view key, T* out, bool optional = false) const {
+    const JsonValue* v = find(key);
+    if (v == nullptr) return optional;
+    const std::optional<T> n = v->as_int<T>();
+    if (n) *out = *n;
+    return n.has_value();
+  }
+
+  /// read_int over every (key, field) pair; false at the first refusal.
+  template <std::signed_integral T>
+  bool read_ints(
+      std::initializer_list<std::pair<std::string_view, T*>> fields,
+      bool optional = false) const {
+    for (const auto& [key, field] : fields)
+      if (!read_int(key, field, optional)) return false;
+    return true;
   }
 };
 

@@ -4,29 +4,16 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "obs/telemetry/telemetry.h"
+
 namespace edgestab::obs {
 
-namespace {
-
-ProgressMeter::AlertCountFn g_alert_source = nullptr;
-ProgressMeter::StatusTextFn g_status_source = nullptr;
-
-}  // namespace
-
-void ProgressMeter::set_alert_source(AlertCountFn source) {
-  g_alert_source = source;
-}
-
-void ProgressMeter::set_status_source(StatusTextFn source) {
-  g_status_source = source;
-}
-
 ProgressMeter::ProgressMeter(std::string label, std::int64_t total,
-                             bool enabled, double min_interval_seconds)
+                             bool enabled, StatusText status)
     : label_(std::move(label)),
       total_(total),
       enabled_(enabled),
-      min_interval_seconds_(min_interval_seconds) {}
+      status_(std::move(status)) {}
 
 bool ProgressMeter::env_enabled() {
   const char* env = std::getenv("EDGESTAB_PROGRESS");
@@ -38,7 +25,7 @@ void ProgressMeter::tick(std::int64_t n) {
   if (!enabled_ || finished_) return;
   double now = timer_.seconds();
   bool due = last_emit_seconds_ < 0.0 ||
-             now - last_emit_seconds_ >= min_interval_seconds_;
+             now - last_emit_seconds_ >= kMinIntervalSeconds;
   bool last = total_ > 0 && done_ >= total_;
   if (due || last) emit(false);
 }
@@ -60,19 +47,19 @@ void ProgressMeter::emit(bool closing) {
   double rate = elapsed > 1e-6 && done_ > 0
                     ? static_cast<double>(done_) / elapsed
                     : 0.0;
-  // Running alert estimate from the installed telemetry source, e.g.
-  // " 3 alerts"; empty when no source is armed so pre-telemetry output
+  // Running alert estimate from the session's telemetry, e.g.
+  // " 3 alerts"; empty while telemetry is off so pre-telemetry output
   // is unchanged.
   char alerts[32] = "";
-  if (g_alert_source != nullptr) {
-    std::snprintf(alerts, sizeof(alerts), " %lld alerts",
-                  static_cast<long long>(g_alert_source()));
+  if (telemetry_enabled()) {
+    std::snprintf(
+        alerts, sizeof(alerts), " %lld alerts",
+        static_cast<long long>(
+            DeviceHealthRegistry::global().live_alert_count()));
   }
-  // Live pipeline status (queue depths, shed count) from the installed
-  // status source; empty when none is armed so pre-service heartbeat
-  // lines are unchanged.
-  std::string status;
-  if (g_status_source != nullptr) status = g_status_source();
+  // Live pipeline status (queue depths, shed count); empty without a
+  // status callback so pre-service heartbeat lines are unchanged.
+  const std::string status = status_ ? status_() : std::string();
   if (closing) {
     std::fprintf(stderr,
                  "[progress] %s done: %lld in %.1fs (%.1f items/s)%s%s\n",

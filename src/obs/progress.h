@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 
 #include "util/timer.h"
@@ -20,30 +21,21 @@ namespace edgestab::obs {
 
 class ProgressMeter {
  public:
-  /// Optional live-alert source (telemetry's running alert estimate).
-  /// A plain function pointer so progress stays decoupled from the
-  /// telemetry layer: the bench harness installs it when telemetry is
-  /// armed, and every heartbeat line then carries the running count.
-  using AlertCountFn = std::int64_t (*)();
-
-  /// Optional live-status source: a short free-form suffix (the service
-  /// pipeline installs one reporting per-stage queue depths and the
-  /// running shed count, e.g. " | q develop 3 inference 12 shed 42"). Same
-  /// plain-function-pointer decoupling as the alert source; advisory
-  /// wall-clock state, never part of any deterministic artifact.
-  using StatusTextFn = std::string (*)();
+  /// Live-status suffix for each line, e.g. the service pipeline's
+  /// per-stage queue depths and running shed count
+  /// (" | q develop 3 inference 12 shed 42"). Advisory wall-clock state,
+  /// never part of any deterministic artifact.
+  using StatusText = std::function<std::string()>;
 
   /// `label` prefixes each line; `total` of 0 means unknown (no ETA).
-  /// `min_interval_seconds` rate-limits output; the first and final
-  /// ticks always print when enabled.
+  /// `status`, when set, is appended to every line. While the current
+  /// session's telemetry is armed, each line also carries its running
+  /// alert estimate. Lines are at least kMinIntervalSeconds apart; the
+  /// first and final ticks always print when enabled.
   ProgressMeter(std::string label, std::int64_t total, bool enabled,
-                double min_interval_seconds = 0.5);
+                StatusText status = {});
 
-  /// Install (or clear, with nullptr) the process-wide alert source.
-  static void set_alert_source(AlertCountFn source);
-
-  /// Install (or clear, with nullptr) the process-wide status source.
-  static void set_status_source(StatusTextFn source);
+  static constexpr double kMinIntervalSeconds = 0.5;
 
   /// Mark `n` more items done; prints at most one heartbeat line.
   void tick(std::int64_t n = 1);
@@ -63,7 +55,7 @@ class ProgressMeter {
   std::string label_;
   std::int64_t total_;
   bool enabled_;
-  double min_interval_seconds_;
+  StatusText status_;
   std::int64_t done_ = 0;
   double last_emit_seconds_ = -1.0;
   bool finished_ = false;

@@ -137,16 +137,7 @@ bool parse_severity(const std::string& name, AlertSeverity* out) {
   return true;
 }
 
-long long ll_or(const JsonValue& obj, const char* key, long long fallback) {
-  const JsonValue* v = obj.find(key);
-  return v != nullptr && v->is_number()
-             ? static_cast<long long>(v->number)
-             : fallback;
-}
-
-int int_or(const JsonValue& obj, const char* key, int fallback) {
-  return static_cast<int>(ll_or(obj, key, fallback));
-}
+constexpr bool kOptional = JsonValue::kOptional;
 
 double num_or(const JsonValue& obj, const char* key, double fallback) {
   const JsonValue* v = obj.find(key);
@@ -508,11 +499,14 @@ bool parse_fleet(const JsonValue& doc, FleetDoc* out, std::string* error) {
   FleetDoc parsed;
   parsed.bench = str_or(doc, "bench", "");
   FleetHealthReport& report = parsed.report;
-  report.fleet.window_items = int_or(doc, "window_items", 0);
-  report.alerts_total = ll_or(doc, "alerts_total", 0);
-  report.alerts_critical = ll_or(doc, "alerts_critical", 0);
-  report.devices_degraded = ll_or(doc, "devices_degraded", 0);
-  report.devices_quarantined = ll_or(doc, "devices_quarantined", 0);
+  if (!doc.read_int("window_items", &report.fleet.window_items, kOptional) ||
+      !doc.read_ints<long long>(
+          {{"alerts_total", &report.alerts_total},
+           {"alerts_critical", &report.alerts_critical},
+           {"devices_degraded", &report.devices_degraded},
+           {"devices_quarantined", &report.devices_quarantined}},
+          kOptional))
+    return fail("fleet totals are not integers");
 
   const JsonValue* devices = doc.find("devices");
   if (devices == nullptr || !devices->is_array()) {
@@ -521,51 +515,58 @@ bool parse_fleet(const JsonValue& doc, FleetDoc* out, std::string* error) {
   for (const JsonValue& dv : devices->items) {
     if (!dv.is_object()) return fail("device entry is not an object");
     DeviceHealth d;
-    d.device = int_or(dv, "device", -1);
+    d.device = -1;
+    if (!dv.read_int("device", &d.device, kOptional) ||
+        !dv.read_ints<long long>({{"observations", &d.observations},
+                                  {"flipped_items", &d.flipped_items},
+                                  {"incorrect_items", &d.incorrect_items},
+                                  {"shots", &d.shots},
+                                  {"shots_lost", &d.shots_lost},
+                                  {"retries", &d.retries},
+                                  {"fault_events", &d.fault_events},
+                                  {"drift_comparisons", &d.drift_comparisons},
+                                  {"coverage_usable", &d.coverage_usable},
+                                  {"coverage_slots", &d.coverage_slots}},
+                                 kOptional))
+      return fail("device counts are not integers");
     d.label = str_or(dv, "label", "");
     if (!parse_health_status(str_or(dv, "status", "healthy"), &d.status)) {
       return fail("device " + d.label + " has an unknown status");
     }
-    d.observations = ll_or(dv, "observations", 0);
-    d.flipped_items = ll_or(dv, "flipped_items", 0);
-    d.incorrect_items = ll_or(dv, "incorrect_items", 0);
     d.flip_rate = num_or(dv, "flip_rate", 0.0);
-    d.shots = ll_or(dv, "shots", 0);
-    d.shots_lost = ll_or(dv, "shots_lost", 0);
-    d.retries = ll_or(dv, "retries", 0);
-    d.fault_events = ll_or(dv, "fault_events", 0);
     d.latency_p50_ms = num_or(dv, "latency_p50_ms", 0.0);
     d.latency_p99_ms = num_or(dv, "latency_p99_ms", 0.0);
-    d.drift_comparisons = ll_or(dv, "drift_comparisons", 0);
     d.drift_psnr_db_mean = num_or(dv, "drift_psnr_db_mean", 0.0);
-    d.coverage_usable = ll_or(dv, "coverage_usable", 0);
-    d.coverage_slots = ll_or(dv, "coverage_slots", -1);
     if (const JsonValue* windows = dv.find("windows");
         windows != nullptr && windows->is_array()) {
       for (const JsonValue& wv : windows->items) {
         if (!wv.is_object()) return fail("window entry is not an object");
         DeviceWindowStats s;
-        s.window = int_or(wv, "window", 0);
-        s.item_lo = int_or(wv, "item_lo", 0);
-        s.item_hi = int_or(wv, "item_hi", 0);
-        s.observations = ll_or(wv, "observations", 0);
-        s.flipped_items = ll_or(wv, "flipped_items", 0);
-        s.incorrect_items = ll_or(wv, "incorrect_items", 0);
+        if (!wv.read_ints<int>({{"window", &s.window},
+                                {"item_lo", &s.item_lo},
+                                {"item_hi", &s.item_hi},
+                                {"quarantine_item", &s.quarantine_item}},
+                               kOptional) ||
+            !wv.read_ints<long long>(
+                {{"observations", &s.observations},
+                 {"flipped_items", &s.flipped_items},
+                 {"incorrect_items", &s.incorrect_items},
+                 {"shots", &s.shots},
+                 {"shots_lost", &s.shots_lost},
+                 {"retries", &s.retries},
+                 {"fault_events", &s.fault_events},
+                 {"drift_comparisons", &s.drift_comparisons}},
+                kOptional))
+          return fail("window counts are not integers");
         s.flip_rate = num_or(wv, "flip_rate", 0.0);
-        s.shots = ll_or(wv, "shots", 0);
-        s.shots_lost = ll_or(wv, "shots_lost", 0);
-        s.retries = ll_or(wv, "retries", 0);
-        s.fault_events = ll_or(wv, "fault_events", 0);
         s.loss_rate = num_or(wv, "loss_rate", 0.0);
         s.retry_rate = num_or(wv, "retry_rate", 0.0);
         s.latency_p50_ms = num_or(wv, "latency_p50_ms", 0.0);
         s.latency_p99_ms = num_or(wv, "latency_p99_ms", 0.0);
         s.latency_max_ms = num_or(wv, "latency_max_ms", 0.0);
-        s.drift_comparisons = ll_or(wv, "drift_comparisons", 0);
         s.drift_psnr_db_mean = num_or(wv, "drift_psnr_db_mean", 0.0);
         s.drift_psnr_db_min = num_or(wv, "drift_psnr_db_min", 0.0);
         s.quarantined = bool_or(wv, "quarantined", false);
-        s.quarantine_item = int_or(wv, "quarantine_item", -1);
         d.windows.push_back(std::move(s));
       }
     }
@@ -574,8 +575,9 @@ bool parse_fleet(const JsonValue& doc, FleetDoc* out, std::string* error) {
       for (const JsonValue& tv : transitions->items) {
         if (!tv.is_object()) return fail("transition entry is not an object");
         StatusTransition t;
-        t.window = int_or(tv, "window", 0);
-        t.item_lo = int_or(tv, "item_lo", 0);
+        if (!tv.read_ints<int>(
+                {{"window", &t.window}, {"item_lo", &t.item_lo}}, kOptional))
+          return fail("transition window is not an integer");
         if (!parse_health_status(str_or(tv, "from", "healthy"), &t.from) ||
             !parse_health_status(str_or(tv, "to", "healthy"), &t.to)) {
           return fail("transition has an unknown status");
@@ -597,17 +599,20 @@ bool parse_fleet(const JsonValue& doc, FleetDoc* out, std::string* error) {
       if (!parse_severity(str_or(av, "severity", "warning"), &a.severity)) {
         return fail("alert " + a.rule + " has an unknown severity");
       }
-      a.device = int_or(av, "device", -1);
+      if (!av.read_ints<int>({{"device", &a.device},
+                              {"window", &a.window},
+                              {"item_lo", &a.item_lo},
+                              {"item_hi", &a.item_hi},
+                              {"item", &a.item}},
+                             kOptional) ||
+          !av.read_ints<long long>({{"numerator", &a.numerator},
+                                    {"denominator", &a.denominator}},
+                                   kOptional))
+        return fail("alert coordinates are not integers");
       a.device_label = str_or(av, "device_label", "");
-      a.window = int_or(av, "window", -1);
-      a.item_lo = int_or(av, "item_lo", 0);
-      a.item_hi = int_or(av, "item_hi", 0);
-      a.item = int_or(av, "item", -1);
       a.value = num_or(av, "value", 0.0);
       a.threshold = num_or(av, "threshold", 0.0);
       a.baseline = num_or(av, "baseline", 0.0);
-      a.numerator = ll_or(av, "numerator", 0);
-      a.denominator = ll_or(av, "denominator", 0);
       a.detail = str_or(av, "detail", "");
       report.alerts.record(std::move(a));
     }

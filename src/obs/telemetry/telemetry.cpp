@@ -48,11 +48,6 @@ const char* health_status_name(HealthStatus status) {
   return "unknown";
 }
 
-DeviceHealthRegistry& DeviceHealthRegistry::global() {
-  static DeviceHealthRegistry registry;
-  return registry;
-}
-
 void DeviceHealthRegistry::set_window_items(int items) {
   std::lock_guard<std::mutex> lock(mu_);
   window_items_ = std::max(1, items);
@@ -382,75 +377,78 @@ std::string DeviceHealthRegistry::serialize_state() const {
 }
 
 bool DeviceHealthRegistry::restore_state(const std::string& json) {
+  // Parse into locals and commit under the lock only once the whole
+  // document checked out, so a refused document changes nothing.
   auto doc = parse_json(json);
-  std::lock_guard<std::mutex> lock(mu_);
-  devices_.clear();
-  live_alerts_.store(0, std::memory_order_relaxed);
   if (!doc.has_value() || !doc->is_object()) return false;
   const JsonValue* format = doc->find("format");
   if (format == nullptr ||
       format->string_or("") != "edgestab-telemetry-state-v1")
     return false;
-  const auto as_ll = [](const JsonValue* v, long long fallback) {
-    return v != nullptr && v->is_number()
-               ? static_cast<long long>(v->number)
-               : fallback;
-  };
-  if (const JsonValue* w = doc->find("window_items"))
-    window_items_ = std::max(1, static_cast<int>(w->number_or(1)));
-  live_alerts_.store(as_ll(doc->find("live_alerts"), 0),
-                     std::memory_order_relaxed);
+  int window_items = 0;
+  long long live_alerts = 0;
+  if (!doc->read_int("window_items", &window_items) || window_items < 1 ||
+      !doc->read_int("live_alerts", &live_alerts))
+    return false;
   const JsonValue* devices = doc->find("devices");
   if (devices == nullptr || !devices->is_array()) return false;
+  std::map<int, DeviceState> restored;
   for (const JsonValue& dev : devices->items) {
-    if (!dev.is_object()) return false;
-    const int device = static_cast<int>(as_ll(dev.find("device"), 0));
-    DeviceState& state = devices_[device];
+    int device = 0;
+    if (!dev.is_object() || !dev.read_int("device", &device)) return false;
+    auto [slot, fresh_device] = restored.try_emplace(device);
+    if (!fresh_device) return false;  // duplicate device entry
+    DeviceState& state = slot->second;
     if (const JsonValue* label = dev.find("label"))
       state.label = label->string_or("");
-    state.coverage_usable = as_ll(dev.find("coverage_usable"), 0);
-    state.coverage_slots = as_ll(dev.find("coverage_slots"), -1);
+    if (!dev.read_int("coverage_usable", &state.coverage_usable) ||
+        !dev.read_int("coverage_slots", &state.coverage_slots))
+      return false;
     const JsonValue* windows = dev.find("windows");
     if (windows == nullptr || !windows->is_array()) return false;
     for (const JsonValue& win : windows->items) {
-      if (!win.is_object()) return false;
-      Bucket& b = state.windows[static_cast<int>(as_ll(win.find("window"), 0))];
-      b.observations = as_ll(win.find("observations"), 0);
-      b.flipped_items = as_ll(win.find("flipped_items"), 0);
-      b.incorrect_items = as_ll(win.find("incorrect_items"), 0);
-      b.shots = as_ll(win.find("shots"), 0);
-      b.shots_lost = as_ll(win.find("shots_lost"), 0);
-      b.retries = as_ll(win.find("retries"), 0);
-      b.fault_events = as_ll(win.find("fault_events"), 0);
-      if (const JsonValue* lat = win.find("latency_us");
-          lat != nullptr && lat->is_array()) {
-        b.latency_us.reserve(lat->items.size());
-        for (const JsonValue& us : lat->items)
-          b.latency_us.push_back(static_cast<long long>(us.number_or(0.0)));
+      int window = 0;
+      if (!win.is_object() || !win.read_int("window", &window)) return false;
+      auto [cell, fresh_window] = state.windows.try_emplace(window);
+      if (!fresh_window) return false;  // duplicate window entry
+      Bucket& b = cell->second;
+      if (!win.read_ints<long long>(
+              {{"observations", &b.observations},
+               {"flipped_items", &b.flipped_items},
+               {"incorrect_items", &b.incorrect_items},
+               {"shots", &b.shots},
+               {"shots_lost", &b.shots_lost},
+               {"retries", &b.retries},
+               {"fault_events", &b.fault_events},
+               {"drift_comparisons", &b.drift_comparisons},
+               {"drift_psnr_mdb_sum", &b.drift_psnr_mdb_sum},
+               {"drift_psnr_mdb_min", &b.drift_psnr_mdb_min}}) ||
+          !win.read_int("quarantine_item", &b.quarantine_item))
+        return false;
+      const JsonValue* lat = win.find("latency_us");
+      if (lat == nullptr || !lat->is_array()) return false;
+      b.latency_us.reserve(lat->items.size());
+      for (const JsonValue& us : lat->items) {
+        const std::optional<long long> v = us.as_int();
+        if (!v) return false;
+        b.latency_us.push_back(*v);
       }
-      b.drift_comparisons = as_ll(win.find("drift_comparisons"), 0);
-      b.drift_psnr_mdb_sum = as_ll(win.find("drift_psnr_mdb_sum"), 0);
-      b.drift_psnr_mdb_min = as_ll(win.find("drift_psnr_mdb_min"), 0);
       if (const JsonValue* q = win.find("quarantined"))
         b.quarantined = q->is_bool() && q->boolean;
-      b.quarantine_item = static_cast<int>(as_ll(win.find("quarantine_item"),
-                                                 -1));
       if (const JsonValue* f = win.find("live_loss_flagged"))
         b.live_loss_flagged = f->is_bool() && f->boolean;
     }
   }
+  std::lock_guard<std::mutex> lock(mu_);
+  window_items_ = window_items;
+  devices_ = std::move(restored);
+  live_alerts_.store(live_alerts, std::memory_order_relaxed);
   return true;
 }
 
 bool DeviceHealthRegistry::empty() const {
   std::lock_guard<std::mutex> lock(mu_);
   return devices_.empty();
-}
-
-void DeviceHealthRegistry::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  devices_.clear();
-  live_alerts_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace edgestab::obs

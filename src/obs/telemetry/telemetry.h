@@ -5,8 +5,8 @@
 // phenomenon: the same model diverges differently on each phone. The
 // tracing / drift / fault layers aggregate per run; this registry keeps
 // the books per device. While an experiment runs, hooks in the capture
-// rig, the delivery/resilience path and the experiment loops feed one
-// `DeviceHealthRegistry` singleton with per-shot facts (prediction
+// rig, the delivery/resilience path and the experiment loops feed the
+// run session's `DeviceHealthRegistry` with per-shot facts (prediction
 // flips, per-stage drift magnitude, synthetic delivery latency,
 // fault/loss/retry counters, coverage), which it folds into rolling
 // item-index windows per device. The anomaly engine (telemetry/anomaly.h)
@@ -139,7 +139,7 @@ struct FleetHealthSnapshot {
   bool empty() const { return devices.empty(); }
 };
 
-/// Process-wide per-device health registry. Hooks are thread-safe
+/// Per-device health registry, one per run session. Hooks are thread-safe
 /// (mutex-serialized; a disabled registry costs one relaxed atomic
 /// load) and commutative, so parallel lanes may record in any order.
 class DeviceHealthRegistry {
@@ -153,6 +153,7 @@ class DeviceHealthRegistry {
   /// anomaly engine's ledger is authoritative).
   static constexpr long long kLiveLossAlertShots = 4;
 
+  /// The current session's registry (obs/session.h).
   static DeviceHealthRegistry& global();
 
   DeviceHealthRegistry() = default;
@@ -221,9 +222,10 @@ class DeviceHealthRegistry {
   /// half a window's samples already folded).
   std::string serialize_state() const;
 
-  /// Replace the registry contents from serialize_state() output;
-  /// enabled() and the window width survive a malformed document but
-  /// the contents are cleared. Returns false on malformed input.
+  /// Replace the registry contents (window width included) from
+  /// serialize_state() output. All or nothing: a malformed document —
+  /// any missing member or non-integer count — returns false and leaves
+  /// the registry exactly as it was. enabled() is never touched.
   bool restore_state(const std::string& json);
 
   /// Cheap running alert estimate for the progress heartbeat:
@@ -234,10 +236,6 @@ class DeviceHealthRegistry {
   }
 
   bool empty() const;
-
-  /// Drop all accumulated state; leaves enabled() untouched (mirrors
-  /// DriftAuditor::clear so --repeats warm-ups can reset between runs).
-  void clear();
 
  private:
   /// Integer-quantized per-(device, window) aggregates. Every fold is
@@ -276,8 +274,8 @@ class DeviceHealthRegistry {
   std::map<int, DeviceState> devices_;
 };
 
-/// True when the global registry is enabled — the one-line guard every
-/// hook site uses.
+/// True when the current session's registry is enabled — the one-line
+/// guard every hook site uses.
 inline bool telemetry_enabled() {
   return DeviceHealthRegistry::global().enabled();
 }

@@ -19,23 +19,6 @@ int latency_bucket(long long us) {
   return std::bit_width(static_cast<unsigned long long>(us)) - 1;
 }
 
-bool parse_string_array(const JsonValue* v, std::vector<std::string>* out) {
-  if (v == nullptr || !v->is_array()) return false;
-  out->clear();
-  out->reserve(v->items.size());
-  for (const JsonValue& s : v->items) {
-    if (!s.is_string()) return false;
-    out->push_back(s.string);
-  }
-  return true;
-}
-
-void write_string_array(JsonWriter& w, const std::vector<std::string>& v) {
-  w.begin_array();
-  for (const std::string& s : v) w.value(s);
-  w.end_array();
-}
-
 }  // namespace
 
 const char* timeline_census_name(int state) {
@@ -46,11 +29,6 @@ const char* timeline_census_name(int state) {
     case 3: return "sticky";
     default: return "unknown";
   }
-}
-
-TimelineRecorder& TimelineRecorder::global() {
-  static TimelineRecorder recorder;
-  return recorder;
 }
 
 void TimelineRecorder::set_epoch_slots(int slots) {
@@ -196,12 +174,9 @@ std::string TimelineRecorder::serialize_state() const {
   w.key("format").value(kStateFormat);
   w.key("epoch_slots").value(epoch_slots());
   w.key("trace_sample_ppm").value(static_cast<std::int64_t>(trace_sample_ppm()));
-  w.key("stages");
-  write_string_array(w, stages_);
-  w.key("classes");
-  write_string_array(w, classes_);
-  w.key("outcomes");
-  write_string_array(w, outcomes_);
+  timeline_names_json(w, "stages", stages_);
+  timeline_names_json(w, "classes", classes_);
+  timeline_names_json(w, "outcomes", outcomes_);
   w.key("device_state").begin_array();
   for (int s : device_state_) w.value(s);
   w.end_array();
@@ -233,44 +208,48 @@ bool TimelineRecorder::restore_state(const std::string& json) {
 
   // The epoch length and sample rate shape every bucket downstream; a
   // resume under different knobs would splice two incompatible series.
-  const JsonValue* epoch_slots = doc->find("epoch_slots");
-  const JsonValue* ppm = doc->find("trace_sample_ppm");
-  if (epoch_slots == nullptr || !epoch_slots->is_number()) return false;
-  if (ppm == nullptr || !ppm->is_number()) return false;
-  if (static_cast<int>(epoch_slots->number) != this->epoch_slots()) {
+  int epoch_slots = 0;
+  long long ppm = 0;
+  if (!doc->read_int("epoch_slots", &epoch_slots) ||
+      !doc->read_int("trace_sample_ppm", &ppm) ||
+      epoch_slots != this->epoch_slots() || ppm != trace_sample_ppm()) {
     return false;
   }
-  if (static_cast<long long>(ppm->number) != trace_sample_ppm()) return false;
 
   std::vector<std::string> stages;
   std::vector<std::string> classes;
   std::vector<std::string> outcomes;
-  if (!parse_string_array(doc->find("stages"), &stages)) return false;
-  if (!parse_string_array(doc->find("classes"), &classes)) return false;
-  if (!parse_string_array(doc->find("outcomes"), &outcomes)) return false;
+  if (!parse_timeline_names(doc->find("stages"), &stages)) return false;
+  if (!parse_timeline_names(doc->find("classes"), &classes)) return false;
+  if (!parse_timeline_names(doc->find("outcomes"), &outcomes)) return false;
 
   const JsonValue* device_state = doc->find("device_state");
   if (device_state == nullptr || !device_state->is_array()) return false;
   std::vector<int> devices;
   devices.reserve(device_state->items.size());
   for (const JsonValue& s : device_state->items) {
-    if (!s.is_number()) return false;
-    devices.push_back(static_cast<int>(s.number));
+    const std::optional<int> state = s.as_int<int>();
+    if (!state) return false;
+    devices.push_back(*state);
   }
 
-  const JsonValue* slots_seen = doc->find("slots_seen");
-  const JsonValue* dropped = doc->find("traces_dropped");
-  if (slots_seen == nullptr || !slots_seen->is_number()) return false;
-  if (dropped == nullptr || !dropped->is_number()) return false;
+  long long slots_seen = 0;
+  long long dropped = 0;
+  if (!doc->read_int("slots_seen", &slots_seen) ||
+      !doc->read_int("traces_dropped", &dropped)) {
+    return false;
+  }
 
-  const JsonValue* epochs_v = doc->find("epochs");
-  if (epochs_v == nullptr || !epochs_v->is_array()) return false;
   std::vector<TimelineEpoch> epochs;
-  epochs.reserve(epochs_v->items.size());
-  for (const JsonValue& e : epochs_v->items) {
-    TimelineEpoch parsed;
-    if (!parse_timeline_epoch(e, &parsed)) return false;
-    epochs.push_back(std::move(parsed));
+  std::vector<BreakerTransition> transitions;
+  std::vector<ShotTrace> traces;
+  if (!parse_timeline_list(doc->find("epochs"), parse_timeline_epoch,
+                           &epochs) ||
+      !parse_timeline_list(doc->find("transitions"),
+                           parse_timeline_transition, &transitions) ||
+      !parse_timeline_list(doc->find("traces"), parse_timeline_trace,
+                           &traces)) {
+    return false;
   }
 
   const JsonValue* open_active = doc->find("open_active");
@@ -283,25 +262,6 @@ bool TimelineRecorder::restore_state(const std::string& json) {
     }
   }
 
-  const JsonValue* transitions_v = doc->find("transitions");
-  if (transitions_v == nullptr || !transitions_v->is_array()) return false;
-  std::vector<BreakerTransition> transitions;
-  transitions.reserve(transitions_v->items.size());
-  for (const JsonValue& t : transitions_v->items) {
-    BreakerTransition parsed;
-    if (!parse_timeline_transition(t, &parsed)) return false;
-    transitions.push_back(std::move(parsed));
-  }
-
-  const JsonValue* traces_v = doc->find("traces");
-  if (traces_v == nullptr || !traces_v->is_array()) return false;
-  std::vector<ShotTrace> traces;
-  traces.reserve(traces_v->items.size());
-  for (const JsonValue& t : traces_v->items) {
-    ShotTrace parsed;
-    if (!parse_timeline_trace(t, &parsed)) return false;
-    traces.push_back(std::move(parsed));
-  }
 
   std::lock_guard<std::mutex> lock(mu_);
   // The name tables and the fleet size begin_run registered shape every
@@ -312,8 +272,8 @@ bool TimelineRecorder::restore_state(const std::string& json) {
     return false;
   }
   device_state_ = std::move(devices);
-  slots_seen_ = static_cast<long long>(slots_seen->number);
-  traces_dropped_ = static_cast<long long>(dropped->number);
+  slots_seen_ = slots_seen;
+  traces_dropped_ = dropped;
   epochs_ = std::move(epochs);
   open_active_ = open_active->boolean;
   open_ = open_active_ ? std::move(open) : TimelineEpoch{};
@@ -326,21 +286,6 @@ bool TimelineRecorder::empty() const {
   std::lock_guard<std::mutex> lock(mu_);
   return epochs_.empty() && !open_active_ && transitions_.empty() &&
          slots_seen_ == 0;
-}
-
-void TimelineRecorder::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  stages_.clear();
-  classes_.clear();
-  outcomes_.clear();
-  device_state_.clear();
-  slots_seen_ = 0;
-  epochs_.clear();
-  open_ = TimelineEpoch{};
-  open_active_ = false;
-  transitions_.clear();
-  traces_.clear();
-  traces_dropped_ = 0;
 }
 
 }  // namespace edgestab::obs

@@ -4,8 +4,8 @@
 // PR 9's soak observability is end-of-run aggregates: a run that
 // degrades halfway through (breaker storm, queue saturation, shed
 // burst) is indistinguishable from one that was mildly bad throughout.
-// The timeline supplies the *when*: the serial aggregator feeds one
-// TimelineRecorder singleton in fold order, and the recorder buckets
+// The timeline supplies the *when*: the serial aggregator feeds the run
+// session's TimelineRecorder in fold order, and the recorder buckets
 // everything into **fold epochs** — every `epoch_slots` aggregator-
 // folded slots close one epoch. Epochs are counted in folded slots,
 // never wall clock, so the series is bit-identical at any --threads
@@ -131,7 +131,7 @@ struct TimelineDoc {
   bool empty() const { return epochs.empty() && transitions.empty(); }
 };
 
-/// Process-wide timeline recorder. All record hooks are called serially
+/// Timeline recorder, one per run session. All record hooks are called serially
 /// from the streaming aggregator in fold order; the mutex exists so
 /// snapshot/serialize from another thread is safe, not to make folds
 /// commutative (they are order-dependent by design — fold order IS the
@@ -146,6 +146,7 @@ class TimelineRecorder {
   /// identical at any thread count) increments traces_dropped.
   static constexpr std::size_t kTraceCap = 512;
 
+  /// The current session's recorder (obs/session.h).
   static TimelineRecorder& global();
 
   TimelineRecorder() = default;
@@ -216,11 +217,6 @@ class TimelineRecorder {
 
   bool empty() const;
 
-  /// Drop all accumulated state and name tables; keeps enabled() and
-  /// the knob values (mirrors DeviceHealthRegistry::clear so --repeats
-  /// warm-ups can reset between runs).
-  void clear();
-
  private:
   TimelineEpoch& open_epoch();
   void close_epoch();
@@ -245,8 +241,8 @@ class TimelineRecorder {
   long long traces_dropped_ = 0;
 };
 
-/// True when the global recorder is enabled — the one-line guard every
-/// hook site uses.
+/// True when the current session's recorder is enabled — the one-line
+/// guard every hook site uses.
 inline bool timeline_enabled() {
   return TimelineRecorder::global().enabled();
 }

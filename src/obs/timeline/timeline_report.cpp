@@ -38,27 +38,32 @@ void appendf(std::string& out, const char* fmt, ...) {
   out += buf;
 }
 
-bool parse_ll(const JsonValue* v, long long* out) {
-  if (v == nullptr || !v->is_number()) return false;
-  *out = static_cast<long long>(v->number);
+/// A JSON array of exactly `n` integers (n == 0: any length) into
+/// `*out`, each through JsonValue::as_int.
+bool parse_ints(const JsonValue* v, std::vector<long long>* out,
+                std::size_t n = 0) {
+  if (v == nullptr || !v->is_array() || (n > 0 && v->items.size() != n))
+    return false;
+  out->clear();
+  for (const JsonValue& item : v->items) {
+    const std::optional<long long> i = item.as_int();
+    if (!i) return false;
+    out->push_back(*i);
+  }
   return true;
 }
 
-bool parse_int(const JsonValue* v, int* out) {
-  long long ll = 0;
-  if (!parse_ll(v, &ll)) return false;
-  *out = static_cast<int>(ll);
-  return true;
-}
+}  // namespace
 
-void write_names(JsonWriter& w, const char* key,
-                 const std::vector<std::string>& names) {
+void timeline_names_json(JsonWriter& w, const char* key,
+                         const std::vector<std::string>& names) {
   w.key(key).begin_array();
   for (const std::string& n : names) w.value(n);
   w.end_array();
 }
 
-bool parse_names(const JsonValue* v, std::vector<std::string>* out) {
+bool parse_timeline_names(const JsonValue* v,
+                          std::vector<std::string>* out) {
   if (v == nullptr || !v->is_array()) return false;
   out->clear();
   for (const JsonValue& s : v->items) {
@@ -67,8 +72,6 @@ bool parse_names(const JsonValue* v, std::vector<std::string>* out) {
   }
   return true;
 }
-
-}  // namespace
 
 void timeline_epoch_json(JsonWriter& w, const TimelineEpoch& e) {
   w.begin_object();
@@ -107,48 +110,29 @@ void timeline_epoch_json(JsonWriter& w, const TimelineEpoch& e) {
 bool parse_timeline_epoch(const JsonValue& v, TimelineEpoch* out) {
   if (!v.is_object()) return false;
   TimelineEpoch e;
-  if (!parse_ll(v.find("epoch"), &e.index)) return false;
-  if (!parse_int(v.find("slots"), &e.slots)) return false;
-  const JsonValue* outcomes = v.find("outcomes");
-  if (outcomes == nullptr || !outcomes->is_array()) return false;
-  for (const JsonValue& c : outcomes->items) {
-    if (!c.is_number()) return false;
-    e.outcomes.push_back(static_cast<long long>(c.number));
-  }
+  if (!v.read_int("epoch", &e.index)) return false;
+  if (!v.read_int("slots", &e.slots)) return false;
+  if (!parse_ints(v.find("outcomes"), &e.outcomes)) return false;
   const JsonValue* hists = v.find("latency_hist");
   if (hists == nullptr || !hists->is_array()) return false;
+  std::vector<long long> pair;
   for (const JsonValue& cls : hists->items) {
     if (!cls.is_array()) return false;
     std::map<int, long long> hist;
-    for (const JsonValue& pair : cls.items) {
-      if (!pair.is_array() || pair.items.size() != 2 ||
-          !pair.items[0].is_number() || !pair.items[1].is_number()) {
+    for (const JsonValue& p : cls.items) {
+      if (!parse_ints(&p, &pair, 2) || pair[0] != static_cast<int>(pair[0]))
         return false;
-      }
-      hist[static_cast<int>(pair.items[0].number)] =
-          static_cast<long long>(pair.items[1].number);
+      hist[static_cast<int>(pair[0])] = pair[1];
     }
     e.latency_hist.push_back(std::move(hist));
   }
-  const JsonValue* census = v.find("census");
-  if (census == nullptr || !census->is_array()) return false;
-  for (const JsonValue& c : census->items) {
-    if (!c.is_number()) return false;
-    e.census.push_back(static_cast<long long>(c.number));
-  }
+  if (!parse_ints(v.find("census"), &e.census)) return false;
   const JsonValue* queues = v.find("queues");
   if (queues == nullptr || !queues->is_array()) return false;
-  for (const JsonValue& lane : queues->items) {
-    if (!lane.is_array() || lane.items.size() != 3 ||
-        !lane.items[0].is_number() || !lane.items[1].is_number() ||
-        !lane.items[2].is_number()) {
-      return false;
-    }
-    TimelineEpoch::QueueLane q;
-    q.min = static_cast<long long>(lane.items[0].number);
-    q.max = static_cast<long long>(lane.items[1].number);
-    q.sum = static_cast<long long>(lane.items[2].number);
-    e.queues.push_back(q);
+  std::vector<long long> lane;
+  for (const JsonValue& l : queues->items) {
+    if (!parse_ints(&l, &lane, 3)) return false;
+    e.queues.push_back({lane[0], lane[1], lane[2]});
   }
   *out = std::move(e);
   return true;
@@ -168,11 +152,11 @@ void timeline_transition_json(JsonWriter& w, const BreakerTransition& t) {
 bool parse_timeline_transition(const JsonValue& v, BreakerTransition* out) {
   if (!v.is_object()) return false;
   BreakerTransition t;
-  if (!parse_int(v.find("device"), &t.device)) return false;
-  if (!parse_ll(v.find("epoch"), &t.epoch)) return false;
-  if (!parse_ll(v.find("slot"), &t.slot)) return false;
-  if (!parse_int(v.find("from"), &t.from)) return false;
-  if (!parse_int(v.find("to"), &t.to)) return false;
+  if (!v.read_int("device", &t.device)) return false;
+  if (!v.read_int("epoch", &t.epoch)) return false;
+  if (!v.read_int("slot", &t.slot)) return false;
+  if (!v.read_int("from", &t.from)) return false;
+  if (!v.read_int("to", &t.to)) return false;
   const JsonValue* cause = v.find("cause");
   if (cause == nullptr || !cause->is_string()) return false;
   t.cause = cause->string;
@@ -205,25 +189,23 @@ void timeline_trace_json(JsonWriter& w, const ShotTrace& t) {
 bool parse_timeline_trace(const JsonValue& v, ShotTrace* out) {
   if (!v.is_object()) return false;
   ShotTrace t;
-  if (!parse_ll(v.find("g"), &t.g)) return false;
-  if (!parse_ll(v.find("slot"), &t.slot)) return false;
-  if (!parse_int(v.find("device"), &t.device)) return false;
-  if (!parse_int(v.find("class"), &t.cls)) return false;
-  if (!parse_int(v.find("outcome"), &t.outcome)) return false;
-  if (!parse_ll(v.find("queue_wait_us"), &t.queue_wait_us)) return false;
-  if (!parse_ll(v.find("service_us"), &t.service_us)) return false;
-  if (!parse_ll(v.find("backoff_us"), &t.backoff_us)) return false;
-  if (!parse_ll(v.find("delivery_us"), &t.delivery_us)) return false;
+  if (!v.read_int("g", &t.g)) return false;
+  if (!v.read_int("slot", &t.slot)) return false;
+  if (!v.read_int("device", &t.device)) return false;
+  if (!v.read_int("class", &t.cls)) return false;
+  if (!v.read_int("outcome", &t.outcome)) return false;
+  if (!v.read_int("queue_wait_us", &t.queue_wait_us)) return false;
+  if (!v.read_int("service_us", &t.service_us)) return false;
+  if (!v.read_int("backoff_us", &t.backoff_us)) return false;
+  if (!v.read_int("delivery_us", &t.delivery_us)) return false;
   const JsonValue* attempts = v.find("attempts");
   if (attempts == nullptr || !attempts->is_array()) return false;
+  std::vector<long long> pair;
   for (const JsonValue& a : attempts->items) {
-    if (!a.is_array() || a.items.size() != 2 || !a.items[0].is_number() ||
-        !a.items[1].is_number()) {
-      return false;
-    }
+    if (!parse_ints(&a, &pair, 2)) return false;
     TraceAttempt attempt;
-    attempt.backoff_us = static_cast<long long>(a.items[0].number);
-    attempt.service_us = static_cast<long long>(a.items[1].number);
+    attempt.backoff_us = pair[0];
+    attempt.service_us = pair[1];
     t.attempts.push_back(attempt);
   }
   *out = std::move(t);
@@ -295,9 +277,9 @@ std::string timeline_json(const TimelineDoc& doc) {
   w.key("trace_sample_ppm")
       .value(static_cast<std::int64_t>(doc.trace_sample_ppm));
   w.key("slots_total").value(static_cast<std::int64_t>(doc.slots_total));
-  write_names(w, "stages", doc.stages);
-  write_names(w, "classes", doc.classes);
-  write_names(w, "outcomes", doc.outcomes);
+  timeline_names_json(w, "stages", doc.stages);
+  timeline_names_json(w, "classes", doc.classes);
+  timeline_names_json(w, "outcomes", doc.outcomes);
   w.key("census_states").begin_array();
   for (int s = 0; s < kTimelineCensusStates; ++s) {
     w.value(timeline_census_name(s));
@@ -337,50 +319,37 @@ bool parse_timeline(const std::string& text, TimelineDoc* out,
   const JsonValue* bench = v->find("bench");
   if (bench == nullptr || !bench->is_string()) return fail("missing bench");
   doc.bench = bench->string;
-  if (!parse_int(v->find("epoch_slots"), &doc.epoch_slots)) {
+  if (!v->read_int("epoch_slots", &doc.epoch_slots)) {
     return fail("missing epoch_slots");
   }
-  if (!parse_ll(v->find("trace_sample_ppm"), &doc.trace_sample_ppm)) {
+  if (!v->read_int("trace_sample_ppm", &doc.trace_sample_ppm)) {
     return fail("missing trace_sample_ppm");
   }
-  if (!parse_ll(v->find("slots_total"), &doc.slots_total)) {
+  if (!v->read_int("slots_total", &doc.slots_total)) {
     return fail("missing slots_total");
   }
-  if (!parse_names(v->find("stages"), &doc.stages)) {
+  if (!parse_timeline_names(v->find("stages"), &doc.stages)) {
     return fail("missing stages");
   }
-  if (!parse_names(v->find("classes"), &doc.classes)) {
+  if (!parse_timeline_names(v->find("classes"), &doc.classes)) {
     return fail("missing classes");
   }
-  if (!parse_names(v->find("outcomes"), &doc.outcomes)) {
+  if (!parse_timeline_names(v->find("outcomes"), &doc.outcomes)) {
     return fail("missing outcomes");
   }
-  const JsonValue* epochs = v->find("epochs");
-  if (epochs == nullptr || !epochs->is_array()) return fail("missing epochs");
-  for (const JsonValue& e : epochs->items) {
-    TimelineEpoch parsed;
-    if (!parse_timeline_epoch(e, &parsed)) return fail("malformed epoch");
-    doc.epochs.push_back(std::move(parsed));
+  if (!parse_timeline_list(v->find("epochs"), parse_timeline_epoch,
+                           &doc.epochs)) {
+    return fail("missing or malformed epochs");
   }
-  const JsonValue* transitions = v->find("transitions");
-  if (transitions == nullptr || !transitions->is_array()) {
-    return fail("missing transitions");
+  if (!parse_timeline_list(v->find("transitions"), parse_timeline_transition,
+                           &doc.transitions)) {
+    return fail("missing or malformed transitions");
   }
-  for (const JsonValue& t : transitions->items) {
-    BreakerTransition parsed;
-    if (!parse_timeline_transition(t, &parsed)) {
-      return fail("malformed transition");
-    }
-    doc.transitions.push_back(std::move(parsed));
+  if (!parse_timeline_list(v->find("traces"), parse_timeline_trace,
+                           &doc.traces)) {
+    return fail("missing or malformed traces");
   }
-  const JsonValue* traces = v->find("traces");
-  if (traces == nullptr || !traces->is_array()) return fail("missing traces");
-  for (const JsonValue& t : traces->items) {
-    ShotTrace parsed;
-    if (!parse_timeline_trace(t, &parsed)) return fail("malformed trace");
-    doc.traces.push_back(std::move(parsed));
-  }
-  if (!parse_ll(v->find("traces_dropped"), &doc.traces_dropped)) {
+  if (!v->read_int("traces_dropped", &doc.traces_dropped)) {
     return fail("missing traces_dropped");
   }
   *out = std::move(doc);

@@ -54,11 +54,27 @@ std::uint64_t write_timeline_report(const TimelineDoc& doc,
 // Shared element codecs — used by timeline_json and by the recorder's
 // checkpoint state serialization (edgestab-timeline-state-v1), so the
 // two documents cannot drift apart.
+void timeline_names_json(JsonWriter& w, const char* key,
+                         const std::vector<std::string>& names);
+bool parse_timeline_names(const JsonValue* v, std::vector<std::string>* out);
 void timeline_epoch_json(JsonWriter& w, const TimelineEpoch& e);
 bool parse_timeline_epoch(const JsonValue& v, TimelineEpoch* out);
 void timeline_transition_json(JsonWriter& w, const BreakerTransition& t);
 bool parse_timeline_transition(const JsonValue& v, BreakerTransition* out);
 void timeline_trace_json(JsonWriter& w, const ShotTrace& t);
 bool parse_timeline_trace(const JsonValue& v, ShotTrace* out);
+
+/// Every element of the JSON array `v` through `parse` into `*out`;
+/// false when `v` is not an array or any element fails.
+template <typename T>
+bool parse_timeline_list(const JsonValue* v,
+                         bool (*parse)(const JsonValue&, T*),
+                         std::vector<T>* out) {
+  if (v == nullptr || !v->is_array()) return false;
+  out->assign(v->items.size(), T{});
+  for (std::size_t i = 0; i < out->size(); ++i)
+    if (!parse(v->items[i], &(*out)[i])) return false;
+  return true;
+}
 
 }  // namespace edgestab::obs

@@ -4,6 +4,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 
 #ifndef _WIN32
 #include <unistd.h>
@@ -36,17 +37,6 @@ bool parse_u64_hex(const JsonValue* v, std::uint64_t* out) {
     return false;
   *out = parsed;
   return true;
-}
-
-long long ll_or(const JsonValue* v, long long fallback) {
-  return v != nullptr && v->is_number()
-             ? static_cast<long long>(v->number)
-             : fallback;
-}
-
-int int_or(const JsonValue* v, int fallback) {
-  return v != nullptr && v->is_number() ? static_cast<int>(v->number)
-                                        : fallback;
 }
 
 void write_aggregate(JsonWriter& w, const AggregateState& agg) {
@@ -107,50 +97,55 @@ void write_aggregate(JsonWriter& w, const AggregateState& agg) {
 
 bool parse_aggregate(const JsonValue& v, AggregateState* out) {
   if (!v.is_object()) return false;
-  out->slots_folded = ll_or(v.find("slots_folded"), 0);
-  out->shots_folded = ll_or(v.find("shots_folded"), 0);
-  out->ok = ll_or(v.find("ok"), 0);
-  out->correct = ll_or(v.find("correct"), 0);
-  out->shed = ll_or(v.find("shed"), 0);
-  out->rejected = ll_or(v.find("rejected"), 0);
-  out->timeouts = ll_or(v.find("timeouts"), 0);
-  out->capture_lost = ll_or(v.find("capture_lost"), 0);
-  out->decode_lost = ll_or(v.find("decode_lost"), 0);
-  out->fault_events = ll_or(v.find("fault_events"), 0);
-  out->retries = ll_or(v.find("retries"), 0);
-  out->slots_fully_covered = ll_or(v.find("slots_fully_covered"), 0);
-  out->slots_degraded = ll_or(v.find("slots_degraded"), 0);
-  out->slots_lost = ll_or(v.find("slots_lost"), 0);
-  out->slots_observed = ll_or(v.find("slots_observed"), 0);
-  out->unstable_slots = ll_or(v.find("unstable_slots"), 0);
-  out->all_correct_slots = ll_or(v.find("all_correct_slots"), 0);
-  out->all_incorrect_slots = ll_or(v.find("all_incorrect_slots"), 0);
-  if (!parse_u64_hex(v.find("digest_chain"), &out->digest_chain))
+  AggregateState& a = *out;
+  if (!v.read_ints<long long>(
+          {{"slots_folded", &a.slots_folded},
+              {"shots_folded", &a.shots_folded},
+              {"ok", &a.ok},
+              {"correct", &a.correct},
+              {"shed", &a.shed},
+              {"rejected", &a.rejected},
+              {"timeouts", &a.timeouts},
+              {"capture_lost", &a.capture_lost},
+              {"decode_lost", &a.decode_lost},
+              {"fault_events", &a.fault_events},
+              {"retries", &a.retries},
+              {"slots_fully_covered", &a.slots_fully_covered},
+              {"slots_degraded", &a.slots_degraded},
+              {"slots_lost", &a.slots_lost},
+              {"slots_observed", &a.slots_observed},
+              {"unstable_slots", &a.unstable_slots},
+              {"all_correct_slots", &a.all_correct_slots},
+              {"all_incorrect_slots", &a.all_incorrect_slots}}))
+    return false;
+  if (!parse_u64_hex(v.find("digest_chain"), &a.digest_chain))
     return false;
   const JsonValue* hist = v.find("latency_hist_100us");
   if (hist == nullptr || !hist->is_array()) return false;
-  out->latency_hist_100us.clear();
+  a.latency_hist_100us.clear();
   for (const JsonValue& entry : hist->items) {
     if (!entry.is_array() || entry.items.size() != 2) return false;
-    out->latency_hist_100us[static_cast<long long>(
-        entry.items[0].number_or(0.0))] =
-        static_cast<long long>(entry.items[1].number_or(0.0));
+    const std::optional<long long> bucket = entry.items[0].as_int(),
+                                   count = entry.items[1].as_int();
+    if (!bucket || !count) return false;
+    a.latency_hist_100us[*bucket] = *count;
   }
   const JsonValue* devices = v.find("devices");
   if (devices == nullptr || !devices->is_array()) return false;
-  out->devices.clear();
+  a.devices.clear();
   for (const JsonValue& dv : devices->items) {
     if (!dv.is_object()) return false;
     DeviceAggregate d;
-    d.ok = ll_or(dv.find("ok"), 0);
-    d.correct = ll_or(dv.find("correct"), 0);
-    d.shed = ll_or(dv.find("shed"), 0);
-    d.rejected = ll_or(dv.find("rejected"), 0);
-    d.timeouts = ll_or(dv.find("timeouts"), 0);
-    d.capture_lost = ll_or(dv.find("capture_lost"), 0);
-    d.decode_lost = ll_or(dv.find("decode_lost"), 0);
-    d.latency_us_sum = ll_or(dv.find("latency_us_sum"), 0);
-    out->devices.push_back(d);
+    if (!dv.read_ints<long long>({{"ok", &d.ok},
+                                   {"correct", &d.correct},
+                                   {"shed", &d.shed},
+                                   {"rejected", &d.rejected},
+                                   {"timeouts", &d.timeouts},
+                                   {"capture_lost", &d.capture_lost},
+                                   {"decode_lost", &d.decode_lost},
+                                   {"latency_us_sum", &d.latency_us_sum}}))
+      return false;
+    a.devices.push_back(d);
   }
   return true;
 }
@@ -179,27 +174,27 @@ void write_scheduler(JsonWriter& w, const SchedulerState& sched) {
 }
 
 bool parse_scheduler(const JsonValue& v, SchedulerState* out) {
-  if (!v.is_object()) return false;
-  out->next_shot = ll_or(v.find("next_shot"), 0);
+  if (!v.is_object() || !v.read_int("next_shot", &out->next_shot))
+    return false;
   const JsonValue* devices = v.find("devices");
   if (devices == nullptr || !devices->is_array()) return false;
   out->devices.clear();
   for (const JsonValue& dv : devices->items) {
     if (!dv.is_object()) return false;
     DeviceSchedState d;
-    d.breaker.state = int_or(dv.find("state"), 0);
-    d.breaker.consecutive_timeouts =
-        int_or(dv.find("consecutive_timeouts"), 0);
-    d.breaker.cooldown_left = int_or(dv.find("cooldown_left"), 0);
-    d.breaker.probe_successes = int_or(dv.find("probe_successes"), 0);
-    d.breaker.probe_rounds = int_or(dv.find("probe_rounds"), 0);
+    BreakerSnapshot& b = d.breaker;
+    if (!dv.read_ints<int>({{"state", &b.state},
+                             {"consecutive_timeouts", &b.consecutive_timeouts},
+                             {"cooldown_left", &b.cooldown_left},
+                             {"probe_successes", &b.probe_successes},
+                             {"probe_rounds", &b.probe_rounds}}) ||
+        !dv.read_ints<long long>({{"opens", &b.opens},
+                                   {"closes", &b.closes},
+                                   {"rejects", &b.rejects},
+                                   {"backlog_us", &d.backlog_us}}))
+      return false;
     const JsonValue* sticky = dv.find("sticky");
-    d.breaker.sticky = sticky != nullptr && sticky->is_bool() &&
-                       sticky->boolean;
-    d.breaker.opens = ll_or(dv.find("opens"), 0);
-    d.breaker.closes = ll_or(dv.find("closes"), 0);
-    d.breaker.rejects = ll_or(dv.find("rejects"), 0);
-    d.backlog_us = ll_or(dv.find("backlog_us"), 0);
+    b.sticky = sticky != nullptr && sticky->is_bool() && sticky->boolean;
     out->devices.push_back(d);
   }
   return true;
@@ -254,8 +249,8 @@ bool parse_checkpoint(const std::string& json, ServiceCheckpoint* out,
     set_error(error, "bad config_digest");
     return false;
   }
-  ckpt.slot = ll_or(doc->find("slot"), -1);
-  if (ckpt.slot < 0) {
+  ckpt.slot = -1;
+  if (!doc->read_int("slot", &ckpt.slot) || ckpt.slot < 0) {
     set_error(error, "bad slot");
     return false;
   }
@@ -279,16 +274,17 @@ bool parse_checkpoint(const std::string& json, ServiceCheckpoint* out,
       set_error(error, "bad ledger event row");
       return false;
     }
-    obs::FaultEvent e;
-    e.kind = static_cast<obs::FaultEventKind>(
-        static_cast<int>(ev.items[0].number_or(0.0)));
-    e.device = static_cast<int>(ev.items[1].number_or(0.0));
-    e.item = static_cast<int>(ev.items[2].number_or(0.0));
-    e.shot = static_cast<int>(ev.items[3].number_or(0.0));
-    e.attempt = static_cast<int>(ev.items[4].number_or(0.0));
-    e.recovered = ev.items[5].is_bool() && ev.items[5].boolean;
-    e.detail = ev.items[6].number_or(0.0);
-    ckpt.ledger_events.push_back(e);
+    std::optional<int> f[5];
+    for (int i = 0; i < 5; ++i) f[i] = ev.items[i].as_int<int>();
+    if (!f[0] || !f[1] || !f[2] || !f[3] || !f[4] || *f[0] < 0 ||
+        *f[0] > static_cast<int>(obs::FaultEventKind::kBreakerClose)) {
+      set_error(error, "bad ledger event row");
+      return false;
+    }
+    ckpt.ledger_events.push_back(
+        {static_cast<obs::FaultEventKind>(*f[0]), *f[1], *f[2], *f[3], *f[4],
+         ev.items[5].is_bool() && ev.items[5].boolean,
+         ev.items[6].number_or(0.0)});
   }
   const JsonValue* telemetry = doc->find("telemetry_state");
   if (telemetry == nullptr || !telemetry->is_string()) {

@@ -116,9 +116,7 @@ struct Stage {
   int workers;
 };
 
-/// Wall-clock-side live state for the progress heartbeat. The status
-/// source is a plain function pointer, so the installed instance lives
-/// behind a file-scope pointer for the duration of the run.
+/// Wall-clock-side live state for the progress heartbeat.
 struct LiveStatus {
   const std::vector<Stage>* stages = nullptr;
   std::atomic<long long> shed{0};
@@ -127,17 +125,13 @@ struct LiveStatus {
   int epoch_slots = 0;  ///< 0 when the timeline is unarmed
 };
 
-LiveStatus* g_live = nullptr;
-
-std::string live_status_text() {
-  LiveStatus* live = g_live;
-  if (live == nullptr) return "";
+std::string live_status_text(const LiveStatus& live) {
   // Queue sizes and, with the timeline armed, the current fold epoch and
   // the worst-backlogged stage (wall-clock observational).
   std::string text = " | q";
   const Stage* worst = nullptr;
   std::size_t worst_depth = 0;
-  for (const Stage& s : *live->stages) {
+  for (const Stage& s : *live.stages) {
     const std::size_t depth = s.in->size();
     text += std::string(" ") + s.name + " " + std::to_string(depth);
     if (worst == nullptr || depth > worst_depth) {
@@ -146,14 +140,14 @@ std::string live_status_text() {
     }
   }
   text += " shed " +
-          std::to_string(live->shed.load(std::memory_order_relaxed)) +
+          std::to_string(live.shed.load(std::memory_order_relaxed)) +
           " rej " +
-          std::to_string(live->rejected.load(std::memory_order_relaxed));
-  if (live->epoch_slots > 0 && worst != nullptr) {
+          std::to_string(live.rejected.load(std::memory_order_relaxed));
+  if (live.epoch_slots > 0 && worst != nullptr) {
     text += " ep " +
             std::to_string(
-                live->slots_folded.load(std::memory_order_relaxed) /
-                live->epoch_slots) +
+                live.slots_folded.load(std::memory_order_relaxed) /
+                live.epoch_slots) +
             " worst " + worst->name + ":" + std::to_string(worst_depth);
   }
   return text;
@@ -418,13 +412,13 @@ struct Shared {
 /// Serial fold + checkpoint cutter. Receives records in arbitrary
 /// arrival order, reorders by g (the buffer is bounded by the
 /// scheduler's lead cap) and folds strictly in shot order — the only
-/// place the global ledger and telemetry are touched during the run.
+/// place the session's ledger and telemetry are touched during the run.
 class Aggregator {
  public:
   Aggregator(const ServiceConfig& config, const std::vector<Device>& fleet,
              Shared& shared, ShotQueue& done, AggregateState agg,
              long long start_g, std::uint64_t config_digest,
-             obs::ProgressMeter& meter)
+             obs::ProgressMeter& meter, LiveStatus& live)
       : config_(config),
         fleet_(fleet),
         shared_(shared),
@@ -432,7 +426,8 @@ class Aggregator {
         agg_(std::move(agg)),
         next_fold_(start_g),
         config_digest_(config_digest),
-        meter_(meter) {
+        meter_(meter),
+        live_(live) {
     const std::size_t devices = fleet.size();
     if (agg_.devices.empty()) agg_.devices.resize(devices);
     ES_CHECK(agg_.devices.size() == devices);
@@ -518,16 +513,14 @@ class Aggregator {
       case ShotOutcome::kShed:
         ++agg_.shed;
         ++dev.shed;
-        if (g_live != nullptr)
-          g_live->shed.fetch_add(1, std::memory_order_relaxed);
+        live_.shed.fetch_add(1, std::memory_order_relaxed);
         if (telemetry)
           registry.record_shot(r.device, item, 0, 1, true, 0.0, 0);
         break;
       case ShotOutcome::kBreakerReject:
         ++agg_.rejected;
         ++dev.rejected;
-        if (g_live != nullptr)
-          g_live->rejected.fetch_add(1, std::memory_order_relaxed);
+        live_.rejected.fetch_add(1, std::memory_order_relaxed);
         if (telemetry)
           registry.record_shot(r.device, item, 0, 1, true, 0.0, 0);
         break;
@@ -661,8 +654,7 @@ class Aggregator {
     ++agg_.slots_folded;
     cells_.assign(cells_.size(), SlotCell{});
 
-    if (g_live != nullptr)
-      g_live->slots_folded.fetch_add(1, std::memory_order_relaxed);
+    live_.slots_folded.fetch_add(1, std::memory_order_relaxed);
     if (obs::timeline_enabled()) {
       // Close the slot in the recorder, sampling the live queue depths
       // for the observational lanes (wall-clock data — exported but
@@ -723,6 +715,7 @@ class Aggregator {
   long long next_fold_ = 0;
   std::uint64_t config_digest_ = 0;
   obs::ProgressMeter& meter_;
+  LiveStatus& live_;
   std::map<long long, ShotRec> buffer_;
   std::vector<SlotCell> cells_;
   SchedulerState ckpt_sched_;
@@ -875,14 +868,12 @@ SoakReport run_fleet_service(const Model& model,
   live.epoch_slots = obs::timeline_enabled()
                          ? obs::TimelineRecorder::global().epoch_slots()
                          : 0;
-  g_live = &live;
-  obs::ProgressMeter::set_status_source(&live_status_text);
-
   obs::ProgressMeter meter(
       "fleet-soak", config.shots - start_g,
-      config.progress || obs::ProgressMeter::env_enabled());
+      config.progress || obs::ProgressMeter::env_enabled(),
+      [&live] { return live_status_text(live); });
   Aggregator aggregator(config, fleet, shared, done_q, std::move(agg),
-                        start_g, config_digest, meter);
+                        start_g, config_digest, meter, live);
 
   WallTimer wall;
   SchedulerState final_sched;
@@ -1044,9 +1035,6 @@ SoakReport run_fleet_service(const Model& model,
   infer_group.join();
   agg_group.join();
   meter.finish();
-
-  obs::ProgressMeter::set_status_source(nullptr);
-  g_live = nullptr;
 
   // ---- Report.
   SoakReport report;

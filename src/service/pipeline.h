@@ -44,9 +44,11 @@ struct ServiceConfig {
   std::uint64_t seed = 2026;
 
   /// Latency/deadline knobs are read from here directly (a clean soak
-  /// still has a latency model); the capture/delivery fault sites
-  /// consult the global FaultInjector as everywhere else — arm it with
-  /// the same plan for a faulted soak.
+  /// still has a latency model). The capture/delivery fault sites
+  /// consult the current session's FaultInjector, as everywhere else:
+  /// configure it with the same plan for a faulted soak. A session
+  /// opened for the run starts with no plan, so the two never disagree
+  /// by leftover state.
   fault::FaultPlan plan;
   BreakerConfig breaker;
 
@@ -84,7 +86,7 @@ struct ServiceConfig {
 
 /// Fingerprint of everything that shapes the deterministic stream:
 /// geometry, seed, plan, breaker/shedding knobs, fleet profiles, plus
-/// whether the global injector is armed. Checkpoints refuse to resume
+/// whether the session's injector is armed. Checkpoints refuse to resume
 /// across a mismatch.
 std::uint64_t service_config_digest(const ServiceConfig& config);
 
@@ -135,9 +137,10 @@ struct SoakReport {
   std::vector<StageStats> stages;
 };
 
-/// Run the service. Files receipts with the global FaultLedger under
-/// group "service" and feeds the global DeviceHealthRegistry (both
-/// serially, from the aggregator only).
+/// Run the service in the current session (obs/session.h). Files
+/// receipts with its FaultLedger under group "service" and feeds its
+/// DeviceHealthRegistry and TimelineRecorder (all serially, from the
+/// aggregator only).
 SoakReport run_fleet_service(const Model& model,
                              const ServiceConfig& config);
 

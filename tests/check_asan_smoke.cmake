@@ -1,8 +1,9 @@
 # Builds the tree with -DEDGESTAB_ASAN=ON in a child build tree and runs
-# the decoder fuzz harness (test_codec_fuzz) under AddressSanitizer +
-# UBSan. The harness itself asserts try_decode is total over arbitrary
-# bytes; this run adds the memory-safety half of the claim — no heap
-# overrun, use-after-free or undefined shift survives a corrupt stream.
+# the fuzz harnesses — decoders (test_codec_fuzz) and the run-state
+# parsers (test_state_fuzz) — under AddressSanitizer + UBSan. The
+# harnesses assert every corrupt input is handled; this run adds the
+# memory-safety half of the claim — no heap overrun, use-after-free,
+# undefined shift or out-of-range float cast survives a corrupt input.
 # -fno-sanitize-recover=all makes the first finding abort the binary, so
 # any report fails the test.
 #
@@ -25,7 +26,7 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "asan_smoke: configure failed with ${rc}")
 endif()
 
-message(STATUS "==== asan_smoke: build test_codec_fuzz ====")
+message(STATUS "==== asan_smoke: build the fuzz harnesses ====")
 include(ProcessorCount)
 ProcessorCount(ncpu)
 if(ncpu EQUAL 0)
@@ -33,23 +34,25 @@ if(ncpu EQUAL 0)
 endif()
 execute_process(
   COMMAND ${CMAKE_COMMAND} --build "${build_dir}"
-    --target test_codec_fuzz --parallel ${ncpu}
+    --target test_codec_fuzz test_state_fuzz --parallel ${ncpu}
   RESULT_VARIABLE rc
   OUTPUT_QUIET)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "asan_smoke: build failed with ${rc}")
 endif()
 
-message(STATUS "==== asan_smoke: run fuzz harness under ASan/UBSan ====")
-execute_process(
-  COMMAND ${CMAKE_COMMAND} -E env
-    "ASAN_OPTIONS=halt_on_error=1:detect_leaks=0"
-    "${build_dir}/tests/test_codec_fuzz"
-  RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR
-    "asan_smoke: fuzz harness exited with ${rc} (an ASan/UBSan report or "
-    "test failure fails the run; see output above)")
-endif()
+foreach(harness test_codec_fuzz test_state_fuzz)
+  message(STATUS "==== asan_smoke: run ${harness} under ASan/UBSan ====")
+  execute_process(
+    COMMAND ${CMAKE_COMMAND} -E env
+      "ASAN_OPTIONS=halt_on_error=1:detect_leaks=0"
+      "${build_dir}/tests/${harness}"
+    RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR
+      "asan_smoke: ${harness} exited with ${rc} (an ASan/UBSan report or "
+      "test failure fails the run; see output above)")
+  endif()
+endforeach()
 
-message(STATUS "asan_smoke OK — decoder fuzzing clean under ASan/UBSan")
+message(STATUS "asan_smoke OK — fuzz harnesses clean under ASan/UBSan")

@@ -16,6 +16,7 @@
 #include "fault/fault.h"
 #include "image/draw.h"
 #include "obs/fault_ledger.h"
+#include "obs/session.h"
 #include "util/check.h"
 
 namespace edgestab {
@@ -26,19 +27,6 @@ using fault::FaultPlan;
 using fault::parse_fault_plan;
 using obs::FaultEventKind;
 using obs::FaultLedger;
-
-// The injector and ledger are process-wide singletons; every test that
-// arms them must disarm on the way out, pass or fail.
-struct FaultEnvGuard {
-  FaultEnvGuard() {
-    FaultInjector::global().reset();
-    FaultLedger::global().clear();
-  }
-  ~FaultEnvGuard() {
-    FaultInjector::global().reset();
-    FaultLedger::global().clear();
-  }
-};
 
 ImageU8 test_image(int w = 32, int h = 24) {
   Image img(w, h, 3);
@@ -130,7 +118,7 @@ TEST(FaultPlan, DigestCoversEveryField) {
 // ---- FaultInjector ----------------------------------------------------------
 
 TEST(FaultInjector, ConfigureArmsOnlyPlansWithRates) {
-  FaultEnvGuard guard;
+  obs::Session session;  // fresh injector + ledger, dropped on exit
   auto& injector = FaultInjector::global();
   EXPECT_FALSE(injector.enabled());
   injector.configure(FaultPlan{});  // all-zero rates
@@ -143,7 +131,7 @@ TEST(FaultInjector, ConfigureArmsOnlyPlansWithRates) {
 }
 
 TEST(FaultInjector, DrawsAreDeterministicAndRateFaithful) {
-  FaultEnvGuard guard;
+  obs::Session session;
   auto& injector = FaultInjector::global();
 
   injector.configure(parse_fault_plan("dropout=1"));
@@ -176,7 +164,7 @@ TEST(FaultInjector, DrawsAreDeterministicAndRateFaithful) {
 }
 
 TEST(FaultInjector, CorruptPayloadIsDeterministicAndBounded) {
-  FaultEnvGuard guard;
+  obs::Session session;
   auto& injector = FaultInjector::global();
   injector.configure(parse_fault_plan("bitflip=1,truncate=1,max_bitflips=4"));
 
@@ -211,7 +199,7 @@ TEST(FaultInjector, CorruptPayloadIsDeterministicAndBounded) {
 }
 
 TEST(FaultInjector, BackoffDoublesPerAttempt) {
-  FaultEnvGuard guard;
+  obs::Session session;
   auto& injector = FaultInjector::global();
   injector.configure(parse_fault_plan("transient=0.5,backoff_ms=10"));
   EXPECT_DOUBLE_EQ(injector.backoff_ms(0), 10.0);
@@ -221,7 +209,7 @@ TEST(FaultInjector, BackoffDoublesPerAttempt) {
 }
 
 TEST(FaultInjector, StragglerDelaysAreDeterministicAndPositive) {
-  FaultEnvGuard guard;
+  obs::Session session;
   auto& injector = FaultInjector::global();
   injector.configure(parse_fault_plan("straggler=1,straggler_ms=100"));
   const double d1 = injector.straggler_delay_ms(0, 0, 0);
@@ -234,7 +222,7 @@ TEST(FaultInjector, StragglerDelaysAreDeterministicAndPositive) {
 // ---- deliver_shot -----------------------------------------------------------
 
 TEST(DeliverShot, CleanPathMatchesAbortingDecode) {
-  FaultEnvGuard guard;
+  obs::Session session;
   Capture capture = test_capture();
   ShotDelivery d = deliver_shot("test_clean", capture, 0, 11, 0, 0);
   ASSERT_TRUE(d.usable);
@@ -245,7 +233,7 @@ TEST(DeliverShot, CleanPathMatchesAbortingDecode) {
 }
 
 TEST(DeliverShot, FaultedDeliveryIsDeterministicAndAccounted) {
-  FaultEnvGuard guard;
+  obs::Session session;
   FaultInjector::global().configure(parse_fault_plan(
       "bitflip=1,truncate=1,max_bitflips=64,attempts=2,straggler=1"));
   Capture capture = test_capture();
@@ -300,7 +288,7 @@ TEST(DeliverShot, FaultedDeliveryIsDeterministicAndAccounted) {
 // ---- Quarantine + coverage, hand-computed -----------------------------------
 
 TEST(Quarantine, FoldQuarantinesAfterKConsecutiveLosses) {
-  FaultEnvGuard guard;
+  obs::Session session;
   // 2 devices x 6 slots. Device 0 clean; device 1 loses slots 2 and 3.
   std::vector<unsigned char> usable = {
       1, 1, 1, 1, 1, 1,  // device 0
@@ -349,7 +337,7 @@ TEST(Quarantine, NonPositiveKDisablesTheFold) {
 }
 
 TEST(Coverage, TallyMatchesHandComputedScenario) {
-  FaultEnvGuard guard;
+  obs::Session session;
   // 2 devices, 3 items, 2 slots per item (slot 0 of each item feeds the
   // cross-environment observations). Device 1 loses item 1 entirely and
   // is quarantined from item 2 onward.

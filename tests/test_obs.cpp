@@ -15,6 +15,9 @@
 #include <tuple>
 #include <vector>
 
+#include "core/experiment.h"
+#include "core/workspace.h"
+#include "device/fleets.h"
 #include "image/image.h"
 #include "obs/drift.h"
 #include "obs/fault_ledger.h"
@@ -22,8 +25,11 @@
 #include "obs/json.h"
 #include "obs/obs.h"
 #include "obs/report.h"
+#include "obs/session.h"
+#include "service/pipeline.h"
 #include "util/check.h"
 #include "util/csv.h"
+#include "util/hashing.h"
 
 namespace edgestab::obs {
 namespace {
@@ -149,19 +155,10 @@ struct MetricsSandbox {
   }
 };
 
-// Same idea for the divergence auditor: enabled and empty on entry,
-// disabled and empty (with the default item cap) on exit.
-struct DriftSandbox {
-  DriftSandbox() {
-    DriftAuditor::global().clear();
-    DriftAuditor::global().set_enabled(true);
-  }
-  ~DriftSandbox() {
-    DriftAuditor::global().set_enabled(false);
-    DriftAuditor::global().set_max_audited_items(
-        DriftAuditor::kDefaultMaxAuditedItems);
-    DriftAuditor::global().clear();
-  }
+// A fresh session whose divergence auditor is armed; everything it
+// recorded is dropped when the session closes.
+struct DriftSession : Session {
+  DriftSession() { drift().set_enabled(true); }
 };
 
 // Scratch directory for exporter tests, wiped on entry and exit.
@@ -438,8 +435,8 @@ TEST(RunManifest, HexDigestIsZeroPadded) {
 // ---- DriftAuditor -----------------------------------------------------------
 
 TEST(DriftAuditor, TapComparesAgainstReferenceEnvironment) {
-  DriftSandbox sandbox;
-  DriftAuditor& auditor = DriftAuditor::global();
+  DriftSession session;
+  DriftAuditor& auditor = session.drift();
   Image ref(16, 16, 3, 0.5f);
   Image cur(16, 16, 3, 0.6f);
   {
@@ -475,8 +472,8 @@ TEST(DriftAuditor, TapComparesAgainstReferenceEnvironment) {
 }
 
 TEST(DriftAuditor, IdenticalImagesHitPsnrCap) {
-  DriftSandbox sandbox;
-  DriftAuditor& auditor = DriftAuditor::global();
+  DriftSession session;
+  DriftAuditor& auditor = session.drift();
   Image img(8, 8, 3, 1.0f);  // 1.0 quantizes exactly
   {
     DriftScope scope("unit", 0, 0);
@@ -494,8 +491,8 @@ TEST(DriftAuditor, IdenticalImagesHitPsnrCap) {
 }
 
 TEST(DriftAuditor, TapWithoutScopeOrWhenDisabledIsIgnored) {
-  DriftSandbox sandbox;
-  DriftAuditor& auditor = DriftAuditor::global();
+  DriftSession session;
+  DriftAuditor& auditor = session.drift();
   Image img(8, 8, 1, 0.5f);
   auditor.tap_stage(0, "demosaic", img);  // no DriftScope on this thread
   EXPECT_TRUE(auditor.stage_summaries().empty());
@@ -510,8 +507,8 @@ TEST(DriftAuditor, TapWithoutScopeOrWhenDisabledIsIgnored) {
 }
 
 TEST(DriftAuditor, ItemCapSkipsAndCounts) {
-  DriftSandbox sandbox;
-  DriftAuditor& auditor = DriftAuditor::global();
+  DriftSession session;
+  DriftAuditor& auditor = session.drift();
   auditor.set_max_audited_items(1);
   Image img(8, 8, 1, 0.25f);
   {
@@ -537,8 +534,8 @@ TEST(DriftAuditor, ItemCapSkipsAndCounts) {
 }
 
 TEST(DriftAuditor, LogitDriftMetrics) {
-  DriftSandbox sandbox;
-  DriftAuditor& auditor = DriftAuditor::global();
+  DriftSession session;
+  DriftAuditor& auditor = session.drift();
   std::vector<float> ref = {2.0f, 0.0f, 0.0f};
   std::vector<float> cur = {0.0f, 2.0f, 0.0f};
   auditor.record_logits("logits", 0, 0, ref);
@@ -558,16 +555,16 @@ TEST(DriftAuditor, LogitDriftMetrics) {
 }
 
 TEST(DriftAuditor, EnvLabelsDefaultAndOverride) {
-  DriftSandbox sandbox;
-  DriftAuditor& auditor = DriftAuditor::global();
+  DriftSession session;
+  DriftAuditor& auditor = session.drift();
   EXPECT_EQ(auditor.env_label("g", 3), "env3");
   auditor.set_env_label("g", 3, "Samsung Galaxy S10");
   EXPECT_EQ(auditor.env_label("g", 3), "Samsung Galaxy S10");
 }
 
 TEST(DriftScope, NestedScopesRestoreOuterContext) {
-  DriftSandbox sandbox;
-  DriftAuditor& auditor = DriftAuditor::global();
+  DriftSession session;
+  DriftAuditor& auditor = session.drift();
   Image img(4, 4, 1, 0.5f);
   {
     DriftScope outer("outer", 0, 0);
@@ -644,9 +641,6 @@ TEST(FlipLedger, DigestTracksContent) {
   EXPECT_NE(a.digest(), b.digest());
   b.add_group("g", outcomes);
   EXPECT_EQ(a.digest(), b.digest());
-  a.clear();
-  EXPECT_TRUE(a.empty());
-  EXPECT_EQ(a.digest(), FlipLedger().digest());
 }
 
 TEST(FlipLedger, MergeIsShardOrderIndependent) {
@@ -833,7 +827,7 @@ void feed_auditor_for_report() {
 }
 
 TEST(DriftReport, JsonIsValidAndComplete) {
-  DriftSandbox sandbox;
+  DriftSession session;
   feed_auditor_for_report();
   std::string doc = drift_json(DriftAuditor::global(), "unit_report");
   EXPECT_TRUE(JsonChecker(doc).valid()) << doc;
@@ -850,7 +844,7 @@ TEST(DriftReport, JsonIsValidAndComplete) {
 }
 
 TEST(DriftReport, HtmlIsSelfContainedAndEscaped) {
-  DriftSandbox sandbox;
+  DriftSession session;
   feed_auditor_for_report();
   std::string doc = drift_html(DriftAuditor::global(), "unit_report");
   EXPECT_NE(doc.find("<html"), std::string::npos);
@@ -870,7 +864,7 @@ TEST(DriftReport, HtmlIsSelfContainedAndEscaped) {
 
 TEST(ExportRunArtifacts, WritesManifestTraceAndDriftArtifacts) {
   MetricsSandbox metrics_sandbox;
-  DriftSandbox drift_sandbox;
+  DriftSession session;
   feed_auditor_for_report();
   {
     ES_TRACE_SCOPE("test", "exported_span");
@@ -910,6 +904,57 @@ TEST(ExportRunArtifacts, FailsWhenOutDirIsNotWritable) {
   EXPECT_FALSE(
       export_run_artifacts("unit_blocked", (blocker / "deeper").string(), m));
   fs::remove_all(blocker);
+}
+
+// ---- Run-scoped sessions ----------------------------------------------------
+
+// Aggregate, ledger, breaker, telemetry and timeline digests of a small
+// faulted soak with telemetry and the timeline armed, in its own session.
+// Everything goes through the global() accessors, as production code does.
+std::vector<std::uint64_t> soak_digests(const Model& model) {
+  service::ServiceConfig config;
+  config.devices = 4;
+  config.shots = 4 * 24;
+  config.stimulus_bank = 3;
+  config.scene_size = 32;
+  config.plan = fault::parse_fault_plan("moderate,budget,deadline_ms=24");
+  Session session;
+  fault::FaultInjector::global().configure(config.plan);
+  DeviceHealthRegistry::global().set_enabled(true);
+  TimelineRecorder::global().set_enabled(true);
+  const service::SoakReport r = service::run_fleet_service(model, config);
+  return {r.agg_digest, r.ledger_digest, r.breaker_digest,
+          r.telemetry_digest, TimelineRecorder::global().digest()};
+}
+
+// Drift-report and fault-ledger digests of a faulted, drift-armed batch
+// experiment, in its own session.
+std::vector<std::uint64_t> batch_digests(Model& model) {
+  Session session;
+  DriftAuditor::global().set_enabled(true);
+  fault::FaultInjector::global().configure(
+      fault::parse_fault_plan("moderate"));
+  LabRigConfig rig;
+  rig.objects_per_class = 1;
+  rig.angles = {-0.5f, 0.5f};
+  rig.shots_per_stimulus = 2;
+  std::vector<PhoneProfile> fleet = end_to_end_fleet();
+  fleet.resize(3);
+  (void)run_end_to_end(model, fleet, rig);
+  return {fnv1a64(drift_json(DriftAuditor::global(), "batch")),
+          FaultLedger::global().digest()};
+}
+
+TEST(Session, RunsInOneProcessDoNotInterfere) {
+  Workspace ws;
+  Model model = ws.fresh_model();
+  const std::vector<std::uint64_t> batch_alone = batch_digests(model);
+  const std::vector<std::uint64_t> a = soak_digests(model);
+  const std::vector<std::uint64_t> b = batch_digests(model);
+  const std::vector<std::uint64_t> c = soak_digests(model);
+  EXPECT_EQ(a, c);
+  EXPECT_EQ(b, batch_alone);
+  EXPECT_NE(b[1], FaultLedger().digest());  // the batch run did fault
 }
 
 }  // namespace

@@ -25,6 +25,7 @@
 #include "obs/drift.h"
 #include "obs/fault_ledger.h"
 #include "obs/obs.h"
+#include "obs/session.h"
 #include "runtime/parallel.h"
 #include "runtime/seed.h"
 #include "runtime/thread_pool.h"
@@ -216,27 +217,21 @@ struct EndToEndDigests {
   int shots_lost = 0;
 };
 
-// The lab rig names each run's drift group "capture", "capture#1", ...
-// so repeated runs in one process don't collide; strip the run suffix
-// when fingerprinting so the three fixture runs compare group-for-group.
-std::string base_group(const std::string& group) {
-  return group.substr(0, group.find('#'));
-}
-
 // One smoke-size end-to-end run (untrained mini model, 3 phones,
 // 2 angles x 2 shots) at the given lane count, reduced to fingerprints
 // of everything the paper's tables are built from. When `faulted`, the
 // run executes under an aggressive fault plan — the fault schedule and
 // the resulting retries / quarantines / coverage accounting must be
-// just as lane-count-invariant as the clean numbers.
+// just as lane-count-invariant as the clean numbers. Each run gets its
+// own session, so its drift and fault groups are named alike
+// ("capture") and compare group-for-group.
 EndToEndDigests run_fixture(int threads, bool faulted = false) {
   runtime::ThreadPool::set_global_threads(threads);
-  auto& auditor = obs::DriftAuditor::global();
-  auditor.clear();
+  obs::Session session;
+  obs::DriftAuditor& auditor = session.drift();
   auditor.set_enabled(true);
-  obs::FaultLedger::global().clear();
   if (faulted) {
-    fault::FaultInjector::global().configure(fault::parse_fault_plan(
+    session.faults().configure(fault::parse_fault_plan(
         "dropout=0.1,transient=0.1,bitflip=0.2,truncate=0.1,"
         "straggler=0.2,burst=0.4,attempts=2,quarantine_after=2"));
   }
@@ -272,7 +267,7 @@ EndToEndDigests run_fixture(int threads, bool faulted = false) {
   d.ledger = auditor.ledger().digest();
   Fingerprint drift_fp;
   for (const auto& s : auditor.stage_summaries())
-    drift_fp.add(base_group(s.group))
+    drift_fp.add(s.group)
         .add(s.stage)
         .add(s.psnr_db.count)
         .add(s.psnr_db.sum)
@@ -283,7 +278,7 @@ EndToEndDigests run_fixture(int threads, bool faulted = false) {
         .add(s.channel_var_delta.sum)
         .add(s.identical_pairs);
   for (const auto& s : auditor.logit_summaries())
-    drift_fp.add(base_group(s.group))
+    drift_fp.add(s.group)
         .add(s.l2.sum)
         .add(s.linf.sum)
         .add(s.kl.sum)
@@ -291,8 +286,6 @@ EndToEndDigests run_fixture(int threads, bool faulted = false) {
         .add(s.comparisons)
         .add(s.top1_agree);
   d.drift = drift_fp.value();
-  auditor.set_enabled(false);
-  auditor.clear();
 
   const FleetResilienceStats& res = result.resilience;
   Fingerprint res_fp;
@@ -313,12 +306,9 @@ EndToEndDigests run_fixture(int threads, bool faulted = false) {
   d.resilience = res_fp.value();
   d.shots_lost = res.shots_lost;
 
-  // Fingerprint the fault ledger via base_group for the same reason as
-  // the drift summaries: the capture group name carries a per-process
-  // run counter.
   Fingerprint fault_fp;
-  for (const auto& g : obs::FaultLedger::global().summaries()) {
-    fault_fp.add(base_group(g.group))
+  for (const auto& g : session.fault_ledger().summaries()) {
+    fault_fp.add(g.group)
         .add(g.total_events)
         .add(g.shots_lost)
         .add(g.quarantined_devices)
@@ -348,9 +338,6 @@ EndToEndDigests run_fixture(int threads, bool faulted = false) {
           .add(e.detail);
   }
   d.faults = fault_fp.value();
-
-  fault::FaultInjector::global().reset();
-  obs::FaultLedger::global().clear();
   return d;
 }
 

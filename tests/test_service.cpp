@@ -13,8 +13,7 @@
 #include "core/workspace.h"
 #include "fault/fault.h"
 #include "fault/latency.h"
-#include "obs/fault_ledger.h"
-#include "obs/telemetry/telemetry.h"
+#include "obs/session.h"
 #include "service/breaker.h"
 #include "service/checkpoint.h"
 #include "service/pipeline.h"
@@ -376,25 +375,20 @@ struct RunDigests {
   }
 };
 
-/// Reset every process-global the service touches, arm the injector and
-/// a 4-item telemetry window (so checkpoint boundaries land mid-window),
-/// run, and collect the digest surface.
+/// Run in a fresh session with the injector armed and a 4-item
+/// telemetry window (so checkpoint boundaries land mid-window).
+SoakReport run_armed(Model& model, const ServiceConfig& config) {
+  obs::Session session;
+  session.faults().configure(config.plan);
+  session.telemetry().set_enabled(true);
+  session.telemetry().set_window_items(4);
+  return run_fleet_service(model, config);
+}
+
 RunDigests run_gate(Model& model, const ServiceConfig& config) {
-  obs::FaultLedger::global().clear();
-  auto& registry = obs::DeviceHealthRegistry::global();
-  registry.clear();
-  registry.set_enabled(true);
-  registry.set_window_items(4);
-  fault::FaultInjector::global().configure(config.plan);
-  const SoakReport report = run_fleet_service(model, config);
-  fault::FaultInjector::global().reset();
-  registry.set_enabled(false);
-  RunDigests d;
-  d.agg = report.agg_digest;
-  d.ledger = report.ledger_digest;
-  d.breaker = report.breaker_digest;
-  d.telemetry = report.telemetry_digest;
-  return d;
+  const SoakReport r = run_armed(model, config);
+  return {r.agg_digest, r.ledger_digest, r.breaker_digest,
+          r.telemetry_digest};
 }
 
 }  // namespace
@@ -427,19 +421,13 @@ TEST(ServicePipeline, StopAndResumeMatchesUninterrupted) {
   first_half.checkpoint_path = ckpt_path;
   first_half.checkpoint_every_slots = 7;
   first_half.stop_after_checkpoints = 2;
-  obs::FaultLedger::global().clear();
-  auto& registry = obs::DeviceHealthRegistry::global();
-  registry.clear();
-  registry.set_enabled(true);
-  registry.set_window_items(4);
-  fault::FaultInjector::global().configure(first_half.plan);
-  const SoakReport half = run_fleet_service(model, first_half);
+  const SoakReport half = run_armed(model, first_half);
   EXPECT_TRUE(half.stopped_at_checkpoint);
   EXPECT_FALSE(half.completed);
   EXPECT_EQ(half.checkpoints_written, 2);
   EXPECT_EQ(half.agg.slots_folded, 14);
 
-  // Fresh globals (a new process), then resume to the end.
+  // A fresh session (a new process), then resume to the end.
   ServiceConfig second_half = config;
   second_half.checkpoint_path = ckpt_path;
   second_half.checkpoint_every_slots = 7;
@@ -458,17 +446,13 @@ TEST(ServicePipeline, ResumeRefusesMismatchedConfig) {
   config.checkpoint_path = ckpt_path;
   config.checkpoint_every_slots = 7;
   config.stop_after_checkpoints = 1;
-  obs::FaultLedger::global().clear();
-  fault::FaultInjector::global().configure(config.plan);
-  (void)run_fleet_service(model, config);
-  fault::FaultInjector::global().reset();
+  (void)run_armed(model, config);
 
   ServiceConfig other = config;
   other.stop_after_checkpoints = 0;
   other.resume = true;
   other.seed = config.seed + 1;  // different stream geometry
-  obs::FaultLedger::global().clear();
-  EXPECT_THROW(run_fleet_service(model, other), CheckError);
+  EXPECT_THROW(run_armed(model, other), CheckError);
   std::remove(ckpt_path.c_str());
 }
 
@@ -479,17 +463,16 @@ TEST(ServicePipeline, ShedAccountingNeverSilent) {
   Workspace ws;
   Model model = ws.fresh_model();
   ServiceConfig config = gate_config();
-  obs::FaultLedger::global().clear();
-  fault::FaultInjector::global().configure(config.plan);
+  obs::Session session;
+  session.faults().configure(config.plan);
   const SoakReport report = run_fleet_service(model, config);
-  fault::FaultInjector::global().reset();
   const AggregateState& agg = report.agg;
   EXPECT_EQ(agg.ok + agg.shed + agg.rejected + agg.timeouts +
                 agg.capture_lost + agg.decode_lost,
             config.shots);
   long long shed_receipts = 0, reject_receipts = 0;
   for (const obs::FaultEvent& e :
-       obs::FaultLedger::global().export_group_raw("service")) {
+       session.fault_ledger().export_group_raw("service")) {
     if (e.kind == obs::FaultEventKind::kShedOverload) ++shed_receipts;
     if (e.kind == obs::FaultEventKind::kBreakerReject) ++reject_receipts;
   }
@@ -509,10 +492,7 @@ TEST(ServicePipeline, BatchWiderThanLeadCapStillCompletes) {
   config.shots = 36;  // the last group is clipped to 4 shots
   config.max_inflight = 2;
   config.inference_batch = 8;
-  obs::FaultLedger::global().clear();
-  fault::FaultInjector::global().configure(config.plan);
-  const SoakReport report = run_fleet_service(model, config);
-  fault::FaultInjector::global().reset();
+  const SoakReport report = run_armed(model, config);
   ASSERT_TRUE(report.completed);
   const AggregateState& agg = report.agg;
   EXPECT_EQ(agg.ok + agg.shed + agg.rejected + agg.timeouts +
@@ -536,10 +516,7 @@ TEST(ServicePipeline, StagesAccountEveryShot) {
   for (int threads : {1, 3}) {
     ServiceConfig config = gate_config();
     config.threads = threads;
-    obs::FaultLedger::global().clear();
-    fault::FaultInjector::global().configure(config.plan);
-    const SoakReport report = run_fleet_service(model, config);
-    fault::FaultInjector::global().reset();
+    const SoakReport report = run_armed(model, config);
     ASSERT_TRUE(report.completed);
     ASSERT_EQ(report.stages.size(), 3u);
     EXPECT_EQ(report.stages[0].name, "develop");

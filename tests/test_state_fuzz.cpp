@@ -1,0 +1,298 @@
+// Deterministic fuzzing of the parsers that read run state back from
+// disk: the telemetry registry's and the timeline recorder's
+// serialize_state() documents and the service checkpoint. Every
+// mutated document — bit flips, truncations, out-of-range numbers —
+// must be either refused, leaving the live object's digest unchanged,
+// or restored whole, so the restored object round-trips to itself. The
+// corpus is seed-derived, so a failing mutation reproduces from its
+// (document, round) index; the asan_smoke ctest reruns this binary
+// under AddressSanitizer + UBSan (with float-cast-overflow), which
+// turns a cast of an out-of-range double into a hard failure.
+#include <gtest/gtest.h>
+
+#include <cctype>
+#include <cstdint>
+#include <iterator>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "obs/telemetry/telemetry.h"
+#include "obs/timeline/timeline.h"
+#include "service/checkpoint.h"
+#include "util/rng.h"
+
+namespace edgestab {
+namespace {
+
+using obs::DeviceHealthRegistry;
+using obs::TimelineRecorder;
+using service::ServiceCheckpoint;
+
+constexpr std::uint64_t kFuzzSeed = 0x57A7E;
+constexpr int kRounds = 300;
+
+/// Numbers a corrupt or hostile document may carry in an integer slot.
+const char* const kHostileNumbers[] = {
+    "1e300", "-1e300", "2.5", "-0.5", "9223372036854775808",
+    "-9223372036854775809", "4294967296", "-2147483649", "1e19"};
+
+/// Feed a registry `shots` synthetic shots over four devices.
+void feed_registry(DeviceHealthRegistry& registry, int shots,
+                   std::uint64_t seed) {
+  registry.set_enabled(true);
+  registry.set_window_items(4);
+  Pcg32 rng(seed);
+  for (int d = 0; d < 4; ++d)
+    registry.set_device_label(d, "phone-" + std::to_string(d));
+  for (int i = 0; i < shots; ++i) {
+    const int device = i % 4;
+    const int item = i / 4;
+    registry.record_shot(device, item, 0, 1 + rng.uniform_int(3),
+                         rng.uniform() < 0.2, rng.uniform() * 40.0,
+                         rng.uniform_int(2));
+    registry.record_observation(device, item, rng.uniform() < 0.7,
+                                rng.uniform() < 0.2);
+    registry.record_stage_drift(device, item, 20.0 + rng.uniform() * 20.0);
+    if (rng.uniform() < 0.05) registry.record_quarantine(device, item);
+  }
+  registry.record_coverage(1, 7, 9);
+}
+
+/// Register the run's name tables on a recorder (restore_state needs
+/// the live tables to match the document's).
+void begin_timeline(TimelineRecorder& recorder) {
+  recorder.set_epoch_slots(5);
+  recorder.begin_run({"develop", "inference"}, {"flagship", "budget"},
+                     {"ok", "shed", "lost"}, 4);
+}
+
+/// Feed a recorder `slots` synthetic folded slots of four shots each.
+void feed_timeline(TimelineRecorder& recorder, int slots,
+                   std::uint64_t seed) {
+  begin_timeline(recorder);
+  Pcg32 rng(seed);
+  for (int slot = 0; slot < slots; ++slot) {
+    for (int d = 0; d < 4; ++d) {
+      const int outcome = rng.uniform_int(3);
+      recorder.record_shot(d % 2, outcome, rng.uniform_int(50000),
+                           outcome == 0);
+      if (rng.uniform() < 0.1)
+        recorder.record_transition(d, 0, 1 + rng.uniform_int(3), "timeout");
+      if (rng.uniform() < 0.2) {
+        obs::ShotTrace trace;
+        trace.g = slot * 4 + d;
+        trace.slot = slot;
+        trace.device = d;
+        trace.cls = d % 2;
+        trace.outcome = outcome;
+        trace.service_us = rng.uniform_int(9000);
+        trace.attempts.push_back({100, trace.service_us});
+        recorder.record_trace(std::move(trace));
+      }
+    }
+    recorder.note_slot_folded({rng.uniform_int(64), rng.uniform_int(64)});
+  }
+}
+
+ServiceCheckpoint sample_checkpoint() {
+  ServiceCheckpoint ckpt;
+  ckpt.config_digest = 0x1234abcd5678ef00ull;
+  ckpt.slot = 14;
+  ckpt.agg.slots_folded = 14;
+  ckpt.agg.shots_folded = 56;
+  ckpt.agg.ok = 40;
+  ckpt.agg.correct = 31;
+  ckpt.agg.shed = 6;
+  ckpt.agg.timeouts = 10;
+  ckpt.agg.latency_hist_100us = {{3, 12}, {7, 20}, {40, 8}};
+  ckpt.agg.devices.resize(4);
+  ckpt.agg.devices[2].ok = 9;
+  ckpt.agg.devices[2].latency_us_sum = 123456;
+  ckpt.sched.next_shot = 56;
+  ckpt.sched.devices.resize(4);
+  ckpt.sched.devices[1].breaker.state = 1;
+  ckpt.sched.devices[1].breaker.opens = 2;
+  ckpt.sched.devices[3].backlog_us = 250000;
+  ckpt.ledger_events.push_back(
+      {obs::FaultEventKind::kDeadlineTimeout, 2, 5, 0, 1, false, 12.5});
+  ckpt.ledger_events.push_back(
+      {obs::FaultEventKind::kRetry, 1, 3, 0, 1, true, 10.0});
+  DeviceHealthRegistry registry;
+  feed_registry(registry, 24, 7);
+  ckpt.telemetry_state = registry.serialize_state();
+  return ckpt;
+}
+
+/// One seeded mutation of `doc`: bit flips, a truncation, or a numeric
+/// token swapped for a hostile number.
+std::string mutate(const std::string& doc, Pcg32& rng) {
+  std::string out = doc;
+  switch (rng.uniform_int(3)) {
+    case 0: {
+      const int flips = 1 + rng.uniform_int(4);
+      for (int f = 0; f < flips; ++f) {
+        const std::size_t pos = rng.uniform_int(
+            static_cast<std::uint32_t>(out.size()));
+        out[pos] = static_cast<char>(out[pos] ^ (1 << rng.uniform_int(8)));
+      }
+      break;
+    }
+    case 1:
+      out.resize(rng.uniform_int(static_cast<std::uint32_t>(out.size())));
+      break;
+    default: {
+      // Swap the first number at or after a random offset.
+      const auto digit = [&out](std::size_t i) {
+        return std::isdigit(static_cast<unsigned char>(out[i])) != 0;
+      };
+      std::size_t begin =
+          rng.uniform_int(static_cast<std::uint32_t>(out.size()));
+      while (begin < out.size() && !digit(begin)) ++begin;
+      if (begin == out.size()) break;
+      while (begin > 0 && (digit(begin - 1) || out[begin - 1] == '-'))
+        --begin;
+      std::size_t end = begin + 1;
+      while (end < out.size() && digit(end)) ++end;
+      const std::uint32_t n = std::size(kHostileNumbers);
+      out.replace(begin, end - begin, kHostileNumbers[rng.uniform_int(n)]);
+    }
+  }
+  return out;
+}
+
+// ---- Regressions ------------------------------------------------------------
+
+TEST(StateRestore, TelemetryRefusesOutOfRangeIntegers) {
+  DeviceHealthRegistry source;
+  feed_registry(source, 16, 1);
+  const std::string doc = source.serialize_state();
+  // Shadow the first occurrence of each field with a hostile value
+  // (read_int reads the first member of a name).
+  for (const auto& [key, value] :
+       {std::pair<std::string, std::string>{"observations", "1e300"},
+        {"device", "1e300"},
+        {"shots", "2.5"}}) {
+    const std::string from = "\"" + key + "\":";
+    std::string bad = doc;
+    bad.replace(bad.find(from), from.size(), from + value + ",\"x\":");
+    DeviceHealthRegistry live;
+    feed_registry(live, 8, 2);
+    const std::uint64_t before = live.digest();
+    EXPECT_FALSE(live.restore_state(bad)) << key;
+    EXPECT_EQ(live.digest(), before) << key;
+  }
+}
+
+TEST(StateRestore, TelemetryRefusedDocumentLeavesRegistryIntact) {
+  // A well-formed first device entry, a 9-item window, and a second
+  // device entry that is not an object.
+  DeviceHealthRegistry source;
+  source.set_enabled(true);
+  source.set_window_items(9);
+  source.record_shot(0, 0, 0, 1, false, 1.0, 0);
+  std::string doc = source.serialize_state();
+  ASSERT_EQ(doc.substr(doc.size() - 2), "]}");
+  doc.insert(doc.size() - 2, ",7");
+  DeviceHealthRegistry live;
+  feed_registry(live, 8, 2);
+  const std::uint64_t before = live.digest();
+  EXPECT_FALSE(live.restore_state(doc));
+  EXPECT_EQ(live.digest(), before);
+  EXPECT_EQ(live.window_items(), 4);
+  EXPECT_TRUE(live.enabled());
+}
+
+TEST(StateRestore, CheckpointRefusesNonIntegerCounts) {
+  const std::string doc = service::serialize_checkpoint(sample_checkpoint());
+  for (const auto& [from, to] :
+       {std::pair<std::string, std::string>{"\"ok\":40", "\"ok\":40.5"},
+        {"\"slot\":14", "\"slot\":1e300"},
+        {"\"state\":1", "\"state\":4294967296"}}) {
+    std::string bad = doc;
+    ASSERT_NE(bad.find(from), std::string::npos) << from;
+    bad.replace(bad.find(from), from.size(), to);
+    ServiceCheckpoint out;
+    std::string error;
+    EXPECT_FALSE(service::parse_checkpoint(bad, &out, &error)) << to;
+  }
+}
+
+// ---- Fuzz -------------------------------------------------------------------
+
+TEST(StateFuzz, TelemetryStateRefusedOrRestoredWhole) {
+  DeviceHealthRegistry source;
+  feed_registry(source, 48, 3);
+  const std::string doc = source.serialize_state();
+  Pcg32 rng(kFuzzSeed, 1);
+  int refused = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    const std::string bad = mutate(doc, rng);
+    DeviceHealthRegistry live;
+    feed_registry(live, 12, 4);
+    const std::uint64_t before = live.digest();
+    if (!live.restore_state(bad)) {
+      ++refused;
+      EXPECT_EQ(live.digest(), before) << "round " << round;
+      continue;
+    }
+    DeviceHealthRegistry again;
+    ASSERT_TRUE(again.restore_state(live.serialize_state())) << round;
+    EXPECT_EQ(again.digest(), live.digest()) << "round " << round;
+  }
+  EXPECT_GT(refused, kRounds / 4);
+}
+
+TEST(StateFuzz, TimelineStateRefusedOrRestoredWhole) {
+  TimelineRecorder source;
+  feed_timeline(source, 23, 5);
+  const std::string doc = source.serialize_state();
+  Pcg32 rng(kFuzzSeed, 2);
+  int refused = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    const std::string bad = mutate(doc, rng);
+    TimelineRecorder live;
+    feed_timeline(live, 6, 6);
+    const std::uint64_t before = live.digest();
+    if (!live.restore_state(bad)) {
+      ++refused;
+      EXPECT_EQ(live.digest(), before) << "round " << round;
+      continue;
+    }
+    TimelineRecorder again;
+    begin_timeline(again);
+    ASSERT_TRUE(again.restore_state(live.serialize_state())) << round;
+    EXPECT_EQ(again.digest(), live.digest()) << "round " << round;
+  }
+  EXPECT_GT(refused, kRounds / 4);
+}
+
+TEST(StateFuzz, CheckpointRefusedOrParsedWhole) {
+  const ServiceCheckpoint sample = sample_checkpoint();
+  const std::string doc = service::serialize_checkpoint(sample);
+  Pcg32 rng(kFuzzSeed, 3);
+  int refused = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    const std::string bad = mutate(doc, rng);
+    ServiceCheckpoint out = sample;
+    std::string error;
+    if (!service::parse_checkpoint(bad, &out, &error)) {
+      ++refused;
+      EXPECT_EQ(service::checkpoint_digest(out),
+                service::checkpoint_digest(sample))
+          << "round " << round;
+      continue;
+    }
+    ServiceCheckpoint again;
+    ASSERT_TRUE(service::parse_checkpoint(service::serialize_checkpoint(out),
+                                          &again, &error))
+        << round << ": " << error;
+    EXPECT_EQ(service::checkpoint_digest(again),
+              service::checkpoint_digest(out))
+        << "round " << round;
+  }
+  EXPECT_GT(refused, kRounds / 4);
+}
+
+}  // namespace
+}  // namespace edgestab

@@ -13,6 +13,7 @@
 
 #include "obs/json.h"
 #include "obs/report.h"
+#include "obs/session.h"
 #include "obs/telemetry/alert_ledger.h"
 #include "obs/telemetry/anomaly.h"
 #include "obs/telemetry/fleet_report.h"
@@ -217,19 +218,23 @@ TEST(Telemetry, RegistryMergeAndDigestAreOrderIndependent) {
   EXPECT_EQ(merged.digest(), doubled.digest());
 }
 
-TEST(Telemetry, RegistryClearPreservesEnabled) {
-  DeviceHealthRegistry registry;
+TEST(Telemetry, NestedSessionStartsEmptyAndLeavesOuterIntact) {
+  Session outer;
+  DeviceHealthRegistry& registry = DeviceHealthRegistry::global();
   registry.set_enabled(true);
-  registry.record_shot(0, 0, 0, 1, false, 1.0, 0);
   registry.record_quarantine(0, 0);
-  EXPECT_FALSE(registry.empty());
+  const std::uint64_t digest = registry.digest();
+  {
+    Session inner;
+    EXPECT_NE(&DeviceHealthRegistry::global(), &registry);
+    EXPECT_FALSE(telemetry_enabled());
+    EXPECT_TRUE(DeviceHealthRegistry::global().empty());
+    EXPECT_EQ(DeviceHealthRegistry::global().live_alert_count(), 0);
+  }
+  EXPECT_EQ(&DeviceHealthRegistry::global(), &registry);
+  EXPECT_TRUE(telemetry_enabled());
+  EXPECT_EQ(registry.digest(), digest);
   EXPECT_EQ(registry.live_alert_count(), 1);
-  registry.clear();
-  EXPECT_TRUE(registry.empty());
-  EXPECT_EQ(registry.live_alert_count(), 0);
-  EXPECT_TRUE(registry.enabled());
-  registry.record_shot(0, 0, 0, 1, false, 1.0, 0);
-  EXPECT_FALSE(registry.empty());
 }
 
 TEST(Telemetry, LiveAlertHeuristicCountsLossBursts) {

@@ -13,7 +13,7 @@
 
 #include "core/workspace.h"
 #include "fault/fault.h"
-#include "obs/fault_ledger.h"
+#include "obs/session.h"
 #include "obs/timeline/timeline.h"
 #include "obs/timeline/timeline_report.h"
 #include "service/pipeline.h"
@@ -287,20 +287,20 @@ service::ServiceConfig timeline_gate_config() {
   return config;
 }
 
-/// Arm the timeline (5-slot epochs, generous trace sampling), reset the
-/// service globals, run, and return the series digest.
+/// Run in a fresh session with the injector armed and, when `timeline`,
+/// the timeline too (5-slot epochs, generous trace sampling); returns
+/// the series digest.
 std::uint64_t run_timeline_gate(Model& model,
-                                const service::ServiceConfig& config) {
-  auto& rec = TimelineRecorder::global();
-  rec.clear();
+                                const service::ServiceConfig& config,
+                                bool timeline = true) {
+  obs::Session session;
+  session.faults().configure(config.plan);
+  TimelineRecorder& rec = session.timeline();
   rec.set_epoch_slots(5);
   rec.set_trace_sample_ppm(100000);
-  rec.set_enabled(true);
-  obs::FaultLedger::global().clear();
-  fault::FaultInjector::global().configure(config.plan);
+  rec.set_enabled(timeline);
   (void)service::run_fleet_service(model, config);
-  fault::FaultInjector::global().reset();
-  rec.set_enabled(false);
+  EXPECT_EQ(rec.empty(), !timeline);
   return rec.digest();
 }
 
@@ -316,8 +316,6 @@ TEST(TimelineService, DigestInvariantAcrossThreadCounts) {
   const std::uint64_t three = run_timeline_gate(model, config);
   EXPECT_EQ(one, three);
   EXPECT_NE(one, 0u);
-  EXPECT_FALSE(TimelineRecorder::global().empty());
-  TimelineRecorder::global().clear();
 }
 
 TEST(TimelineService, StopAndResumeContinuesSeriesExactly) {
@@ -344,7 +342,6 @@ TEST(TimelineService, StopAndResumeContinuesSeriesExactly) {
   second_half.resume = true;
   const std::uint64_t resumed = run_timeline_gate(model, second_half);
   EXPECT_EQ(resumed, reference);
-  TimelineRecorder::global().clear();
   std::remove(ckpt_path.c_str());
 }
 
@@ -359,26 +356,13 @@ TEST(TimelineService, ArmedResumeRefusesTimelineLessCheckpoint) {
   config.checkpoint_path = ckpt_path;
   config.checkpoint_every_slots = 7;
   config.stop_after_checkpoints = 1;
-  TimelineRecorder::global().set_enabled(false);
-  obs::FaultLedger::global().clear();
-  fault::FaultInjector::global().configure(config.plan);
-  (void)service::run_fleet_service(model, config);
-  fault::FaultInjector::global().reset();
+  (void)run_timeline_gate(model, config, /*timeline=*/false);
 
   // ...then resuming WITH the timeline armed must refuse: the series
   // cannot be reconstructed for the already-folded half.
   service::ServiceConfig resume = config;
   resume.stop_after_checkpoints = 0;
   resume.resume = true;
-  auto& rec = TimelineRecorder::global();
-  rec.clear();
-  rec.set_epoch_slots(5);
-  rec.set_enabled(true);
-  obs::FaultLedger::global().clear();
-  fault::FaultInjector::global().configure(resume.plan);
-  EXPECT_THROW(service::run_fleet_service(model, resume), CheckError);
-  fault::FaultInjector::global().reset();
-  rec.set_enabled(false);
-  rec.clear();
+  EXPECT_THROW(run_timeline_gate(model, resume), CheckError);
   std::remove(ckpt_path.c_str());
 }
