@@ -94,9 +94,18 @@ std::vector<ShotPrediction> classify_inputs(
     Tensor* logits_out) {
   ES_CHECK(!inputs.empty());
   ES_CHECK(k >= 1);
-  Tensor batch = stack_inputs(inputs);
-  Tensor logits = predict_logits(model, batch);
-  Tensor probs(logits.shape());
+  // The forward reads every input where it lies; nothing is stacked.
+  const Tensor& first = inputs.front();
+  ES_CHECK(first.rank() == 4 && first.dim(0) == 1);
+  std::vector<const float*> samples;
+  samples.reserve(inputs.size());
+  for (const Tensor& input : inputs) {
+    ES_CHECK(input.same_shape(first));
+    samples.push_back(input.raw());
+  }
+  Tensor logits = predict_logits(
+      model, samples, std::span<const int>(first.shape()).subspan(1));
+  Tensor probs = Tensor::uninit(logits.shape());
   softmax_rows(logits, probs);
   if (logits_out != nullptr) *logits_out = std::move(logits);
   const int d = probs.dim(1);
@@ -112,6 +121,8 @@ std::vector<ShotPrediction> classify_inputs(
                         return probs.at2(i, a) > probs.at2(i, b);
                       });
     ShotPrediction pred;
+    pred.topk.reserve(static_cast<std::size_t>(k));
+    pred.topk_conf.reserve(static_cast<std::size_t>(k));
     for (int j = 0; j < k; ++j) {
       pred.topk.push_back(order[static_cast<std::size_t>(j)]);
       pred.topk_conf.push_back(

@@ -24,11 +24,10 @@ InvertedResidual::InvertedResidual(std::string name, int in_c, int out_c,
   seq_.push_back(std::make_unique<BatchNorm>(name + ".project_bn", out_c));
 }
 
-Tensor InvertedResidual::infer(const Tensor& input) const {
-  Tensor x = input;
-  for (const auto& layer : seq_) x = layer->infer(x);
-  if (residual_) x.add_scaled(input, 1.0f);
-  return x;
+void InvertedResidual::infer(EvalArena& arena) const {
+  if (residual_) arena.pin_residual();
+  for (const auto& layer : seq_) layer->infer(arena);
+  if (residual_) arena.add_residual();
 }
 
 Tensor InvertedResidual::forward_train(const Tensor& input) {

@@ -14,7 +14,7 @@ class InvertedResidual : public Layer {
   InvertedResidual(std::string name, int in_c, int out_c, int expand_ratio,
                    int stride);
 
-  Tensor infer(const Tensor& input) const override;
+  void infer(EvalArena& arena) const override;
   Tensor forward_train(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
   std::vector<Param*> params() override;

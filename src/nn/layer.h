@@ -2,15 +2,17 @@
 //
 // The library uses explicit layer-graph backprop rather than a general
 // autograd tape: each layer's training forward caches its context for an
-// exact backward, while the const eval forward (`infer`) caches nothing.
-// Composite layers (inverted residual blocks) own their sublayers and
-// handle skip connections internally.
+// exact backward, while the const eval forward (`infer`) caches nothing
+// and works in the lane's activation arena (nn/arena.h). Composite
+// layers (inverted residual blocks) own their sublayers and handle skip
+// connections internally.
 #pragma once
 
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "nn/arena.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 #include "util/rng.h"
@@ -35,9 +37,11 @@ class Layer {
  public:
   virtual ~Layer() = default;
 
-  /// Eval-mode output for a batch. Writes no layer state, so concurrent
-  /// calls on one instance are safe.
-  virtual Tensor infer(const Tensor& input) const = 0;
+  /// Eval-mode forward: reads the arena's current activation and leaves
+  /// this layer's output as the current activation, written into another
+  /// arena buffer or in place. Writes no layer state, so concurrent calls
+  /// on one instance (each lane with its own arena) are safe.
+  virtual void infer(EvalArena& arena) const = 0;
 
   /// Training-mode output for a batch (batch-norm batch statistics).
   virtual Tensor forward_train(const Tensor& input) = 0;

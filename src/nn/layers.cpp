@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "obs/obs.h"
 #include "tensor/backend.h"
 #include "tensor/int8.h"
 
@@ -40,113 +41,119 @@ ConvGeom geom_for(ConvGeom g, const Tensor& input) {
   g.in_w = input.dim(3);
   return g;
 }
+
+// The same for the arena's current activation.
+ConvGeom geom_for(ConvGeom g, const ActShape& input) {
+  ES_CHECK(input.rank == 4 && input.dim(1) == g.in_c);
+  g.in_h = input.dim(2);
+  g.in_w = input.dim(3);
+  return g;
+}
+
+// For a 1x1/stride-1/pad-0 conv the im2col matrix IS the input sample
+// ([in_c, hw] row-major), so the eval forward feeds the input to the
+// GEMM directly. Training still materializes the cols for backward.
+bool identity_cols(const ConvGeom& g) {
+  return g.kernel == 1 && g.stride == 1 && g.pad == 0;
+}
 }  // namespace
 
-Tensor Conv2D::infer(const Tensor& input) const {
-  const ConvGeom g = geom_for(geom_, input);
-  return use_int8() ? infer_int8(input, g) : conv(input, g, nullptr);
+void Conv2D::infer(EvalArena& arena) const {
+  ES_TRACE_SCOPE("nn", "conv");
+  const ConvGeom g = geom_for(geom_, arena.shape());
+  const int n_batch = arena.shape().dim(0);
+  const float* in = arena.x();
+  float* out = arena.next({4, {n_batch, g.out_c, g.out_h(), g.out_w()}});
+  if (use_int8()) {
+    infer_int8(in, n_batch, g, out, arena);
+  } else {
+    const std::size_t in_stride =
+        static_cast<std::size_t>(g.in_c) * g.in_h * g.in_w;
+    const std::size_t ohw = static_cast<std::size_t>(g.out_h()) * g.out_w();
+    const std::size_t out_stride = static_cast<std::size_t>(g.out_c) * ohw;
+    const std::size_t ckk =
+        static_cast<std::size_t>(g.in_c) * g.kernel * g.kernel;
+    float* cols = identity_cols(g) ? nullptr : arena.cols(ckk * ohw);
+    for (int n = 0; n < n_batch; ++n) {
+      const float* sample = in + n * in_stride;
+      if (cols != nullptr) im2col(sample, g, cols);  // writes every entry
+      gemm_sample(cols != nullptr ? cols : sample, g, out + n * out_stride);
+    }
+  }
+  arena.advance();
 }
 
 Tensor Conv2D::forward_train(const Tensor& input) {
   geom_ = geom_for(geom_, input);
   input_ = input;
-  return conv(input, geom_, &cols_);
-}
-
-Tensor Conv2D::conv(const Tensor& input, const ConvGeom& g,
-                    std::vector<Tensor>* keep_cols) const {
   const int n_batch = input.dim(0);
-  const int oh = g.out_h();
-  const int ow = g.out_w();
-  const int ckk = g.in_c * g.kernel * g.kernel;
-  const int ohw = oh * ow;
-
-  // The per-sample im2col buffers exist only for backward(); eval-mode
-  // forwards skip them and run im2col through one scratch buffer reused
-  // across the batch.
-  if (keep_cols != nullptr)
-    keep_cols->resize(static_cast<std::size_t>(n_batch));
-  Tensor scratch_cols;
-  Tensor out = Tensor::uninit({n_batch, g.out_c, oh, ow});
+  const int ohw = geom_.out_h() * geom_.out_w();
+  const int ckk = geom_.in_c * geom_.kernel * geom_.kernel;
   const std::size_t in_stride =
-      static_cast<std::size_t>(g.in_c) * g.in_h * g.in_w;
-  const std::size_t out_stride = static_cast<std::size_t>(g.out_c) * ohw;
-
-  // For a 1x1/stride-1/pad-0 conv the im2col matrix IS the input sample
-  // ([in_c, hw] row-major), so eval-mode forwards feed the input to the
-  // gemm directly. Training still materializes the cols for backward.
-  const bool identity_cols = keep_cols == nullptr && g.kernel == 1 &&
-                             g.stride == 1 && g.pad == 0;
-
+      static_cast<std::size_t>(geom_.in_c) * geom_.in_h * geom_.in_w;
+  const std::size_t out_stride = static_cast<std::size_t>(geom_.out_c) * ohw;
+  // Every sample's im2col matrix is kept for backward().
+  cols_.resize(static_cast<std::size_t>(n_batch));
+  Tensor out = Tensor::uninit({n_batch, geom_.out_c, geom_.out_h(),
+                               geom_.out_w()});
   for (int n = 0; n < n_batch; ++n) {
-    const float* cols_ptr;
-    if (identity_cols) {
-      cols_ptr = input.raw() + n * in_stride;
-    } else {
-      Tensor& cols = keep_cols != nullptr
-                         ? (*keep_cols)[static_cast<std::size_t>(n)]
-                         : scratch_cols;
-      if (cols.numel() != static_cast<std::size_t>(ckk) * ohw)
-        cols = Tensor::uninit({ckk, ohw});  // im2col writes every entry
-      im2col(input.raw() + n * in_stride, g, cols.raw());
-      cols_ptr = cols.raw();
-    }
-    gemm(weight_.value.raw(), cols_ptr, out.raw() + n * out_stride, g.out_c,
-         ckk, ohw, /*accumulate=*/false, mode_);
-    if (use_bias_) {
-      float* dst = out.raw() + n * out_stride;
-      for (int c = 0; c < g.out_c; ++c) {
-        float b = bias_.value[static_cast<std::size_t>(c)];
-        for (int i = 0; i < ohw; ++i) dst[c * ohw + i] += b;
-      }
-    }
+    Tensor& cols = cols_[static_cast<std::size_t>(n)];
+    if (cols.numel() != static_cast<std::size_t>(ckk) * ohw)
+      cols = Tensor::uninit({ckk, ohw});  // im2col writes every entry
+    im2col(input.raw() + n * in_stride, geom_, cols.raw());
+    gemm_sample(cols.raw(), geom_, out.raw() + n * out_stride);
   }
   return out;
 }
 
-Tensor Conv2D::infer_int8(const Tensor& input, const ConvGeom& g) const {
-  const int n_batch = input.dim(0);
-  const int oh = g.out_h();
-  const int ow = g.out_w();
+void Conv2D::gemm_sample(const float* cols, const ConvGeom& g,
+                         float* out) const {
   const int ckk = g.in_c * g.kernel * g.kernel;
-  const int ohw = oh * ow;
+  const int ohw = g.out_h() * g.out_w();
+  gemm(weight_.value.raw(), cols, out, g.out_c, ckk, ohw,
+       /*accumulate=*/false, mode_);
+  if (use_bias_) {
+    for (int c = 0; c < g.out_c; ++c) {
+      float b = bias_.value[static_cast<std::size_t>(c)];
+      for (int i = 0; i < ohw; ++i) out[c * ohw + i] += b;
+    }
+  }
+}
+
+void Conv2D::infer_int8(const float* input, int n_batch, const ConvGeom& g,
+                        float* out, EvalArena& arena) const {
+  const int ckk = g.in_c * g.kernel * g.kernel;
+  const int ohw = g.out_h() * g.out_w();
 
   // Weights are re-quantized from the live float values every forward so
   // a freshly trained / mutated model never sees stale codes.
-  std::vector<std::int8_t> qw(static_cast<std::size_t>(g.out_c) * ckk);
-  std::vector<float> w_scales(static_cast<std::size_t>(g.out_c));
-  int8::quantize_rows(weight_.value.raw(), g.out_c, ckk, qw.data(),
-                      w_scales.data());
+  std::int8_t* qw = arena.qweights(static_cast<std::size_t>(g.out_c) * ckk);
+  float* w_scales = arena.scales(static_cast<std::size_t>(g.out_c));
+  int8::quantize_rows(weight_.value.raw(), g.out_c, ckk, qw, w_scales);
 
   // Same 1x1 shortcut as the float path: the im2col matrix is the input
   // sample itself, so quantize straight from the input.
-  const bool identity_cols = g.kernel == 1 && g.stride == 1 && g.pad == 0;
-
-  Tensor out = Tensor::uninit({n_batch, g.out_c, oh, ow});
   const std::size_t cols_numel = static_cast<std::size_t>(ckk) * ohw;
-  Tensor cols;
-  if (!identity_cols) cols = Tensor::uninit({ckk, ohw});
-  std::vector<std::int8_t> qcols(cols_numel);
-  std::vector<std::int32_t> acc(static_cast<std::size_t>(g.out_c) * ohw);
+  float* cols = identity_cols(g) ? nullptr : arena.cols(cols_numel);
+  std::int8_t* qcols = arena.qacts(cols_numel);
+  std::int32_t* acc = arena.acc(static_cast<std::size_t>(g.out_c) * ohw);
   const std::size_t in_stride =
       static_cast<std::size_t>(g.in_c) * g.in_h * g.in_w;
   const std::size_t out_stride = static_cast<std::size_t>(g.out_c) * ohw;
 
   for (int n = 0; n < n_batch; ++n) {
-    const float* cols_ptr = identity_cols ? input.raw() + n * in_stride
-                                          : cols.raw();
-    if (!identity_cols)
-      im2col(input.raw() + n * in_stride, g, cols.raw());
+    const float* cols_ptr = input + n * in_stride;
+    if (cols != nullptr) {
+      im2col(cols_ptr, g, cols);
+      cols_ptr = cols;
+    }
     const float act_scale = int8::tensor_scale(cols_ptr, cols_numel);
-    int8::quantize(cols_ptr, cols_numel, act_scale, qcols.data());
-    int8::gemm_s8(qw.data(), qcols.data(), acc.data(), g.out_c, ckk,
-                  ohw);
-    int8::requant_rows(acc.data(), g.out_c, ohw, act_scale,
-                       w_scales.data(),
+    int8::quantize(cols_ptr, cols_numel, act_scale, qcols);
+    int8::gemm_s8(qw, qcols, acc, g.out_c, ckk, ohw);
+    int8::requant_rows(acc, g.out_c, ohw, act_scale, w_scales,
                        use_bias_ ? bias_.value.raw() : nullptr,
-                       out.raw() + n * out_stride);
+                       out + n * out_stride);
   }
-  return out;
 }
 
 Tensor Conv2D::backward(const Tensor& grad_output) {
@@ -209,59 +216,59 @@ std::vector<Param*> DepthwiseConv2D::params() {
   return p;
 }
 
-Tensor DepthwiseConv2D::infer(const Tensor& input) const {
-  const ConvGeom g = geom_for(geom_, input);
-  return use_int8() ? infer_int8(input, g) : depthwise(input, g);
+void DepthwiseConv2D::infer(EvalArena& arena) const {
+  ES_TRACE_SCOPE("nn", "depthwise");
+  const ConvGeom g = geom_for(geom_, arena.shape());
+  const int n_batch = arena.shape().dim(0);
+  float* out = arena.next({4, {n_batch, g.in_c, g.out_h(), g.out_w()}});
+  if (use_int8())
+    infer_int8(arena.x(), n_batch, g, out, arena);
+  else
+    depthwise_conv_forward(arena.x(), n_batch, weight_.value.raw(),
+                           use_bias_ ? bias_.value.raw() : nullptr, g, out);
+  arena.advance();
 }
 
 Tensor DepthwiseConv2D::forward_train(const Tensor& input) {
   geom_ = geom_for(geom_, input);
   input_ = input;
-  return depthwise(input, geom_);
-}
-
-Tensor DepthwiseConv2D::depthwise(const Tensor& input,
-                                  const ConvGeom& g) const {
-  Tensor out = Tensor::uninit({input.dim(0), g.in_c, g.out_h(), g.out_w()});
+  Tensor out = Tensor::uninit(
+      {input.dim(0), geom_.in_c, geom_.out_h(), geom_.out_w()});
   depthwise_conv_forward(input, weight_.value,
-                         use_bias_ ? bias_.value.raw() : nullptr, g, out);
+                         use_bias_ ? bias_.value.raw() : nullptr, geom_, out);
   return out;
 }
 
-Tensor DepthwiseConv2D::infer_int8(const Tensor& input,
-                                   const ConvGeom& g) const {
-  const int n_batch = input.dim(0);
+void DepthwiseConv2D::infer_int8(const float* input, int n_batch,
+                                 const ConvGeom& g, float* out,
+                                 EvalArena& arena) const {
   const int oh = g.out_h();
   const int ow = g.out_w();
   const int kk = g.kernel * g.kernel;
   const std::size_t in_hw = static_cast<std::size_t>(g.in_h) * g.in_w;
   const std::size_t out_hw = static_cast<std::size_t>(oh) * ow;
 
-  std::vector<std::int8_t> qw(static_cast<std::size_t>(g.in_c) * kk);
-  std::vector<float> w_scales(static_cast<std::size_t>(g.in_c));
-  int8::quantize_rows(weight_.value.raw(), g.in_c, kk, qw.data(),
-                      w_scales.data());
+  std::int8_t* qw = arena.qweights(static_cast<std::size_t>(g.in_c) * kk);
+  float* w_scales = arena.scales(static_cast<std::size_t>(g.in_c));
+  int8::quantize_rows(weight_.value.raw(), g.in_c, kk, qw, w_scales);
 
-  Tensor out = Tensor::uninit({n_batch, g.in_c, oh, ow});
-  std::vector<std::int8_t> qplane(in_hw);
+  std::int8_t* qplane = arena.qacts(in_hw);
   for (int n = 0; n < n_batch; ++n) {
     for (int c = 0; c < g.in_c; ++c) {
       const float* in_plane =
-          input.raw() + (static_cast<std::size_t>(n) * g.in_c + c) * in_hw;
+          input + (static_cast<std::size_t>(n) * g.in_c + c) * in_hw;
       float* out_plane =
-          out.raw() + (static_cast<std::size_t>(n) * g.in_c + c) * out_hw;
+          out + (static_cast<std::size_t>(n) * g.in_c + c) * out_hw;
       const float act_scale = int8::tensor_scale(in_plane, in_hw);
-      int8::quantize(in_plane, in_hw, act_scale, qplane.data());
+      int8::quantize(in_plane, in_hw, act_scale, qplane);
       int8::depthwise_plane_s8(
-          qplane.data(), g.in_h, g.in_w,
-          qw.data() + static_cast<std::size_t>(c) * kk, g.kernel,
-          g.stride, g.pad,
+          qplane, g.in_h, g.in_w, qw + static_cast<std::size_t>(c) * kk,
+          g.kernel, g.stride, g.pad,
           use_bias_ ? bias_.value[static_cast<std::size_t>(c)] : 0.0f,
           act_scale * w_scales[static_cast<std::size_t>(c)], out_plane, oh,
           ow);
     }
   }
-  return out;
 }
 
 Tensor DepthwiseConv2D::backward(const Tensor& grad_output) {
@@ -295,48 +302,54 @@ std::vector<Param*> Dense::params() {
   return p;
 }
 
-Tensor Dense::infer(const Tensor& input) const {
-  ES_CHECK(input.rank() == 2 && input.dim(1) == in_dim_);
-  return use_int8() ? infer_int8(input) : affine(input);
+void Dense::infer(EvalArena& arena) const {
+  ES_TRACE_SCOPE("nn", "dense");
+  ES_CHECK(arena.shape().rank == 2 && arena.shape().dim(1) == in_dim_);
+  const int n = arena.shape().dim(0);
+  float* out = arena.next({2, {n, out_dim_}});
+  if (use_int8())
+    infer_int8(arena.x(), n, out, arena);
+  else
+    affine(arena.x(), n, out);
+  arena.advance();
 }
 
 Tensor Dense::forward_train(const Tensor& input) {
   ES_CHECK(input.rank() == 2 && input.dim(1) == in_dim_);
   input_ = input;
-  return affine(input);
+  Tensor out = Tensor::uninit({input.dim(0), out_dim_});
+  affine(input.raw(), input.dim(0), out.raw());
+  return out;
 }
 
-Tensor Dense::affine(const Tensor& input) const {
-  const int n = input.dim(0);
-  Tensor out = Tensor::uninit({n, out_dim_});
-  gemm(input.raw(), weight_.value.raw(), out.raw(), n, in_dim_, out_dim_,
+void Dense::affine(const float* input, int n, float* out) const {
+  gemm(input, weight_.value.raw(), out, n, in_dim_, out_dim_,
        /*accumulate=*/false, mode_);
   if (use_bias_) {
     for (int i = 0; i < n; ++i)
       for (int j = 0; j < out_dim_; ++j)
-        out.at2(i, j) += bias_.value[static_cast<std::size_t>(j)];
+        out[static_cast<std::size_t>(i) * out_dim_ + j] +=
+            bias_.value[static_cast<std::size_t>(j)];
   }
-  return out;
 }
 
-Tensor Dense::infer_int8(const Tensor& input) const {
-  const int n = input.dim(0);
-  std::vector<std::int8_t> qw(static_cast<std::size_t>(in_dim_) * out_dim_);
-  std::vector<float> col_scales(static_cast<std::size_t>(out_dim_));
-  int8::quantize_cols(weight_.value.raw(), in_dim_, out_dim_, qw.data(),
-                      col_scales.data());
+void Dense::infer_int8(const float* input, int n, float* out,
+                       EvalArena& arena) const {
+  std::int8_t* qw =
+      arena.qweights(static_cast<std::size_t>(in_dim_) * out_dim_);
+  float* col_scales = arena.scales(static_cast<std::size_t>(out_dim_));
+  int8::quantize_cols(weight_.value.raw(), in_dim_, out_dim_, qw,
+                      col_scales);
 
-  const float act_scale = int8::tensor_scale(input.raw(), input.numel());
-  std::vector<std::int8_t> qin(input.numel());
-  int8::quantize(input.raw(), input.numel(), act_scale, qin.data());
+  const std::size_t numel = static_cast<std::size_t>(n) * in_dim_;
+  const float act_scale = int8::tensor_scale(input, numel);
+  std::int8_t* qin = arena.qacts(numel);
+  int8::quantize(input, numel, act_scale, qin);
 
-  std::vector<std::int32_t> acc(static_cast<std::size_t>(n) * out_dim_);
-  int8::gemm_s8(qin.data(), qw.data(), acc.data(), n, in_dim_, out_dim_);
-
-  Tensor out({n, out_dim_});
-  int8::requant_cols(acc.data(), n, out_dim_, act_scale, col_scales.data(),
-                     use_bias_ ? bias_.value.raw() : nullptr, out.raw());
-  return out;
+  std::int32_t* acc = arena.acc(static_cast<std::size_t>(n) * out_dim_);
+  int8::gemm_s8(qin, qw, acc, n, in_dim_, out_dim_);
+  int8::requant_cols(acc, n, out_dim_, act_scale, col_scales,
+                     use_bias_ ? bias_.value.raw() : nullptr, out);
 }
 
 Tensor Dense::backward(const Tensor& grad_output) {
@@ -445,56 +458,34 @@ Tensor BatchNorm::forward_train(const Tensor& input) {
   return out;
 }
 
-Tensor BatchNorm::infer(const Tensor& input) const {
-  auto [n, c, hw] = bn_dims(input);
-  ES_CHECK(c == channels_);
-  Tensor out = Tensor::uninit(input.shape());
-  // Per-channel constants hoisted, then one contiguous sweep (sample
-  // outer, channel inner) — same per-element arithmetic, so results
-  // are bit-identical to the channel-outer order, just cache-friendly.
-  std::vector<float> inv_std(static_cast<std::size_t>(c));
-  for (int ch = 0; ch < c; ++ch)
-    inv_std[static_cast<std::size_t>(ch)] =
-        1.0f / std::sqrt(running_var_[static_cast<std::size_t>(ch)] + eps_);
-  if (use_avx2()) {
-    // avx2 tier: fold normalization into one scale + shift per channel
-    // (dst = src * s + t). Algebraically equal but not bit-equal to
-    // the reference expression — a within-contract tier divergence
-    // (DESIGN.md §15); the scalar tier below keeps the reference
-    // operand order untouched.
-    std::vector<float> scale(static_cast<std::size_t>(c));
-    std::vector<float> shift(static_cast<std::size_t>(c));
-    for (int ch = 0; ch < c; ++ch) {
-      const std::size_t s = static_cast<std::size_t>(ch);
-      scale[s] = gamma_.value[s] * inv_std[s];
-      shift[s] = beta_.value[s] - running_mean_[s] * scale[s];
-    }
+void BatchNorm::infer(EvalArena& arena) const {
+  ES_TRACE_SCOPE("nn", "batchnorm");
+  const ActShape& shape = arena.shape();
+  ES_CHECK((shape.rank == 4 || shape.rank == 2) && shape.dim(1) == channels_);
+  const int n = shape.dim(0), c = channels_;
+  const int hw = shape.rank == 4 ? shape.dim(2) * shape.dim(3) : 1;
+  float* x = arena.x_inplace();
+  const bool folded = use_avx2();
+  for (int ch = 0; ch < c; ++ch) {
+    const std::size_t s = static_cast<std::size_t>(ch);
+    const float mean = running_mean_[s];
+    const float is = 1.0f / std::sqrt(running_var_[s] + eps_);
+    const float g = gamma_.value[s];
+    const float be = beta_.value[s];
+    // avx2 tier: normalization folded into one scale + shift per channel
+    // (x * sc + sh). Algebraically equal but not bit-equal to the
+    // reference expression — a within-contract tier divergence (DESIGN.md
+    // §15); the scalar tier keeps the reference operand order untouched.
+    const float sc = g * is;
+    const float sh = be - mean * sc;
     for (int b = 0; b < n; ++b) {
-      for (int ch = 0; ch < c; ++ch) {
-        const float s = scale[static_cast<std::size_t>(ch)];
-        const float t = shift[static_cast<std::size_t>(ch)];
-        const float* src = input.raw() +
-                           (static_cast<std::size_t>(b) * c + ch) * hw;
-        float* dst = out.raw() + (static_cast<std::size_t>(b) * c + ch) * hw;
-        for (int i = 0; i < hw; ++i) dst[i] = src[i] * s + t;
-      }
-    }
-    return out;
-  }
-  for (int b = 0; b < n; ++b) {
-    for (int ch = 0; ch < c; ++ch) {
-      const float mean = running_mean_[static_cast<std::size_t>(ch)];
-      const float is = inv_std[static_cast<std::size_t>(ch)];
-      const float g = gamma_.value[static_cast<std::size_t>(ch)];
-      const float be = beta_.value[static_cast<std::size_t>(ch)];
-      const float* src = input.raw() +
-                         (static_cast<std::size_t>(b) * c + ch) * hw;
-      float* dst = out.raw() + (static_cast<std::size_t>(b) * c + ch) * hw;
-      for (int i = 0; i < hw; ++i)
-        dst[i] = g * (src[i] - mean) * is + be;
+      float* p = x + (static_cast<std::size_t>(b) * c + ch) * hw;
+      if (folded)
+        for (int i = 0; i < hw; ++i) p[i] = p[i] * sc + sh;
+      else
+        for (int i = 0; i < hw; ++i) p[i] = g * (p[i] - mean) * is + be;
     }
   }
-  return out;
 }
 
 Tensor BatchNorm::backward(const Tensor& grad_output) {
@@ -540,12 +531,20 @@ Tensor BatchNorm::backward(const Tensor& grad_output) {
 
 // ---- ReLU ----------------------------------------------------------------
 
-Tensor ReLU::infer(const Tensor& input) const {
-  Tensor out = Tensor::uninit(input.shape());
-  auto src = input.data();
-  auto dst = out.data();
-  for (std::size_t i = 0; i < src.size(); ++i)
+void ReLU::apply(const float* src, std::size_t n, float* dst) const {
+  for (std::size_t i = 0; i < n; ++i)
     dst[i] = std::min(std::max(src[i], 0.0f), cap_);
+}
+
+void ReLU::infer(EvalArena& arena) const {
+  float* x = arena.x_inplace();
+  apply(x, arena.shape().numel(), x);
+}
+
+Tensor ReLU::forward_train(const Tensor& input) {
+  input_ = input;  // backward's cache
+  Tensor out = Tensor::uninit(input.shape());
+  apply(input.raw(), input.numel(), out.raw());
   return out;
 }
 
@@ -562,20 +561,34 @@ Tensor ReLU::backward(const Tensor& grad_output) {
 
 // ---- GlobalAvgPool --------------------------------------------------------
 
-Tensor GlobalAvgPool::infer(const Tensor& input) const {
-  ES_CHECK(input.rank() == 4);
-  const int n = input.dim(0), c = input.dim(1);
-  const int hw = input.dim(2) * input.dim(3);
+namespace {
+// Mean of each of the n*c planes of hw values.
+void avg_pool(const float* in, int n, int c, int hw, float* out) {
   const float inv = 1.0f / static_cast<float>(hw);
-  Tensor out = Tensor::uninit({n, c});
-  for (int b = 0; b < n; ++b)
-    for (int ch = 0; ch < c; ++ch) {
-      const float* p = input.raw() +
-                       (static_cast<std::size_t>(b) * c + ch) * hw;
-      float sum = 0.0f;
-      for (int i = 0; i < hw; ++i) sum += p[i];
-      out.at2(b, ch) = sum * inv;
-    }
+  for (std::size_t p = 0; p < static_cast<std::size_t>(n) * c; ++p) {
+    const float* plane = in + p * hw;
+    float sum = 0.0f;
+    for (int i = 0; i < hw; ++i) sum += plane[i];
+    out[p] = sum * inv;
+  }
+}
+}  // namespace
+
+void GlobalAvgPool::infer(EvalArena& arena) const {
+  const ActShape& shape = arena.shape();
+  ES_CHECK(shape.rank == 4);
+  const int n = shape.dim(0), c = shape.dim(1);
+  float* out = arena.next({2, {n, c}});
+  avg_pool(arena.x(), n, c, shape.dim(2) * shape.dim(3), out);
+  arena.advance();
+}
+
+Tensor GlobalAvgPool::forward_train(const Tensor& input) {
+  ES_CHECK(input.rank() == 4);
+  in_shape_ = input.shape();  // backward's cache
+  Tensor out = Tensor::uninit({input.dim(0), input.dim(1)});
+  avg_pool(input.raw(), input.dim(0), input.dim(1),
+           input.dim(2) * input.dim(3), out.raw());
   return out;
 }
 

@@ -14,7 +14,7 @@ class Conv2D : public Layer {
   Conv2D(std::string name, int in_c, int out_c, int kernel, int stride,
          int pad, bool use_bias);
 
-  Tensor infer(const Tensor& input) const override;
+  void infer(EvalArena& arena) const override;
   Tensor forward_train(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
   std::vector<Param*> params() override;
@@ -22,15 +22,15 @@ class Conv2D : public Layer {
   void init(Pcg32& rng) override;
 
  private:
-  /// Float im2col + GEMM over geometry `g`. When `keep_cols` is non-null
-  /// it receives every sample's im2col matrix (backward's cache).
-  Tensor conv(const Tensor& input, const ConvGeom& g,
-              std::vector<Tensor>* keep_cols) const;
+  /// One sample's float GEMM of the weights with its im2col matrix
+  /// `cols` ([in_c*K*K, out_h*out_w]) into `out`, plus the bias.
+  void gemm_sample(const float* cols, const ConvGeom& g, float* out) const;
 
   /// Quantized inference path (BackendKind::kInt8, eval mode only):
   /// per-row weight scales, per-sample activation scale over the im2col
   /// buffer, saturating int32 accumulate, deterministic requantization.
-  Tensor infer_int8(const Tensor& input, const ConvGeom& g) const;
+  void infer_int8(const float* input, int n_batch, const ConvGeom& g,
+                  float* out, EvalArena& arena) const;
 
   ConvGeom geom_;  // in_h/in_w: the last training forward's, for backward
   bool use_bias_;
@@ -47,7 +47,7 @@ class DepthwiseConv2D : public Layer {
   DepthwiseConv2D(std::string name, int channels, int kernel, int stride,
                   int pad, bool use_bias);
 
-  Tensor infer(const Tensor& input) const override;
+  void infer(EvalArena& arena) const override;
   Tensor forward_train(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
   std::vector<Param*> params() override;
@@ -55,11 +55,10 @@ class DepthwiseConv2D : public Layer {
   void init(Pcg32& rng) override;
 
  private:
-  Tensor depthwise(const Tensor& input, const ConvGeom& g) const;
-
   /// Quantized inference path: per-channel weight scales, per-plane
   /// activation scales.
-  Tensor infer_int8(const Tensor& input, const ConvGeom& g) const;
+  void infer_int8(const float* input, int n_batch, const ConvGeom& g,
+                  float* out, EvalArena& arena) const;
 
   ConvGeom geom_;  // in_h/in_w: the last training forward's, for backward
   bool use_bias_;
@@ -73,7 +72,7 @@ class Dense : public Layer {
  public:
   Dense(std::string name, int in_dim, int out_dim, bool use_bias = true);
 
-  Tensor infer(const Tensor& input) const override;
+  void infer(EvalArena& arena) const override;
   Tensor forward_train(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
   std::vector<Param*> params() override;
@@ -81,11 +80,14 @@ class Dense : public Layer {
   void init(Pcg32& rng) override;
 
  private:
-  Tensor affine(const Tensor& input) const;
+  /// Float GEMM of `n` input rows with the weights into `out`, plus bias.
+  void affine(const float* input, int n, float* out) const;
 
   /// Quantized inference path: per-column (per-output-unit) weight
-  /// scales, per-tensor activation scale.
-  Tensor infer_int8(const Tensor& input) const;
+  /// scales, one activation scale over all `n` rows — so Dense, unlike
+  /// the layers before it, is not row-independent in this tier.
+  void infer_int8(const float* input, int n, float* out,
+                  EvalArena& arena) const;
 
   int in_dim_, out_dim_;
   bool use_bias_;
@@ -101,7 +103,8 @@ class BatchNorm : public Layer {
   BatchNorm(std::string name, int channels, float momentum = 0.9f,
             float eps = 1e-5f);
 
-  Tensor infer(const Tensor& input) const override;
+  /// In place on the producer's buffer.
+  void infer(EvalArena& arena) const override;
   Tensor forward_train(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
   std::vector<Param*> params() override;
@@ -134,15 +137,15 @@ class ReLU : public Layer {
   explicit ReLU(float cap = std::numeric_limits<float>::infinity())
       : cap_(cap) {}
 
-  Tensor infer(const Tensor& input) const override;
-  Tensor forward_train(const Tensor& input) override {
-    input_ = input;  // backward's cache
-    return infer(input);
-  }
+  /// In place on the producer's buffer.
+  void infer(EvalArena& arena) const override;
+  Tensor forward_train(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
   std::string type() const override { return cap_ < 1e9f ? "relu6" : "relu"; }
 
  private:
+  void apply(const float* src, std::size_t n, float* dst) const;
+
   float cap_;
   Tensor input_;
 };
@@ -150,11 +153,8 @@ class ReLU : public Layer {
 /// Global average pooling: [N,C,H,W] -> [N,C].
 class GlobalAvgPool : public Layer {
  public:
-  Tensor infer(const Tensor& input) const override;
-  Tensor forward_train(const Tensor& input) override {
-    in_shape_ = input.shape();  // backward's cache
-    return infer(input);
-  }
+  void infer(EvalArena& arena) const override;
+  Tensor forward_train(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
   std::string type() const override { return "gap"; }
 

@@ -1,5 +1,6 @@
 #include "nn/model.h"
 
+#include <algorithm>
 #include <functional>
 
 #include "nn/block.h"
@@ -19,13 +20,64 @@ void Model::set_embedding_tap(int index) {
   embedding_tap_ = index;
 }
 
+std::vector<const float*> sample_pointers(const Tensor& batch) {
+  ES_CHECK(batch.rank() >= 1);
+  const std::size_t n = static_cast<std::size_t>(batch.dim(0));
+  const std::size_t row = batch.numel() / n;
+  std::vector<const float*> samples(n);
+  for (std::size_t i = 0; i < n; ++i) samples[i] = batch.raw() + i * row;
+  return samples;
+}
+
 Tensor Model::infer(const Tensor& input) const {
+  ES_CHECK(input.rank() == 4 || input.rank() == 2);
+  return infer(sample_pointers(input),
+               std::span<const int>(input.shape()).subspan(1));
+}
+
+Tensor Model::infer(std::span<const float* const> samples,
+                    std::span<const int> sample_shape) const {
   ES_TRACE_SCOPE("nn", "forward");
   ES_COUNT("nn.inferences", 1);
-  ES_CHECK(!layers_.empty());
-  Tensor x = input;
-  for (const auto& layer : layers_) x = layer->infer(x);
-  return x;
+  ES_CHECK(!layers_.empty() && !samples.empty());
+  ES_CHECK(sample_shape.size() == 3 || sample_shape.size() == 1);
+  EvalArena& arena = EvalArena::local();
+  const EvalArena::Use use(arena);
+  ActShape one{static_cast<int>(sample_shape.size()) + 1, {1}};
+  std::copy(sample_shape.begin(), sample_shape.end(), one.dims.begin() + 1);
+
+  // Layers that see a spatial [1,C,H,W] activation run one sample at a
+  // time, so the arena holds one sample's activations, never the
+  // batch's. Each of them is row-independent in every tier: convolutions
+  // and pooling work per sample, batch-norm uses running statistics and
+  // the int8 tier scales activations per sample or per plane. Every
+  // sample's flat output is gathered into the rows buffer, and the
+  // layers after it run on all rows at once: the int8 Dense scales its
+  // activations over the whole batch, so it must see every row.
+  const int n = static_cast<int>(samples.size());
+  std::size_t tail = 0;
+  ActShape rows_shape;
+  float* rows = nullptr;
+  for (int i = 0; i < n; ++i) {
+    arena.load(samples[static_cast<std::size_t>(i)], one);
+    std::size_t l = 0;
+    while (l < layers_.size() && arena.shape().rank == 4)
+      layers_[l++]->infer(arena);
+    const std::size_t row = arena.shape().numel();
+    if (i == 0) {
+      tail = l;
+      rows_shape = arena.shape();
+      rows_shape.dims[0] = n;
+      rows = arena.rows(rows_shape.numel());
+    }
+    std::copy_n(arena.x(), row, rows + static_cast<std::size_t>(i) * row);
+  }
+  arena.load(rows, rows_shape);
+  for (std::size_t l = tail; l < layers_.size(); ++l) layers_[l]->infer(arena);
+
+  Tensor out = Tensor::uninit(arena.shape().to_vector());
+  std::copy_n(arena.x(), out.numel(), out.raw());
+  return out;
 }
 
 Tensor Model::forward_train(const Tensor& input) {

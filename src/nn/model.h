@@ -7,10 +7,16 @@
 // backward.
 #pragma once
 
+#include <span>
+
 #include "nn/layer.h"
 #include "util/bytes.h"
 
 namespace edgestab {
+
+/// Where the N samples of a batch [N,...] start: one pointer per row, for
+/// the sample-list forms of Model::infer and predict_logits.
+std::vector<const float*> sample_pointers(const Tensor& batch);
 
 class Model {
  public:
@@ -28,9 +34,17 @@ class Model {
   /// Mark the output of layer `index` as the embedding.
   void set_embedding_tap(int index);
 
-  /// Eval forward of a batch [N,3,H,W] to logits [N,classes]. Writes no
-  /// model state, so concurrent calls on one model are safe.
+  /// Eval forward of a batch [N,3,H,W] (or [N,D]) to logits [N,classes].
+  /// Writes no model state, so concurrent calls on one model are safe.
   Tensor infer(const Tensor& input) const;
+
+  /// The same for N = samples.size() inputs that are not stacked into
+  /// one tensor: sample i, of shape `sample_shape` ([C,H,W] or [D]), is
+  /// read from samples[i]. Activations live in the calling lane's arena
+  /// (nn/arena.h); the returned logits are the only allocation once the
+  /// arena has grown to the model's geometry.
+  Tensor infer(std::span<const float* const> samples,
+               std::span<const int> sample_shape) const;
 
   /// Training forward of a batch [N,3,H,W] to logits [N,classes].
   Tensor forward_train(const Tensor& input);

@@ -215,22 +215,26 @@ TrainStats train_stability(Model& model, const TensorDataset& train,
 Tensor predict_logits(const Model& model, const Tensor& images,
                       int batch_size) {
   ES_CHECK(images.rank() == 4);
+  return predict_logits(model, sample_pointers(images),
+                        std::span<const int>(images.shape()).subspan(1),
+                        batch_size);
+}
+
+Tensor predict_logits(const Model& model,
+                      std::span<const float* const> samples,
+                      std::span<const int> sample_shape, int batch_size) {
   ES_CHECK(batch_size > 0);
-  const int n = images.dim(0);
-  const int c = images.dim(1);
-  const int h = images.dim(2);
-  const int w = images.dim(3);
-  const std::size_t sample_n = static_cast<std::size_t>(c) * h * w;
+  const int n = static_cast<int>(samples.size());
   if (n == 0) return Tensor();
 
-  // Inference rows are batch-independent: convolutions and pooling are
-  // per-sample, batch-norm normalizes with running statistics, dense
-  // layers reduce per row. The chunking below may therefore differ from
-  // `batch_size` without changing a single output bit. The cut count is
-  // fixed — NOT derived from the lane count — so the chunk layout, and
-  // with it each chunk's tracked allocations, is identical at any
+  // Inference rows are batch-independent up to the dense tail, which
+  // sees one chunk's rows at once (Model::infer) — and in the int8 tier
+  // its activation scale spans those rows. The cut count is fixed — NOT
+  // derived from the lane count — so the chunk layout, and with it every
+  // int8 logit and each chunk's tracked allocations, is identical at any
   // --threads (DESIGN.md §13 determinism contract). Lanes share the
-  // const model: nothing is copied per chunk.
+  // const model and read their chunk's samples in place: nothing is
+  // copied per chunk.
   constexpr int kEvalCuts = 16;
   const int chunk = std::max(
       1, std::min(batch_size, (n + kEvalCuts - 1) / kEvalCuts));
@@ -239,10 +243,11 @@ Tensor predict_logits(const Model& model, const Tensor& images,
       static_cast<std::size_t>((n + chunk - 1) / chunk),
       [&](std::size_t i) {
         const int start = static_cast<int>(i) * chunk;
-        Tensor batch({std::min(chunk, n - start), c, h, w});
-        std::copy_n(images.raw() + start * sample_n, batch.numel(),
-                    batch.raw());
-        return model.infer(batch);
+        return model.infer(
+            samples.subspan(static_cast<std::size_t>(start),
+                            static_cast<std::size_t>(
+                                std::min(chunk, n - start))),
+            sample_shape);
       },
       /*grain=*/1);
   Tensor all_logits({n, parts.front().dim(1)});

@@ -12,6 +12,7 @@
 
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -84,6 +85,13 @@ TrainStats train_stability(Model& model, const TensorDataset& train,
 /// auditor compares these across environments before softmax flattens
 /// the scale.
 Tensor predict_logits(const Model& model, const Tensor& images,
+                      int batch_size = 64);
+
+/// The same over samples that are not stacked into one tensor: sample i,
+/// of shape `sample_shape` ([C,H,W]), is read from samples[i].
+Tensor predict_logits(const Model& model,
+                      std::span<const float* const> samples,
+                      std::span<const int> sample_shape,
                       int batch_size = 64);
 
 /// Batched inference: softmax probabilities [N, classes] (eval mode).

@@ -221,9 +221,13 @@ bool parse_run_record(const JsonValue& doc, RunRecord* out,
                "max_rss_kb";
     return false;
   }
-  if (const JsonValue* seed = doc.find("seed"); seed != nullptr) {
+  if (doc.find("seed") != nullptr) {
     record.has_seed = true;
-    record.seed = static_cast<std::uint64_t>(seed->number_or(0.0));
+    if (!doc.read_int("seed", &record.seed)) {
+      if (error != nullptr)
+        *error = "run record seed is not an unsigned 64-bit integer";
+      return false;
+    }
   }
   record.fault_plan = string_member(doc, "fault_plan");
   record.items = number_member(doc, "items", 0.0);
@@ -473,9 +477,10 @@ bool parse_baseline(const JsonValue& doc, Baseline* out,
     return refuse("baseline created_unix is not an integer");
   if (const JsonValue* provenance = doc.find("provenance");
       provenance != nullptr && provenance->is_object()) {
-    if (const JsonValue* seed = provenance->find("seed"); seed != nullptr) {
+    if (provenance->find("seed") != nullptr) {
       baseline.has_seed = true;
-      baseline.seed = static_cast<std::uint64_t>(seed->number_or(0.0));
+      if (!provenance->read_int("seed", &baseline.seed))
+        return refuse("baseline seed is not an unsigned 64-bit integer");
     }
     if (!provenance->read_int("threads", &baseline.threads, kOptional))
       return refuse("baseline threads is not an integer");

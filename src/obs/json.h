@@ -109,23 +109,41 @@ class JsonValue {
     return static_cast<T>(number);
   }
 
+  /// as_int() for unsigned T: the number when it is finite, integral and
+  /// in [0, max]; nullopt otherwise.
+  template <std::unsigned_integral T = std::uint64_t>
+  std::optional<T> as_uint() const {
+    // max + 1 is 2^bits, exact in a double; max is not.
+    constexpr double hi =
+        2.0 * static_cast<double>(std::numeric_limits<T>::max() / 2 + 1);
+    if (!is_number() || !std::isfinite(number) ||
+        std::trunc(number) != number || number < 0 || number >= hi)
+      return std::nullopt;
+    return static_cast<T>(number);
+  }
+
   /// read_int(s) `optional` argument: an absent member keeps its value.
   static constexpr bool kOptional = true;
 
-  /// Integer member `key` into `*out` through as_int(). An absent
-  /// member leaves `*out` as is and is accepted only when `optional`; a
-  /// present one must pass as_int(). False means: refuse the document.
-  template <std::signed_integral T>
+  /// Integer member `key` into `*out` through as_int() (as_uint() for an
+  /// unsigned T). An absent member leaves `*out` as is and is accepted
+  /// only when `optional`; a present one must pass the checked read.
+  /// False means: refuse the document.
+  template <std::integral T>
   bool read_int(std::string_view key, T* out, bool optional = false) const {
     const JsonValue* v = find(key);
     if (v == nullptr) return optional;
-    const std::optional<T> n = v->as_int<T>();
+    std::optional<T> n;
+    if constexpr (std::signed_integral<T>)
+      n = v->as_int<T>();
+    else
+      n = v->as_uint<T>();
     if (n) *out = *n;
     return n.has_value();
   }
 
   /// read_int over every (key, field) pair; false at the first refusal.
-  template <std::signed_integral T>
+  template <std::integral T>
   bool read_ints(
       std::initializer_list<std::pair<std::string_view, T*>> fields,
       bool optional = false) const {

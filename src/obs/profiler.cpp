@@ -474,16 +474,6 @@ std::string profile_json(const Profiler& profiler,
   return w.take();
 }
 
-namespace {
-
-std::uint64_t u64_field(const JsonValue& object, const char* key) {
-  const JsonValue* v = object.find(key);
-  if (v == nullptr || !v->is_number() || v->number < 0) return 0;
-  return static_cast<std::uint64_t>(v->number);
-}
-
-}  // namespace
-
 bool parse_profile(const JsonValue& doc, ProfileDoc* out, std::string* error) {
   auto fail = [error](const char* message) {
     if (error != nullptr) *error = message;
@@ -510,11 +500,15 @@ bool parse_profile(const JsonValue& doc, ProfileDoc* out, std::string* error) {
                              : 0.0;
   if (const JsonValue* totals = doc.find("totals")) {
     if (!totals->is_object()) return fail("profile: totals is not an object");
-    parsed.totals.alloc_count = u64_field(*totals, "alloc_count");
-    parsed.totals.alloc_bytes = u64_field(*totals, "alloc_bytes");
-    parsed.totals.free_count = u64_field(*totals, "free_count");
-    parsed.totals.free_bytes = u64_field(*totals, "free_bytes");
-    parsed.totals.peak_live_bytes = u64_field(*totals, "peak_live_bytes");
+    ProfileTotals& t = parsed.totals;
+    if (!totals->read_ints<std::uint64_t>(
+            {{"alloc_count", &t.alloc_count},
+             {"alloc_bytes", &t.alloc_bytes},
+             {"free_count", &t.free_count},
+             {"free_bytes", &t.free_bytes},
+             {"peak_live_bytes", &t.peak_live_bytes}},
+            JsonValue::kOptional))
+      return fail("profile: a totals count is not an unsigned integer");
     if (const JsonValue* sites = totals->find("sites")) {
       if (!sites->is_array()) return fail("profile: sites is not an array");
       for (const JsonValue& entry : sites->items) {
@@ -523,8 +517,11 @@ bool parse_profile(const JsonValue& doc, ProfileDoc* out, std::string* error) {
         if (site_name == nullptr || !site_name->is_string()) continue;
         for (int i = 0; i < kAllocSiteCount; ++i) {
           if (site_name->string == alloc_site_name(static_cast<AllocSite>(i))) {
-            parsed.totals.site_alloc_count[i] = u64_field(entry, "alloc_count");
-            parsed.totals.site_alloc_bytes[i] = u64_field(entry, "alloc_bytes");
+            if (!entry.read_ints<std::uint64_t>(
+                    {{"alloc_count", &t.site_alloc_count[i]},
+                     {"alloc_bytes", &t.site_alloc_bytes[i]}},
+                    JsonValue::kOptional))
+              return fail("profile: a site count is not an unsigned integer");
             break;
           }
         }
@@ -542,19 +539,23 @@ bool parse_profile(const JsonValue& doc, ProfileDoc* out, std::string* error) {
       node.category = category->string_or("");
     if (const JsonValue* name = entry.find("name"))
       node.name = name->string_or("");
-    node.depth = static_cast<int>(u64_field(entry, "depth"));
-    node.calls = u64_field(entry, "calls");
-    node.incl_ns = u64_field(entry, "incl_ns");
-    node.excl_ns = u64_field(entry, "excl_ns");
+    if (!entry.read_int("depth", &node.depth, JsonValue::kOptional) ||
+        node.depth < 0 ||
+        !entry.read_ints<std::uint64_t>(
+            {{"calls", &node.calls},
+             {"incl_ns", &node.incl_ns},
+             {"excl_ns", &node.excl_ns},
+             {"alloc_count", &node.alloc_count},
+             {"alloc_bytes", &node.alloc_bytes},
+             {"free_count", &node.free_count},
+             {"free_bytes", &node.free_bytes},
+             {"peak_live_bytes", &node.peak_live_bytes}},
+            JsonValue::kOptional))
+      return fail("profile: a node count is not an unsigned integer");
     node.p50_ns = entry.find("p50_ns") ? entry.find("p50_ns")->number_or(0.0)
                                        : 0.0;
     node.p95_ns = entry.find("p95_ns") ? entry.find("p95_ns")->number_or(0.0)
                                        : 0.0;
-    node.alloc_count = u64_field(entry, "alloc_count");
-    node.alloc_bytes = u64_field(entry, "alloc_bytes");
-    node.free_count = u64_field(entry, "free_count");
-    node.free_bytes = u64_field(entry, "free_bytes");
-    node.peak_live_bytes = u64_field(entry, "peak_live_bytes");
     parsed.nodes.push_back(std::move(node));
   }
   *out = std::move(parsed);

@@ -68,9 +68,13 @@ std::int32_t sat32(std::int64_t v) {
 
 void gemm_s8(const std::int8_t* a, const std::int8_t* b, std::int32_t* c,
              int m, int k, int n) {
-  std::vector<std::int64_t> acc(static_cast<std::size_t>(n));
+  // Per-lane scratch, grown once, so a call allocates nothing.
+  thread_local std::vector<std::int64_t> scratch;
+  if (scratch.size() < static_cast<std::size_t>(n))
+    scratch.resize(static_cast<std::size_t>(n));
+  std::int64_t* acc = scratch.data();
   for (int i = 0; i < m; ++i) {
-    std::fill(acc.begin(), acc.end(), std::int64_t{0});
+    std::fill(acc, acc + n, std::int64_t{0});
     const std::int8_t* arow = a + static_cast<std::size_t>(i) * k;
     for (int p = 0; p < k; ++p) {
       const std::int64_t av = arow[p];

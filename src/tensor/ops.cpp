@@ -29,15 +29,19 @@ void matmul_standard(const float* a, const float* b, float* c, int m, int k,
 // SIMD-width changes between SoCs.
 void matmul_blocked(const float* a, const float* b, float* c, int m, int k,
                     int n) {
-  std::vector<float> acc0(n), acc1(n), acc2(n), acc3(n);
+  // Per-lane scratch, grown once, so a call allocates nothing.
+  thread_local std::vector<float> scratch;
+  const std::size_t un = static_cast<std::size_t>(n);
+  if (scratch.size() < 4 * un) scratch.resize(4 * un);
+  float* acc0 = scratch.data();
+  float* acc1 = acc0 + un;
+  float* acc2 = acc1 + un;
+  float* acc3 = acc2 + un;
   for (int i = 0; i < m; ++i) {
     const float* arow = a + static_cast<std::size_t>(i) * k;
     float* crow = c + static_cast<std::size_t>(i) * n;
-    std::fill(acc0.begin(), acc0.end(), 0.0f);
-    std::fill(acc1.begin(), acc1.end(), 0.0f);
-    std::fill(acc2.begin(), acc2.end(), 0.0f);
-    std::fill(acc3.begin(), acc3.end(), 0.0f);
-    float* accs[4] = {acc0.data(), acc1.data(), acc2.data(), acc3.data()};
+    std::fill(acc0, acc0 + 4 * un, 0.0f);
+    float* accs[4] = {acc0, acc1, acc2, acc3};
     for (int p = 0; p < k; ++p) {
       float av = arow[p];
       const float* brow = b + static_cast<std::size_t>(p) * n;
@@ -204,22 +208,31 @@ void depthwise_conv_forward(const Tensor& input, const Tensor& weights,
   ES_CHECK(weights.rank() == 3 && weights.dim(0) == g.in_c &&
            weights.dim(1) == g.kernel && weights.dim(2) == g.kernel);
   const int n_batch = input.dim(0);
+  ES_CHECK(input.dim(1) == g.in_c && input.dim(2) == g.in_h &&
+           input.dim(3) == g.in_w);
+  ES_CHECK(output.dim(0) == n_batch && output.dim(1) == g.in_c &&
+           output.dim(2) == g.out_h() && output.dim(3) == g.out_w());
+  depthwise_conv_forward(input.raw(), n_batch, weights.raw(), bias, g,
+                         output.raw());
+}
+
+void depthwise_conv_forward(const float* input, int n_batch,
+                            const float* weights, const float* bias,
+                            const ConvGeom& g, float* output) {
   const int oh = g.out_h();
   const int ow = g.out_w();
-  ES_CHECK(output.dim(0) == n_batch && output.dim(1) == g.in_c &&
-           output.dim(2) == oh && output.dim(3) == ow);
   const std::size_t in_hw = static_cast<std::size_t>(g.in_h) * g.in_w;
   const std::size_t out_hw = static_cast<std::size_t>(oh) * ow;
   for (int n = 0; n < n_batch; ++n) {
     for (int c = 0; c < g.in_c; ++c) {
-      const float* w = weights.raw() +
+      const float* w = weights +
                        static_cast<std::size_t>(c) * g.kernel * g.kernel;
       float b = bias ? bias[c] : 0.0f;
+      const float* in_plane =
+          input + (static_cast<std::size_t>(n) * g.in_c + c) * in_hw;
+      float* out_plane =
+          output + (static_cast<std::size_t>(n) * g.in_c + c) * out_hw;
       if (use_avx2()) {
-        const float* in_plane =
-            input.raw() + (static_cast<std::size_t>(n) * g.in_c + c) * in_hw;
-        float* out_plane =
-            output.raw() + (static_cast<std::size_t>(n) * g.in_c + c) * out_hw;
         avx2::depthwise_plane_f32(in_plane, g.in_h, g.in_w, w, g.kernel,
                                   g.stride, g.pad, b, out_plane, oh, ow);
         continue;
@@ -233,10 +246,11 @@ void depthwise_conv_forward(const Tensor& input, const Tensor& weights,
             for (int kx = 0; kx < g.kernel; ++kx) {
               int ix = ox * g.stride - g.pad + kx;
               if (ix < 0 || ix >= g.in_w) continue;
-              sum += w[ky * g.kernel + kx] * input.at4(n, c, iy, ix);
+              sum += w[ky * g.kernel + kx] *
+                     in_plane[static_cast<std::size_t>(iy) * g.in_w + ix];
             }
           }
-          output.at4(n, c, oy, ox) = sum;
+          out_plane[static_cast<std::size_t>(oy) * ow + ox] = sum;
         }
       }
     }

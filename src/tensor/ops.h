@@ -64,6 +64,11 @@ void col2im(const float* cols, const ConvGeom& g, float* input_grad);
 void depthwise_conv_forward(const Tensor& input, const Tensor& weights,
                             const float* bias, const ConvGeom& g,
                             Tensor& output);
+/// Raw-pointer form of the above: `n_batch` samples of geometry `g`,
+/// output [n_batch, C, out_h, out_w].
+void depthwise_conv_forward(const float* input, int n_batch,
+                            const float* weights, const float* bias,
+                            const ConvGeom& g, float* output);
 
 /// Depthwise convolution backward: computes input gradient and
 /// accumulates weight/bias gradients.

@@ -4,6 +4,9 @@
 # harnesses assert every corrupt input is handled; this run adds the
 # memory-safety half of the claim — no heap overrun, use-after-free,
 # undefined shift or out-of-range float cast survives a corrupt input.
+# It also runs the eval-forward arena tests (test_nn, EvalArena.*): the
+# arena writes through raw offsets into buffers reused across calls of
+# different batch sizes, so an offset bug is a heap overrun here.
 # -fno-sanitize-recover=all makes the first finding abort the binary, so
 # any report fails the test.
 #
@@ -34,19 +37,22 @@ if(ncpu EQUAL 0)
 endif()
 execute_process(
   COMMAND ${CMAKE_COMMAND} --build "${build_dir}"
-    --target test_codec_fuzz test_state_fuzz --parallel ${ncpu}
+    --target test_codec_fuzz test_state_fuzz test_nn --parallel ${ncpu}
   RESULT_VARIABLE rc
   OUTPUT_QUIET)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "asan_smoke: build failed with ${rc}")
 endif()
 
-foreach(harness test_codec_fuzz test_state_fuzz)
+set(filter_test_codec_fuzz "*")
+set(filter_test_state_fuzz "*")
+set(filter_test_nn "EvalArena.*")
+foreach(harness test_codec_fuzz test_state_fuzz test_nn)
   message(STATUS "==== asan_smoke: run ${harness} under ASan/UBSan ====")
   execute_process(
     COMMAND ${CMAKE_COMMAND} -E env
       "ASAN_OPTIONS=halt_on_error=1:detect_leaks=0"
-      "${build_dir}/tests/${harness}"
+      "${build_dir}/tests/${harness}" "--gtest_filter=${filter_${harness}}"
     RESULT_VARIABLE rc)
   if(NOT rc EQUAL 0)
     message(FATAL_ERROR
@@ -55,4 +61,4 @@ foreach(harness test_codec_fuzz test_state_fuzz)
   endif()
 endforeach()
 
-message(STATUS "asan_smoke OK — fuzz harnesses clean under ASan/UBSan")
+message(STATUS "asan_smoke OK — fuzz harnesses and arena tests clean under ASan/UBSan")

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "nn/layers.h"
@@ -218,8 +219,9 @@ TEST(BackendAvx2, DepthwiseLayerMatchesScalarWithinTolerance) {
   for (const Case& c : {Case{3, 1, 1, 13, 19}, Case{3, 2, 1, 14, 21},
                         Case{5, 1, 2, 11, 17}}) {
     Pcg32 rng(31 * c.kernel + c.stride, 9);
-    DepthwiseConv2D layer("dw", /*channels=*/4, c.kernel, c.stride, c.pad,
-                          /*use_bias=*/true);
+    Model layer;  // the layer alone, through the model's eval forward
+    layer.add(std::make_unique<DepthwiseConv2D>(
+        "dw", /*channels=*/4, c.kernel, c.stride, c.pad, /*use_bias=*/true));
     layer.init(rng);
     Tensor input = random_tensor({2, 4, c.h, c.w}, rng);
 
@@ -240,8 +242,11 @@ TEST(BackendAvx2, ConvLayerMatchesScalarWithinTolerance) {
   Pcg32 rng(42, 13);
   // 3x3 im2col path and the 1x1 identity-cols shortcut.
   for (int kernel : {3, 1}) {
-    Conv2D layer("conv", /*in_c=*/5, /*out_c=*/7, kernel, /*stride=*/1,
-                 /*pad=*/kernel / 2, /*use_bias=*/true);
+    Model layer;
+    layer.add(std::make_unique<Conv2D>("conv", /*in_c=*/5, /*out_c=*/7,
+                                       kernel, /*stride=*/1,
+                                       /*pad=*/kernel / 2,
+                                       /*use_bias=*/true));
     layer.init(rng);
     Tensor input = random_tensor({2, 5, 15, 18}, rng);
 
@@ -360,8 +365,10 @@ TEST(BackendInt8, GemmS8SaturatesLongAllMaxDotProduct) {
 TEST(BackendInt8, ConvLayerInt8CloseToScalarAndDeterministic) {
   BackendGuard guard;
   Pcg32 rng(21, 2);
-  Conv2D layer("conv", /*in_c=*/4, /*out_c=*/6, /*kernel=*/3, /*stride=*/1,
-               /*pad=*/1, /*use_bias=*/true);
+  Model layer;
+  layer.add(std::make_unique<Conv2D>("conv", /*in_c=*/4, /*out_c=*/6,
+                                     /*kernel=*/3, /*stride=*/1, /*pad=*/1,
+                                     /*use_bias=*/true));
   layer.init(rng);
   Tensor input = random_tensor({2, 4, 12, 12}, rng);
 

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
+#include <thread>
 
 #include "nn/block.h"
 #include "nn/layers.h"
@@ -13,6 +15,8 @@
 #include "nn/model.h"
 #include "nn/optim.h"
 #include "nn/trainer.h"
+#include "tensor/backend.h"
+#include "util/alloc_track.h"
 #include "util/rng.h"
 
 namespace edgestab {
@@ -394,6 +398,135 @@ TEST(Model, EmbeddingTapCaptured) {
   // Embedding is post-ReLU: non-negative.
   for (std::size_t i = 0; i < m.embedding().numel(); ++i)
     EXPECT_GE(m.embedding()[i], 0.0f);
+}
+
+// ---- Eval forward: the per-lane activation arena -----------------------------
+
+class BackendGuard {
+ public:
+  BackendGuard() : prev_(active_backend()) {}
+  ~BackendGuard() { set_active_backend(prev_); }
+  BackendGuard(const BackendGuard&) = delete;
+  BackendGuard& operator=(const BackendGuard&) = delete;
+
+ private:
+  BackendKind prev_;
+};
+
+std::vector<BackendKind> available_tiers() {
+  std::vector<BackendKind> tiers;
+  for (BackendKind kind :
+       {BackendKind::kScalar, BackendKind::kAvx2, BackendKind::kInt8})
+    if (backend_available(kind)) tiers.push_back(kind);
+  return tiers;
+}
+
+Model arena_test_model() {
+  Model m = build_mini_mobilenet_v2(MobileNetConfig{});
+  Pcg32 rng(55);
+  m.init(rng);
+  return m;
+}
+
+/// `model.infer(x)` on a new thread, whose arena has never been used.
+Tensor infer_on_fresh_lane(const Model& model, const Tensor& x) {
+  Tensor out;
+  std::thread([&] { out = model.infer(x); }).join();
+  return out;
+}
+
+/// Row `i` of a [N,...] batch as a [1,...] batch.
+Tensor row_of(const Tensor& batch, int i) {
+  std::vector<int> shape = batch.shape();
+  shape[0] = 1;
+  Tensor row(shape);
+  std::copy_n(batch.raw() + static_cast<std::size_t>(i) * row.numel(),
+              row.numel(), row.raw());
+  return row;
+}
+
+bool bit_equal(const Tensor& a, const Tensor& b) {
+  return a.same_shape(b) &&
+         std::memcmp(a.raw(), b.raw(), a.numel() * sizeof(float)) == 0;
+}
+
+TEST(EvalArena, InterleavedBatchesMatchFreshReferenceInEveryTier) {
+  BackendGuard guard;
+  const Model model = arena_test_model();
+  for (BackendKind tier : available_tiers()) {
+    set_active_backend(tier);
+    Pcg32 rng(56);
+    // Large, single, large, small: each call reuses buffers grown (and
+    // left dirty) by the calls before it.
+    for (int batch : {40, 1, 40, 3}) {
+      const Tensor x = random_tensor({batch, 3, 32, 32}, rng);
+      const Tensor got = model.infer(x);
+      ASSERT_EQ(got.dim(0), batch);
+      EXPECT_TRUE(bit_equal(got, infer_on_fresh_lane(model, x)))
+          << backend_name(tier) << " batch " << batch;
+      // The float tiers are row-independent end to end, so every row
+      // also equals its own batch-1 forward. The int8 Dense scales its
+      // activations over the whole batch, so there only the batch as a
+      // whole has a reference.
+      if (tier == BackendKind::kInt8) continue;
+      for (int i = 0; i < batch; i += 7) {
+        const Tensor one = model.infer(row_of(x, i));
+        EXPECT_EQ(std::memcmp(one.raw(),
+                              got.raw() + static_cast<std::size_t>(i) *
+                                              one.numel(),
+                              one.numel() * sizeof(float)),
+                  0)
+            << backend_name(tier) << " batch " << batch << " row " << i;
+      }
+    }
+  }
+}
+
+/// Counts tracked allocations (util/alloc_track.h) while installed.
+struct TrackedAllocCounter {
+  static inline std::size_t count = 0;
+  static void on_alloc(AllocSite, std::size_t) { ++count; }
+  TrackedAllocCounter() {
+    count = 0;
+    set_alloc_hooks(&hooks);
+  }
+  ~TrackedAllocCounter() { set_alloc_hooks(nullptr); }
+  AllocHooks hooks{&on_alloc, nullptr};
+};
+
+TEST(EvalArena, SteadyStateForwardAllocatesOnlyTheLogits) {
+  BackendGuard guard;
+  const Model model = arena_test_model();
+  for (BackendKind tier : available_tiers()) {
+    set_active_backend(tier);
+    Pcg32 rng(57);
+    for (int batch : {1, 8}) {
+      const Tensor x = random_tensor({batch, 3, 32, 32}, rng);
+      model.infer(x);  // grows the arena to this geometry
+      TrackedAllocCounter counter;
+      const Tensor logits = model.infer(x);
+      EXPECT_LE(TrackedAllocCounter::count, 1u)
+          << backend_name(tier) << " batch " << batch;
+      EXPECT_EQ(logits.dim(0), batch);
+    }
+  }
+}
+
+TEST(EvalArena, ResidualPinSurvivesPingPong) {
+  EvalArena arena;
+  const float in[4] = {1, 2, 3, 4};
+  arena.load(in, {2, {1, 4}});
+  arena.pin_residual();
+  for (int step = 0; step < 3; ++step) {  // three producers in a row
+    const float* src = arena.x();
+    float* dst = arena.next({2, {1, 4}});
+    for (int i = 0; i < 4; ++i) dst[i] = src[i] * 2.0f;
+    arena.advance();
+  }
+  arena.add_residual();
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(arena.x()[i], in[i] * 9.0f);
+  arena.pin_residual();
+  EXPECT_THROW(arena.x_inplace(), CheckError);
 }
 
 // ---- Training smoke ----------------------------------------------------------

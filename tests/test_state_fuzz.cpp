@@ -1,6 +1,7 @@
 // Deterministic fuzzing of the parsers that read run state back from
 // disk: the telemetry registry's and the timeline recorder's
-// serialize_state() documents and the service checkpoint. Every
+// serialize_state() documents and the service checkpoint, plus
+// regressions for the profile and run-archive readers. Every
 // mutated document — bit flips, truncations, out-of-range numbers —
 // must be either refused, leaving the live object's digest unchanged,
 // or restored whole, so the restored object round-trips to itself. The
@@ -17,6 +18,9 @@
 #include <utility>
 #include <vector>
 
+#include "obs/baseline.h"
+#include "obs/json.h"
+#include "obs/profiler.h"
 #include "obs/telemetry/telemetry.h"
 #include "obs/timeline/timeline.h"
 #include "service/checkpoint.h"
@@ -215,6 +219,91 @@ TEST(StateRestore, CheckpointRefusesNonIntegerCounts) {
     ServiceCheckpoint out;
     std::string error;
     EXPECT_FALSE(service::parse_checkpoint(bad, &out, &error)) << to;
+  }
+}
+
+/// Unsigned counters a corrupt or hostile document may carry.
+const char* const kHostileUnsigned[] = {"1e300", "-1", "1.5"};
+
+/// `doc` with its first `"key":<from>` replaced by `"key":<to>`.
+std::string with_member(std::string doc, const std::string& key,
+                        const std::string& from, const std::string& to) {
+  const std::string old = "\"" + key + "\":" + from;
+  const std::size_t at = doc.find(old);
+  EXPECT_NE(at, std::string::npos) << old;
+  if (at != std::string::npos)
+    doc.replace(at, old.size(), "\"" + key + "\":" + to);
+  return doc;
+}
+
+TEST(StateRestore, JsonUnsignedReadRefusesWhatDoesNotFit) {
+  for (const char* text : {"1e300", "-1", "1.5", "18446744073709551616",
+                           "-1e300", "0.5"})
+    EXPECT_FALSE(obs::parse_json(text)->as_uint<std::uint64_t>()) << text;
+  EXPECT_FALSE(obs::parse_json("4294967296")->as_uint<std::uint32_t>());
+  EXPECT_FALSE(obs::parse_json("\"7\"")->as_uint<std::uint64_t>());
+  EXPECT_EQ(obs::parse_json("0")->as_uint<std::uint64_t>(), 0u);
+  EXPECT_EQ(obs::parse_json("4294967295")->as_uint<std::uint32_t>(),
+            4294967295u);
+  EXPECT_EQ(obs::parse_json("9007199254740992")->as_uint<std::uint64_t>(),
+            9007199254740992u);
+}
+
+TEST(StateRestore, ProfileRefusesNonUnsignedCounts) {
+  const std::string doc =
+      R"({"schema":"edgestab-profile-v1","totals":{"alloc_count":7,)"
+      R"("sites":[{"site":"tensor","alloc_bytes":8}]},)"
+      R"("nodes":[{"path":"a","depth":0,"calls":3,"free_bytes":4}]})";
+  obs::ProfileDoc parsed;
+  std::string error;
+  ASSERT_TRUE(obs::parse_profile(*obs::parse_json(doc), &parsed, &error))
+      << error;
+  EXPECT_EQ(parsed.totals.alloc_count, 7u);
+  EXPECT_EQ(parsed.totals.site_alloc_bytes[0], 8u);
+  ASSERT_EQ(parsed.nodes.size(), 1u);
+  EXPECT_EQ(parsed.nodes[0].calls, 3u);
+  for (const char* value : kHostileUnsigned) {
+    for (const auto& [key, from] :
+         {std::pair<std::string, std::string>{"alloc_count", "7"},
+          {"alloc_bytes", "8"},
+          {"calls", "3"},
+          {"free_bytes", "4"},
+          {"depth", "0"}}) {
+      const std::string bad = with_member(doc, key, from, value);
+      EXPECT_FALSE(obs::parse_profile(*obs::parse_json(bad), &parsed, &error))
+          << key << ":" << value;
+    }
+  }
+}
+
+TEST(StateRestore, RunRecordAndBaselineRefuseHostileSeed) {
+  obs::RunRecord record;
+  record.bench = "fig3";
+  record.has_seed = true;
+  record.seed = 17;
+  const std::string run = obs::run_record_json(record);
+  obs::Baseline baseline = obs::baseline_from_record(record);
+  const std::string bench = obs::baseline_json(baseline);
+  obs::RunRecord parsed_run;
+  obs::Baseline parsed_baseline;
+  std::string error;
+  ASSERT_TRUE(obs::parse_run_record(*obs::parse_json(run), &parsed_run,
+                                    &error))
+      << error;
+  EXPECT_EQ(parsed_run.seed, 17u);
+  ASSERT_TRUE(obs::parse_baseline(*obs::parse_json(bench), &parsed_baseline,
+                                  &error))
+      << error;
+  EXPECT_EQ(parsed_baseline.seed, 17u);
+  for (const char* value : kHostileUnsigned) {
+    EXPECT_FALSE(obs::parse_run_record(
+        *obs::parse_json(with_member(run, "seed", "17", value)), &parsed_run,
+        &error))
+        << value;
+    EXPECT_FALSE(obs::parse_baseline(
+        *obs::parse_json(with_member(bench, "seed", "17", value)),
+        &parsed_baseline, &error))
+        << value;
   }
 }
 
