@@ -18,8 +18,7 @@ int main(int argc, char** argv) {
   Model float_model = ws.base_model();
 
   // One phone's captures as the shared stimulus set.
-  LabRigConfig rig = bench::standard_rig();
-  rig.objects_per_class = 20;
+  LabRigConfig rig = bench::standard_rig(/*objects_per_class=*/20);
   std::vector<PhoneProfile> fleet = end_to_end_fleet();
   std::vector<PhoneProfile> one_phone{fleet[0]};
   bench_run.record_workspace(ws);

@@ -41,8 +41,7 @@ int main(int argc, char** argv) {
                        "Ablation — instability source decomposition", argc, argv);
   Workspace ws;
   Model model = ws.base_model();
-  LabRigConfig rig = bench::standard_rig();
-  rig.objects_per_class = 20;
+  LabRigConfig rig = bench::standard_rig(/*objects_per_class=*/20);
   bench_run.record_workspace(ws);
   bench_run.record_rig(rig);
 

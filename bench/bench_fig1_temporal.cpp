@@ -22,8 +22,7 @@ int main(int argc, char** argv) {
   Workspace ws;
   Model model = ws.base_model();
 
-  LabRigConfig rig = bench::standard_rig();
-  rig.objects_per_class = 20;
+  LabRigConfig rig = bench::standard_rig(/*objects_per_class=*/20);
   rig.shots_per_stimulus = 2;
 
   std::vector<PhoneProfile> fleet = end_to_end_fleet();

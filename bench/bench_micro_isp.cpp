@@ -1,11 +1,12 @@
-// Microbenchmark: capture front-end, ISP stage costs and full pipeline
-// latency.
+// Microbenchmark: capture front-end, ISP stage costs, the develop glue
+// around them and full pipeline latency.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <vector>
 
 #include "bench_micro_util.h"
+#include "data/dataset.h"
 #include "data/labels.h"
 #include "data/render.h"
 #include "data/screen.h"
@@ -14,6 +15,7 @@
 #include "isp/pipeline.h"
 #include "isp/sensor.h"
 #include "isp/software_isp.h"
+#include "isp/stages.h"
 #include "image/draw.h"
 #include "util/rng.h"
 
@@ -90,6 +92,61 @@ void BM_PhoneSignal(benchmark::State& state) {
   }
 }
 
+// The develop glue around the ISP and the codecs, on a 64x64 capture:
+// quantizing the ISP output for the encoder, turning a decoded capture
+// into a model input, the saturation stage, and the tone curve with the
+// lane's curve already built (the avx2 tier's LUT; pow per value on the
+// scalar tier).
+Image bench_developed(int size) {
+  return run_isp(bench_raw(size), photo_isp());
+}
+
+void BM_ToU8(benchmark::State& state) {
+  const Image rgb = bench_developed(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    ImageU8 bytes = to_u8(rgb);
+    benchmark::DoNotOptimize(bytes);
+  }
+}
+
+void BM_CaptureToInput(benchmark::State& state) {
+  const ImageU8 decoded =
+      to_u8(bench_developed(static_cast<int>(state.range(0))));
+  for (auto _ : state) {
+    Tensor input = capture_to_input(decoded);
+    benchmark::DoNotOptimize(input);
+  }
+}
+
+void BM_Saturate(benchmark::State& state) {
+  const Image rgb = bench_developed(static_cast<int>(state.range(0)));
+  Image work = rgb;
+  for (auto _ : state) {
+    // Restore the input each round so every call saturates the same
+    // values (the copy is a memcpy of the three planes).
+    std::copy(rgb.data().begin(), rgb.data().end(), work.data().begin());
+    saturate(work, 1.17f);
+    benchmark::DoNotOptimize(work);
+  }
+}
+
+void BM_ToneMap(benchmark::State& state) {
+  const Image linear = [&] {
+    Image img = bench_developed(static_cast<int>(state.range(0)));
+    for (float& v : img.data()) v *= v;
+    return img;
+  }();
+  const IspConfig cfg = photo_isp();
+  Image work = linear;
+  tone_map(work, cfg.gamma, cfg.s_curve);  // warm the lane's curve
+  for (auto _ : state) {
+    std::copy(linear.data().begin(), linear.data().end(),
+              work.data().begin());
+    tone_map(work, cfg.gamma, cfg.s_curve);
+    benchmark::DoNotOptimize(work);
+  }
+}
+
 BENCHMARK_CAPTURE(BM_Demosaic, bilinear, DemosaicKind::kBilinear)
     ->Arg(64)->Arg(128);
 BENCHMARK_CAPTURE(BM_Demosaic, malvar, DemosaicKind::kMalvar)
@@ -99,6 +156,10 @@ BENCHMARK_CAPTURE(BM_FullIsp, opinionated, true)->Arg(64)->Arg(128);
 BENCHMARK(BM_SensorExposure)->Arg(64)->Arg(128);
 BENCHMARK(BM_DisplayOnScreen);
 BENCHMARK(BM_PhoneSignal);
+BENCHMARK(BM_ToU8)->Arg(64);
+BENCHMARK(BM_CaptureToInput)->Arg(64);
+BENCHMARK(BM_Saturate)->Arg(64);
+BENCHMARK(BM_ToneMap)->Arg(64);
 
 }  // namespace
 }  // namespace edgestab

@@ -64,14 +64,15 @@ inline bool ensure_out_dir(std::string& dir) {
   return true;
 }
 
-/// Production rig: 30 objects per target class, 5 angles — 150 objects,
-/// 750 stimuli per phone (the paper used 1537 source images and 5 angles).
+/// Production rig: by default 30 objects per target class, 5 angles —
+/// 150 objects, 750 stimuli per phone (the paper used 1537 source images
+/// and 5 angles); a bench may pass its own default object count.
 /// EDGESTAB_RIG_OBJECTS overrides objects_per_class so CI fixtures can
 /// run a bench end-to-end in smoke size; results are then NOT the
 /// paper's numbers, only the pipeline exercised.
-inline LabRigConfig standard_rig() {
+inline LabRigConfig standard_rig(int objects_per_class = 30) {
   LabRigConfig rig;
-  rig.objects_per_class = 30;
+  rig.objects_per_class = objects_per_class;
   rig.seed = 4242;
   if (const char* env = std::getenv("EDGESTAB_RIG_OBJECTS")) {
     int n = std::atoi(env);

@@ -1,6 +1,8 @@
 #include "data/dataset.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <vector>
 
 #include "codec/jpeg_like.h"
 #include "data/labels.h"
@@ -10,20 +12,95 @@
 
 namespace edgestab {
 
-Tensor image_to_input(const Image& display_referred, int input_size) {
-  ES_CHECK(display_referred.channels() == 3);
-  Image small = resize(display_referred, input_size, input_size,
-                       ResizeFilter::kArea);
-  Tensor out({1, 3, input_size, input_size});
-  for (int c = 0; c < 3; ++c)
-    for (int y = 0; y < input_size; ++y)
-      for (int x = 0; x < input_size; ++x)
-        out.at4(0, c, y, x) = small.at(x, y, c) * 2.0f - 1.0f;
+namespace {
+
+// The model input is resize(..., kArea) followed by `* 2 - 1`, fused into
+// one pass: the boxes (area_span), the reciprocal and each box sum's
+// (row, column) order are resize's, so every input value is
+// bit-identical to resizing first. `row_of(yy, rows)` points rows[0..2]
+// at source row yy of the three float channels.
+template <typename RowOf>
+Tensor area_input(int w, int h, int size, RowOf row_of) {
+  Tensor out({1, 3, size, size});
+  const float sx_scale = static_cast<float>(w) / size;
+  const float sy_scale = static_cast<float>(h) / size;
+  // Per-lane column boxes [x0, x1), reciprocals and the three channels'
+  // running sums; reused across calls like the resampling row tables.
+  thread_local std::vector<int> x0, x1;
+  thread_local std::vector<float> inv, sums;
+  const std::size_t n = static_cast<std::size_t>(size);
+  x0.resize(n);
+  x1.resize(n);
+  inv.resize(n);
+  sums.resize(3 * n);
+  for (int x = 0; x < size; ++x) {
+    const AreaSpan span = area_span(x, sx_scale, w);
+    x0[x] = span.lo;
+    x1[x] = span.hi;
+  }
+  const float* rows[3];
+  for (int y = 0; y < size; ++y) {
+    const auto [y0, y1] = area_span(y, sy_scale, h);
+    for (int x = 0; x < size; ++x)
+      inv[x] = 1.0f / static_cast<float>((x1[x] - x0[x]) * (y1 - y0));
+    std::fill(sums.begin(), sums.end(), 0.0f);
+    for (int yy = y0; yy < y1; ++yy) {
+      row_of(yy, rows);
+      for (int c = 0; c < 3; ++c) {
+        float* sum = sums.data() + c * n;
+        for (int x = 0; x < size; ++x)
+          for (int xx = x0[x]; xx < x1[x]; ++xx) sum[x] += rows[c][xx];
+      }
+    }
+    for (int c = 0; c < 3; ++c) {
+      const float* sum = sums.data() + c * n;
+      float* dst = out.raw() + (c * n + static_cast<std::size_t>(y)) * n;
+      for (int x = 0; x < size; ++x)
+        dst[x] = sum[x] * inv[x] * 2.0f - 1.0f;
+    }
+  }
   return out;
 }
 
+}  // namespace
+
+// At the source size the boxes are single pixels with reciprocal 1, so
+// the pass reproduces resize's identity copy exactly.
+Tensor image_to_input(const Image& display_referred, int input_size) {
+  ES_CHECK(display_referred.channels() == 3);
+  const int w = display_referred.width();
+  return area_input(w, display_referred.height(), input_size,
+                    [&](int yy, const float** rows) {
+                      const std::size_t at = static_cast<std::size_t>(yy) * w;
+                      for (int c = 0; c < 3; ++c)
+                        rows[c] = display_referred.plane(c).data() + at;
+                    });
+}
+
+// Expands one interleaved u8 row at a time into per-lane float rows with
+// to_float's `/ 255.0f`, so no full float image is materialised.
 Tensor capture_to_input(const ImageU8& decoded, int input_size) {
-  return image_to_input(to_float(decoded), input_size);
+  ES_CHECK(decoded.channels() == 3);
+  const int w = decoded.width();
+  thread_local std::vector<float> expanded;
+  expanded.resize(3 * static_cast<std::size_t>(w));
+  return area_input(w, decoded.height(), input_size,
+                    [&](int yy, const float** rows) {
+                      const std::uint8_t* src =
+                          decoded.data().data() +
+                          static_cast<std::size_t>(yy) * w * 3;
+                      float* r = expanded.data();
+                      float* g = r + w;
+                      float* b = g + w;
+                      for (int x = 0; x < w; ++x) {
+                        r[x] = static_cast<float>(src[3 * x]) / 255.0f;
+                        g[x] = static_cast<float>(src[3 * x + 1]) / 255.0f;
+                        b[x] = static_cast<float>(src[3 * x + 2]) / 255.0f;
+                      }
+                      rows[0] = r;
+                      rows[1] = g;
+                      rows[2] = b;
+                    });
 }
 
 Tensor stack_inputs(const std::vector<Tensor>& samples) {

@@ -57,23 +57,49 @@ ImageU8::ImageU8(int width, int height, int channels, std::uint8_t fill)
   ES_CHECK(width > 0 && height > 0 && channels > 0);
 }
 
+// Both conversions walk the float planes and keep the per-value
+// expressions of a pixel-major loop, so every byte and float matches it.
+// to_u8 feeds every shot's encoder, so it interleaves three channels in
+// one pass; other channel counts, and to_float, go one plane at a time.
+
 ImageU8 to_u8(const Image& img) {
   ImageU8 out(img.width(), img.height(), img.channels());
-  for (int y = 0; y < img.height(); ++y)
-    for (int x = 0; x < img.width(); ++x)
-      for (int c = 0; c < img.channels(); ++c) {
-        float v = std::clamp(img.at(x, y, c), 0.0f, 1.0f);
-        out.at(x, y, c) = static_cast<std::uint8_t>(v * 255.0f + 0.5f);
-      }
+  const auto quantize = [](float v) {
+    return static_cast<std::uint8_t>(std::clamp(v, 0.0f, 1.0f) * 255.0f +
+                                     0.5f);
+  };
+  const std::size_t n = img.pixel_count();
+  const int channels = img.channels();
+  std::uint8_t* dst = out.data().data();
+  if (channels == 3) {
+    const float* r = img.plane(0).data();
+    const float* g = img.plane(1).data();
+    const float* b = img.plane(2).data();
+    for (std::size_t i = 0; i < n; ++i) {
+      dst[3 * i] = quantize(r[i]);
+      dst[3 * i + 1] = quantize(g[i]);
+      dst[3 * i + 2] = quantize(b[i]);
+    }
+    return out;
+  }
+  for (int c = 0; c < channels; ++c) {
+    const float* src = img.plane(c).data();
+    for (std::size_t i = 0; i < n; ++i)
+      dst[i * channels + c] = quantize(src[i]);
+  }
   return out;
 }
 
 Image to_float(const ImageU8& img) {
   Image out(img.width(), img.height(), img.channels());
-  for (int y = 0; y < img.height(); ++y)
-    for (int x = 0; x < img.width(); ++x)
-      for (int c = 0; c < img.channels(); ++c)
-        out.at(x, y, c) = static_cast<float>(img.at(x, y, c)) / 255.0f;
+  const std::size_t n = out.pixel_count();
+  const int channels = img.channels();
+  const std::uint8_t* src = img.data().data();
+  for (int c = 0; c < channels; ++c) {
+    float* dst = out.plane(c).data();
+    for (std::size_t i = 0; i < n; ++i)
+      dst[i] = static_cast<float>(src[i * channels + c]) / 255.0f;
+  }
   return out;
 }
 

@@ -90,14 +90,12 @@ Image resize_area(const Image& src, int out_w, int out_h) {
   float* inv = tables.f[0].data();
   float* sum = tables.f[1].data();
   for (int x = 0; x < out_w; ++x) {
-    x0[x] = static_cast<int>(x * sx_scale);
-    x1[x] = std::max(x0[x] + 1, static_cast<int>((x + 1) * sx_scale));
-    x1[x] = std::min(x1[x], src.width());
+    const AreaSpan span = area_span(x, sx_scale, src.width());
+    x0[x] = span.lo;
+    x1[x] = span.hi;
   }
   for (int y = 0; y < out_h; ++y) {
-    int y0 = static_cast<int>(y * sy_scale);
-    int y1 = std::max(y0 + 1, static_cast<int>((y + 1) * sy_scale));
-    y1 = std::min(y1, src.height());
+    const auto [y0, y1] = area_span(y, sy_scale, src.height());
     for (int x = 0; x < out_w; ++x)
       inv[x] = 1.0f / static_cast<float>((x1[x] - x0[x]) * (y1 - y0));
     for (int c = 0; c < src.channels(); ++c) {
@@ -118,6 +116,12 @@ Image resize_area(const Image& src, int out_w, int out_h) {
 }
 
 }  // namespace
+
+AreaSpan area_span(int i, float scale, int n) {
+  const int lo = static_cast<int>(i * scale);
+  const int hi = std::max(lo + 1, static_cast<int>((i + 1) * scale));
+  return {lo, std::min(hi, n)};
+}
 
 Image resize(const Image& src, int out_w, int out_h, ResizeFilter filter) {
   ES_CHECK(!src.empty());

@@ -16,6 +16,16 @@ enum class ResizeFilter {
 Image resize(const Image& src, int out_w, int out_h,
              ResizeFilter filter = ResizeFilter::kBilinear);
 
+/// kArea's source span [lo, hi) of output index `i` along an axis of `n`
+/// source samples, where scale = n / outputs: at least one sample,
+/// clipped to the axis. The fused model input (data/dataset.cpp) uses
+/// the same spans, so its box sums match resize's bit for bit.
+struct AreaSpan {
+  int lo;
+  int hi;
+};
+AreaSpan area_span(int i, float scale, int n);
+
 /// 2x3 affine matrix mapping output pixel coordinates to source
 /// coordinates: src = M * [x, y, 1]^T.
 struct Affine {

@@ -1,7 +1,9 @@
 #include "isp/stages.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "image/color.h"
@@ -221,29 +223,61 @@ void denoise_box(Image& rgb, int radius, float strength) {
     rgb.data()[i] += (blurred.data()[i] - rgb.data()[i]) * strength;
 }
 
+namespace {
+
+// The avx2 tone curve is a 1024-knot LUT uniform in sqrt(x) (gamma curves
+// are near-linear in that domain, so linear interpolation holds ~1e-6 of
+// the scalar pow even at the dark end). Knots are built with the scalar
+// expression, so a curve is a pure function of (gamma, strength).
+constexpr int kToneKnots = 1024;
+
+// Each lane keeps the last few curves it built, keyed by the exact bits
+// of (gamma, strength) and replaced oldest first. Bounded because a
+// divergence sweep gives devices a new curve at every step. Like the
+// resampling row tables, it is lane infrastructure and untracked.
+const float* tone_curve_lut(float gamma, float s_curve_strength) {
+  struct Curve {
+    std::uint64_t key;
+    std::array<float, kToneKnots + 1> lut;
+  };
+  constexpr std::size_t kCurves = 16;
+  thread_local std::vector<Curve> curves;
+  thread_local std::size_t oldest = 0;
+  const std::uint64_t key =
+      std::uint64_t{std::bit_cast<std::uint32_t>(gamma)} << 32 |
+      std::bit_cast<std::uint32_t>(s_curve_strength);
+  for (const Curve& curve : curves)
+    if (curve.key == key) return curve.lut.data();
+  Curve* slot;
+  if (curves.size() < kCurves) {
+    slot = &curves.emplace_back();
+  } else {
+    slot = &curves[oldest];
+    oldest = (oldest + 1) % kCurves;
+  }
+  slot->key = key;
+  const float inv_gamma = 1.0f / gamma;
+  for (int i = 0; i < kToneKnots; ++i) {
+    const float t = static_cast<float>(i) / (kToneKnots - 1);
+    float g = std::pow(t * t, inv_gamma);
+    if (s_curve_strength != 0.0f) {
+      float s = g * g * (3.0f - 2.0f * g);
+      g = g + (s - g) * s_curve_strength;
+    }
+    slot->lut[static_cast<std::size_t>(i)] = std::clamp(g, 0.0f, 1.0f);
+  }
+  slot->lut[kToneKnots] = slot->lut[kToneKnots - 1];
+  return slot->lut.data();
+}
+
+}  // namespace
+
 void tone_map(Image& rgb, float gamma, float s_curve_strength) {
   ES_CHECK(gamma > 0.0f);
   if (use_avx2()) {
-    // The curve is applied through a 1024-knot LUT uniform in sqrt(x)
-    // (gamma curves are near-linear in that domain, so linear
-    // interpolation holds ~1e-6 of the scalar pow even at the dark end).
-    // Knots are built with the scalar expression, so the LUT itself is
-    // deterministic per (gamma, strength).
-    constexpr int kKnots = 1024;
-    std::vector<float> lut(kKnots + 1);
-    const float inv_gamma = 1.0f / gamma;
-    for (int i = 0; i < kKnots; ++i) {
-      const float t = static_cast<float>(i) / (kKnots - 1);
-      float g = std::pow(t * t, inv_gamma);
-      if (s_curve_strength != 0.0f) {
-        float s = g * g * (3.0f - 2.0f * g);
-        g = g + (s - g) * s_curve_strength;
-      }
-      lut[static_cast<std::size_t>(i)] = std::clamp(g, 0.0f, 1.0f);
-    }
-    lut[kKnots] = lut[kKnots - 1];
-    avx2::lut_map_sqrt_f32(rgb.data().data(), rgb.data().size(), lut.data(),
-                           kKnots);
+    avx2::lut_map_sqrt_f32(rgb.data().data(), rgb.data().size(),
+                           tone_curve_lut(gamma, s_curve_strength),
+                           kToneKnots);
     return;
   }
   for (float& v : rgb.data()) {
@@ -287,16 +321,15 @@ void sharpen_unsharp(Image& rgb, int radius, float amount) {
 void saturate(Image& rgb, float factor) {
   ES_CHECK(rgb.channels() == 3);
   if (factor == 1.0f) return;
-  for (int y = 0; y < rgb.height(); ++y)
-    for (int x = 0; x < rgb.width(); ++x) {
-      float r = rgb.at(x, y, 0);
-      float g = rgb.at(x, y, 1);
-      float b = rgb.at(x, y, 2);
-      float luma = 0.299f * r + 0.587f * g + 0.114f * b;
-      rgb.at(x, y, 0) = std::clamp(luma + (r - luma) * factor, 0.0f, 1.0f);
-      rgb.at(x, y, 1) = std::clamp(luma + (g - luma) * factor, 0.0f, 1.0f);
-      rgb.at(x, y, 2) = std::clamp(luma + (b - luma) * factor, 0.0f, 1.0f);
-    }
+  float* r = rgb.plane(0).data();
+  float* g = rgb.plane(1).data();
+  float* b = rgb.plane(2).data();
+  for (std::size_t i = 0; i < rgb.pixel_count(); ++i) {
+    const float luma = 0.299f * r[i] + 0.587f * g[i] + 0.114f * b[i];
+    r[i] = std::clamp(luma + (r[i] - luma) * factor, 0.0f, 1.0f);
+    g[i] = std::clamp(luma + (g[i] - luma) * factor, 0.0f, 1.0f);
+    b[i] = std::clamp(luma + (b[i] - luma) * factor, 0.0f, 1.0f);
+  }
 }
 
 }  // namespace edgestab

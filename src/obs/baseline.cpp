@@ -8,6 +8,7 @@
 #include <map>
 #include <sstream>
 
+#include "obs/manifest.h"
 #include "obs/metrics.h"
 
 namespace edgestab::obs {
@@ -51,6 +52,18 @@ std::vector<std::pair<std::string, std::string>> parse_digests(
     for (const auto& [name, value] : digests->members)
       out.emplace_back(name, value.string_or(""));
   return out;
+}
+
+/// A `seed` member: hex_digest's 16-hex string, or the older integer
+/// form when it is exact — below 2^53, where a double holds every integer.
+bool read_seed(const JsonValue& v, std::uint64_t* out) {
+  std::optional<std::uint64_t> n = v.as_hex_u64();
+  if (!v.is_string()) {
+    n = v.as_uint<std::uint64_t>();
+    if (n && *n >= (std::uint64_t{1} << 53)) n.reset();
+  }
+  if (n) *out = *n;
+  return n.has_value();
 }
 
 bool write_text_file(const std::string& path, const std::string& doc) {
@@ -137,7 +150,7 @@ std::string run_record_json(const RunRecord& record) {
   w.key("bench").value(record.bench);
   w.key("created_unix").value(record.created_unix);
   w.key("git_sha").value(record.git_sha);
-  if (record.has_seed) w.key("seed").value(record.seed);
+  if (record.has_seed) w.key("seed").value(hex_digest(record.seed));
   w.key("threads").value(record.threads);
   w.key("fault_plan").value(record.fault_plan);
   w.key("items").value(record.items);
@@ -223,9 +236,10 @@ bool parse_run_record(const JsonValue& doc, RunRecord* out,
   }
   if (doc.find("seed") != nullptr) {
     record.has_seed = true;
-    if (!doc.read_int("seed", &record.seed)) {
+    if (!read_seed(*doc.find("seed"), &record.seed)) {
       if (error != nullptr)
-        *error = "run record seed is not an unsigned 64-bit integer";
+        *error =
+            "run record seed is neither a hex string nor an exact integer";
       return false;
     }
   }
@@ -417,7 +431,7 @@ std::string baseline_json(const Baseline& baseline) {
   w.key("git_sha").value(baseline.git_sha);
   w.key("provenance");
   w.begin_object();
-  if (baseline.has_seed) w.key("seed").value(baseline.seed);
+  if (baseline.has_seed) w.key("seed").value(hex_digest(baseline.seed));
   w.key("threads").value(baseline.threads);
   w.key("fault_plan").value(baseline.fault_plan);
   emit_digests(w, baseline.digests);
@@ -479,8 +493,9 @@ bool parse_baseline(const JsonValue& doc, Baseline* out,
       provenance != nullptr && provenance->is_object()) {
     if (provenance->find("seed") != nullptr) {
       baseline.has_seed = true;
-      if (!provenance->read_int("seed", &baseline.seed))
-        return refuse("baseline seed is not an unsigned 64-bit integer");
+      if (!read_seed(*provenance->find("seed"), &baseline.seed))
+        return refuse(
+            "baseline seed is neither a hex string nor an exact integer");
     }
     if (!provenance->read_int("threads", &baseline.threads, kOptional))
       return refuse("baseline threads is not an integer");

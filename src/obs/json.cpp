@@ -116,6 +116,18 @@ const JsonValue* JsonValue::find(std::string_view key) const {
   return nullptr;
 }
 
+std::optional<std::uint64_t> JsonValue::as_hex_u64() const {
+  if (!is_string() || string.empty() || string.size() > 16)
+    return std::nullopt;
+  std::uint64_t v = 0;
+  for (char ch : string) {
+    if (!std::isxdigit(static_cast<unsigned char>(ch))) return std::nullopt;
+    const int digit = ch <= '9' ? ch - '0' : (ch | 0x20) - 'a' + 10;
+    v = v << 4 | static_cast<std::uint64_t>(digit);
+  }
+  return v;
+}
+
 namespace {
 
 /// Recursive-descent parser over the strict JSON grammar. Depth-capped

@@ -122,6 +122,11 @@ class JsonValue {
     return static_cast<T>(number);
   }
 
+  /// The string as a u64 when it is 1 to 16 hex digits (hex_digest's
+  /// form); nullopt otherwise. 64-bit digests and seeds travel as hex
+  /// strings because a JSON number is a double, exact only below 2^53.
+  std::optional<std::uint64_t> as_hex_u64() const;
+
   /// read_int(s) `optional` argument: an absent member keeps its value.
   static constexpr bool kOptional = true;
 

@@ -1,7 +1,5 @@
 #include "service/checkpoint.h"
 
-#include <cerrno>
-#include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <optional>
@@ -11,6 +9,7 @@
 #endif
 
 #include "obs/json.h"
+#include "obs/manifest.h"
 #include "util/hashing.h"
 
 namespace edgestab::service {
@@ -20,23 +19,13 @@ namespace {
 using obs::JsonValue;
 using obs::JsonWriter;
 
-// The JSON number lane is a double (2^53 mantissa), so 64-bit digests
-// travel as hex strings; plain counters stay numeric.
-std::string u64_hex(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
-  return std::string(buf);
-}
-
+// 64-bit digests travel as hex strings (JsonValue::as_hex_u64); plain
+// counters stay numeric.
 bool parse_u64_hex(const JsonValue* v, std::uint64_t* out) {
-  if (v == nullptr || !v->is_string()) return false;
-  char* end = nullptr;
-  errno = 0;
-  std::uint64_t parsed = std::strtoull(v->string.c_str(), &end, 16);
-  if (errno != 0 || end == nullptr || *end != '\0' || v->string.empty())
-    return false;
-  *out = parsed;
-  return true;
+  const std::optional<std::uint64_t> n =
+      v != nullptr ? v->as_hex_u64() : std::nullopt;
+  if (n) *out = *n;
+  return n.has_value();
 }
 
 void write_aggregate(JsonWriter& w, const AggregateState& agg) {
@@ -67,7 +56,7 @@ void write_aggregate(JsonWriter& w, const AggregateState& agg) {
       .value(static_cast<std::int64_t>(agg.all_correct_slots));
   w.key("all_incorrect_slots")
       .value(static_cast<std::int64_t>(agg.all_incorrect_slots));
-  w.key("digest_chain").value(u64_hex(agg.digest_chain));
+  w.key("digest_chain").value(obs::hex_digest(agg.digest_chain));
   w.key("latency_hist_100us").begin_array();
   for (const auto& [bucket, count] : agg.latency_hist_100us) {
     w.begin_array();
@@ -210,7 +199,7 @@ std::string serialize_checkpoint(const ServiceCheckpoint& ckpt) {
   JsonWriter w;
   w.begin_object();
   w.key("format").value(kCheckpointFormat);
-  w.key("config_digest").value(u64_hex(ckpt.config_digest));
+  w.key("config_digest").value(obs::hex_digest(ckpt.config_digest));
   w.key("slot").value(static_cast<std::int64_t>(ckpt.slot));
   w.key("aggregate");
   write_aggregate(w, ckpt.agg);

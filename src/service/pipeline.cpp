@@ -198,11 +198,6 @@ namespace {
 
 // ---- Scheduler -------------------------------------------------------------
 
-/// The serial admission scheduler. Owns every control decision (breaker,
-/// shedding, deadlines) as a pure function of (config, g) and the
-/// evolving per-device state it alone mutates — so the decision stream
-/// is bit-identical regardless of how the stage workers behind it are
-/// scheduled.
 /// Timeline census id for a breaker: 0-2 mirror BreakerState, 3 is the
 /// sticky-open terminal (folded into one id so the census lane shows
 /// quarantined devices separately from recoverable opens).
@@ -214,6 +209,11 @@ int census_of(const CircuitBreaker& br) {
 /// Seed salt for the deterministic per-shot trace sample draw.
 constexpr std::uint64_t kTraceSalt = 0x71ACE;
 
+/// The serial admission scheduler. Owns every control decision (breaker,
+/// shedding, deadlines) as a pure function of (config, g) and the
+/// evolving per-device state it alone mutates — so the decision stream
+/// is bit-identical regardless of how the stage workers behind it are
+/// scheduled.
 class Scheduler {
  public:
   Scheduler(const ServiceConfig& config, const std::vector<Device>& fleet)

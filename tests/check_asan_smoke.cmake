@@ -6,7 +6,11 @@
 # undefined shift or out-of-range float cast survives a corrupt input.
 # It also runs the eval-forward arena tests (test_nn, EvalArena.*): the
 # arena writes through raw offsets into buffers reused across calls of
-# different batch sizes, so an offset bug is a heap overrun here.
+# different batch sizes, so an offset bug is a heap overrun here. The
+# same holds for the develop glue's raw-pointer loops (test_develop_glue:
+# the plane-major u8/float conversions, the one-pass model input, the
+# plane-major saturation and the per-lane tone-curve cache), whose
+# bit-for-bit reference tests run here too.
 # -fno-sanitize-recover=all makes the first finding abort the binary, so
 # any report fails the test.
 #
@@ -37,7 +41,8 @@ if(ncpu EQUAL 0)
 endif()
 execute_process(
   COMMAND ${CMAKE_COMMAND} --build "${build_dir}"
-    --target test_codec_fuzz test_state_fuzz test_nn --parallel ${ncpu}
+    --target test_codec_fuzz test_state_fuzz test_nn test_develop_glue
+      --parallel ${ncpu}
   RESULT_VARIABLE rc
   OUTPUT_QUIET)
 if(NOT rc EQUAL 0)
@@ -47,7 +52,8 @@ endif()
 set(filter_test_codec_fuzz "*")
 set(filter_test_state_fuzz "*")
 set(filter_test_nn "EvalArena.*")
-foreach(harness test_codec_fuzz test_state_fuzz test_nn)
+set(filter_test_develop_glue "*")
+foreach(harness test_codec_fuzz test_state_fuzz test_nn test_develop_glue)
   message(STATUS "==== asan_smoke: run ${harness} under ASan/UBSan ====")
   execute_process(
     COMMAND ${CMAKE_COMMAND} -E env
@@ -61,4 +67,4 @@ foreach(harness test_codec_fuzz test_state_fuzz test_nn)
   endif()
 endforeach()
 
-message(STATUS "asan_smoke OK — fuzz harnesses and arena tests clean under ASan/UBSan")
+message(STATUS "asan_smoke OK — fuzz harnesses, arena and develop-glue tests clean under ASan/UBSan")

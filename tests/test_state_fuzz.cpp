@@ -295,16 +295,63 @@ TEST(StateRestore, RunRecordAndBaselineRefuseHostileSeed) {
                                   &error))
       << error;
   EXPECT_EQ(parsed_baseline.seed, 17u);
-  for (const char* value : kHostileUnsigned) {
+  // The seed is written as a hex string; a hostile number or string in
+  // its place is refused.
+  const std::string written = "\"0000000000000011\"";
+  std::vector<std::string> hostile(std::begin(kHostileUnsigned),
+                                   std::end(kHostileUnsigned));
+  for (const char* text : {"\"\"", "\"-1\"", "\"0x11\"", "\" 11\"",
+                           "\"00000000000000011\"", "\"1g\"",
+                           "9007199254740993"})
+    hostile.emplace_back(text);
+  for (const std::string& value : hostile) {
     EXPECT_FALSE(obs::parse_run_record(
-        *obs::parse_json(with_member(run, "seed", "17", value)), &parsed_run,
-        &error))
+        *obs::parse_json(with_member(run, "seed", written, value)),
+        &parsed_run, &error))
         << value;
     EXPECT_FALSE(obs::parse_baseline(
-        *obs::parse_json(with_member(bench, "seed", "17", value)),
+        *obs::parse_json(with_member(bench, "seed", written, value)),
         &parsed_baseline, &error))
         << value;
   }
+}
+
+TEST(StateRestore, RunRecordAndBaselineSeedRoundTripsEveryU64) {
+  // A JSON number is a double: 2^53 + 1 would come back as 2^53 and
+  // 2^64 - 1 as 2^64, which no u64 holds.
+  for (const std::uint64_t seed :
+       {std::uint64_t{0}, std::uint64_t{4242}, (std::uint64_t{1} << 53) + 1,
+        ~std::uint64_t{0}}) {
+    obs::RunRecord record;
+    record.bench = "soak";
+    record.has_seed = true;
+    record.seed = seed;
+    obs::RunRecord parsed_run;
+    obs::Baseline parsed_baseline;
+    std::string error;
+    ASSERT_TRUE(obs::parse_run_record(
+        *obs::parse_json(obs::run_record_json(record)), &parsed_run, &error))
+        << error;
+    EXPECT_EQ(parsed_run.seed, seed);
+    ASSERT_TRUE(obs::parse_baseline(
+        *obs::parse_json(
+            obs::baseline_json(obs::baseline_from_record(record))),
+        &parsed_baseline, &error))
+        << error;
+    EXPECT_EQ(parsed_baseline.seed, seed);
+  }
+  // Documents written before the hex form still read when exact.
+  obs::RunRecord record;
+  record.bench = "soak";
+  record.has_seed = true;
+  record.seed = 17;
+  const std::string legacy = with_member(obs::run_record_json(record), "seed",
+                                         "\"0000000000000011\"", "4242");
+  obs::RunRecord parsed;
+  std::string error;
+  ASSERT_TRUE(obs::parse_run_record(*obs::parse_json(legacy), &parsed, &error))
+      << error;
+  EXPECT_EQ(parsed.seed, 4242u);
 }
 
 // ---- Fuzz -------------------------------------------------------------------
