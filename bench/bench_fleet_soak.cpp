@@ -1,13 +1,13 @@
 // Streaming fleet-service soak (DESIGN.md §17, EXPERIMENTS.md runbook).
 //
 // Boots the resident staged pipeline over a synthetic fleet and streams
-// shots through develop (capture → ISP → encode → decode, one shot per
-// worker) → inference → aggregate under backpressure, deadlines, load
-// shedding and per-device circuit breakers. --threads sets the develop
-// worker count. Reports throughput, per-stage queue pressure, shed/
-// timeout/breaker counts and the modeled latency tail; guards the
-// deterministic surface (aggregate, ledger, breaker, telemetry digests)
-// across runs.
+// shots through develop (capture → ISP → encode → decode) → inference →
+// aggregate under backpressure, deadlines, load shedding and per-device
+// circuit breakers. --threads sets the pool lanes that develop shots and
+// classify their inference groups. Reports throughput, per-stage queue
+// pressure, shed/timeout/breaker counts and the modeled latency tail;
+// guards the deterministic surface (aggregate, ledger, breaker,
+// telemetry digests) across runs.
 //
 //   bench_fleet_soak --devices 500 --shots 100000 --faults heavy --threads 8
 //   bench_fleet_soak --repeats 5             # 5 timed soaks, one archive row
@@ -89,6 +89,8 @@ int main(int argc, char** argv) {
   config.scene_size = static_cast<int>(int_flag(argc, argv, "--scene", 48));
   config.seed = static_cast<std::uint64_t>(
       int_flag(argc, argv, "--seed", 2026));
+  // Provenance: the sentinel refuses to compare soaks at different seeds.
+  run.manifest().set_seed(config.seed);
   config.inference_batch =
       static_cast<int>(int_flag(argc, argv, "--batch", 8));
   config.progress = run.progress_enabled();

@@ -59,9 +59,7 @@ Image run_isp(const RawImage& raw, const IspConfig& config) {
   ES_DRIFT_STAGE(5, "sharpen", rgb);
   {
     ES_TRACE_SCOPE("isp", "saturate");
-    // saturate clamps every value unless it is the identity.
     saturate(rgb, config.saturation);
-    if (config.saturation == 1.0f) rgb.clamp();
   }
   ES_DRIFT_STAGE(6, "saturate", rgb);
   return rgb;

@@ -1,22 +1,18 @@
-// Long-lived stage worker threads for resident services.
+// Long-lived coordinating threads for resident services.
 //
-// The thread pool (thread_pool.h) models fork-join parallel regions:
-// one caller fans a range out and blocks until it drains. A streaming
-// pipeline needs the other shape — threads that live for the whole run,
-// pulling work from queues — and those threads must still honor the two
-// process-wide contracts pool lanes honor:
+// Compute belongs on the thread pool (thread_pool.h): the streaming
+// service runs its per-shot work as one parallel region of pool lanes.
+// What stays outside the pool are the threads that only coordinate for
+// the whole run — the service's admission scheduler and its aggregator —
+// and they must still honor the two contracts pool lanes honor:
 //
 //   * task-context propagation (task_context.h): a WorkerGroup thread
 //     adopts the spawner's captured context for its entire body, so
-//     profiler spans opened inside a stage attribute to the run's tree
-//     instead of dangling on an anonymous thread;
+//     profiler spans and tracked allocations (checkpoint bytes) made
+//     there attribute to the run's tree, not to an anonymous thread;
 //   * exception containment: a throwing body would std::terminate the
 //     process from a raw std::thread; here the first exception per
 //     group is captured and rethrown from join(), like run_chunks.
-//
-// Determinism stays the caller's contract exactly as with the pool:
-// stage bodies must communicate through index-addressed records, never
-// order-dependent shared state.
 #pragma once
 
 #include <exception>
@@ -83,8 +79,6 @@ class WorkerGroup {
     }
     if (error) std::rethrow_exception(error);
   }
-
-  std::size_t size() const { return threads_.size(); }
 
  private:
   std::vector<std::thread> threads_;

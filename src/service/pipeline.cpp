@@ -7,6 +7,7 @@
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -106,15 +107,29 @@ struct Device {
 
 using ShotQueue = BoundedQueue<ShotRec>;
 
-/// One row of the service's stage table: the stage, the queue its
-/// workers pop from, and how many workers drain it. The soak report's
-/// stage stats, the timeline's stage names and depth lanes, and the
-/// heartbeat all read this one table.
+/// A stage's live numbers: records waiting now, the most ever waiting,
+/// and records handed downstream.
+struct StageLoad {
+  std::size_t depth = 0;
+  std::size_t high_water = 0;
+  long long processed = 0;
+};
+
+/// One row of the service's stage table: the stage, how many threads
+/// work it, its bound, and where its live numbers come from. The soak
+/// report's stage stats, the timeline's stage names and depth lanes, and
+/// the heartbeat all read this one table.
 struct Stage {
   const char* name;
-  ShotQueue* in;
   int workers;
+  std::size_t capacity;
+  std::function<StageLoad()> load;
 };
+
+Stage queue_stage(const char* name, const ShotQueue& q, int workers) {
+  return {name, workers, q.capacity(),
+          [&q] { return StageLoad{q.size(), q.high_water(), q.pushed()}; }};
+}
 
 /// Wall-clock-side live state for the progress heartbeat.
 struct LiveStatus {
@@ -132,7 +147,7 @@ std::string live_status_text(const LiveStatus& live) {
   const Stage* worst = nullptr;
   std::size_t worst_depth = 0;
   for (const Stage& s : *live.stages) {
-    const std::size_t depth = s.in->size();
+    const std::size_t depth = s.load().depth;
     text += std::string(" ") + s.name + " " + std::to_string(depth);
     if (worst == nullptr || depth > worst_depth) {
       worst = &s;
@@ -392,10 +407,11 @@ struct Shared {
   long long folded = 0;  ///< shots folded by the aggregator (under fold_mu)
 
   std::vector<Stage> stages;
+  std::vector<ShotQueue*> queues;
 
   void abort_all() {
     stop.store(true, std::memory_order_relaxed);
-    for (const Stage& s : stages) s.in->close_and_drain();
+    for (ShotQueue* q : queues) q->close_and_drain();
     fold_cv.notify_all();
   }
   void note_folded() {
@@ -662,7 +678,7 @@ class Aggregator {
       std::vector<long long> depths;
       depths.reserve(shared_.stages.size());
       for (const Stage& s : shared_.stages)
-        depths.push_back(static_cast<long long>(s.in->size()));
+        depths.push_back(static_cast<long long>(s.load().depth));
       obs::TimelineRecorder::global().note_slot_folded(depths);
     }
   }
@@ -750,7 +766,7 @@ SoakReport run_fleet_service(const Model& model,
   for (int d = 0; d < devices; ++d) {
     Device& dev = fleet[static_cast<std::size_t>(d)];
     dev.profile = base[static_cast<std::size_t>(d) % base.size()];
-    dev.profile.name += "#" + std::to_string(d);
+    dev.profile.name.append("#").append(std::to_string(d));
     dev.stream = runtime::derive_seed(config.seed, 0x5EDE, d);
     dev.profile.noise_stream = dev.stream;
     dev.cls = device_class_of(d);
@@ -777,18 +793,34 @@ SoakReport run_fleet_service(const Model& model,
       signals[p].push_back(phone_signal(base[p], emission));
   }
 
-  // ---- The stage table. `threads` develop workers each carry a shot
-  // through every per-shot transform; the single inference worker is the
-  // only stage allowed to touch the global pool (classify_inputs runs a
-  // parallel region; concurrent regions are forbidden — DESIGN.md §6).
-  const int develop_workers = config.threads > 0
-                                  ? config.threads
-                                  : runtime::ThreadPool::global().threads();
-  ShotQueue develop_q(64), infer_q(64), done_q(256);
+  // ---- The stage table. `lanes` pool lanes develop shots and classify
+  // the inference groups they complete (DESIGN.md §17).
+  const int pool_lanes = runtime::ThreadPool::global().threads();
+  const int lanes = config.threads > 0 ? std::min(config.threads, pool_lanes)
+                                       : pool_lanes;
+  // An inference group closes only once all its shots are scheduled, so
+  // the lead cap must admit one whole group past the fold cursor; it also
+  // bounds the shots parked in open groups.
+  const long long batch = config.inference_batch;
+  const long long lead_cap =
+      std::max({static_cast<long long>(config.max_inflight), 2LL * devices,
+                batch});
+  ShotQueue develop_q(64), done_q(256);
+  // Developed shots wait here, keyed by group then g, until their
+  // inference group is whole (the inference row's depth).
+  std::mutex groups_mu;
+  std::map<long long, std::map<long long, ShotRec>> open_groups;
+  std::size_t parked = 0, parked_high = 0;
   Shared shared;
-  shared.stages = {{"develop", &develop_q, develop_workers},
-                   {"inference", &infer_q, 1},
-                   {"aggregate", &done_q, 1}};
+  shared.queues = {&develop_q, &done_q};
+  shared.stages = {
+      queue_stage("develop", develop_q, lanes),
+      {"inference", lanes, static_cast<std::size_t>(lead_cap),
+       [&] {
+         std::lock_guard<std::mutex> lock(groups_mu);
+         return StageLoad{parked, parked_high, done_q.pushed()};
+       }},
+      queue_stage("aggregate", done_q, 1)};
 
   // ---- Timeline bootstrap: register the run's name tables before any
   // restore (restore_state then overwrites the fresh series with the
@@ -855,13 +887,6 @@ SoakReport run_fleet_service(const Model& model,
   }
   const long long start_g = start_slot * devices;
 
-  // An inference group closes only once all its shots are scheduled, so
-  // the lead cap must admit at least one whole group past the fold cursor.
-  const long long batch = config.inference_batch;
-  const long long lead_cap =
-      std::max({static_cast<long long>(config.max_inflight), 2LL * devices,
-                batch});
-
   LiveStatus live;
   live.stages = &shared.stages;
   live.slots_folded.store(start_slot, std::memory_order_relaxed);
@@ -876,8 +901,7 @@ SoakReport run_fleet_service(const Model& model,
                         start_g, config_digest, meter, live);
 
   WallTimer wall;
-  SchedulerState final_sched;
-  std::mutex final_sched_mu;
+  SchedulerState final_sched;  ///< written by the scheduler; read after join
 
   // Every worker body tears the pipeline down on an exception so no
   // peer blocks forever on a queue that will never move again.
@@ -930,12 +954,41 @@ SoakReport run_fleet_service(const Model& model,
     r.input = capture_to_input(delivery.image);
   };
 
-  runtime::WorkerGroup scheduler_group, develop_group, infer_group,
-      agg_group;
+  // Classify one whole group in g order and hand its records on; false
+  // once done_q has closed. The input tensors die with `inputs`, after
+  // the inference scope has closed, so their frees attribute to the
+  // lane's ambient scope (profile_digest counts them there).
+  auto classify_group = [&](std::map<long long, ShotRec>& group) {
+    std::vector<Tensor> inputs;
+    std::vector<ShotRec*> ok;
+    for (auto& [g, r] : group) {
+      if (r.outcome != ShotOutcome::kOk) continue;
+      inputs.push_back(std::move(r.input));
+      ok.push_back(&r);
+    }
+    if (!inputs.empty()) {
+      ES_TRACE_SCOPE("service", "inference");
+      const std::vector<ShotPrediction> preds =
+          classify_inputs(model, inputs, 3, nullptr);
+      for (std::size_t i = 0; i < ok.size(); ++i) {
+        ShotRec& r = *ok[i];
+        r.predicted = preds[i].predicted();
+        r.conf_q = static_cast<long long>(
+            std::llround(preds[i].confidence() * 1e6));
+        r.correct = topk_correct(
+            preds[i], bank_class[static_cast<std::size_t>(r.stimulus)], 1);
+      }
+    }
+    for (auto& [g, r] : group)
+      if (!done_q.push(std::move(r))) return false;
+    return true;
+  };
 
-  agg_group.spawn(guarded([&] { aggregator.run(); }));
-
-  scheduler_group.spawn(guarded([&] {
+  // The scheduler and the aggregator only coordinate; they run beside
+  // the lanes on their own threads, in the spawner's task context.
+  runtime::WorkerGroup coordinators;
+  coordinators.spawn(guarded([&] { aggregator.run(); }));
+  coordinators.spawn(guarded([&] {
     const bool checkpointing = config.checkpoint_every_slots > 0;
     const long long boundary =
         checkpointing
@@ -957,83 +1010,44 @@ SoakReport run_fleet_service(const Model& model,
       }
       if (!develop_q.push(std::move(r))) break;
     }
-    {
-      std::lock_guard<std::mutex> lock(final_sched_mu);
-      final_sched = scheduler.state(config.shots);
-    }
+    final_sched = scheduler.state(config.shots);
     develop_q.close();
   }));
 
-  for (int w = 0; w < develop_workers; ++w) {
-    develop_group.spawn(guarded([&] {
-      while (std::optional<ShotRec> rec = develop_q.pop()) {
-        ShotRec r = std::move(*rec);
-        if (r.outcome == ShotOutcome::kOk) develop(r);
-        if (!infer_q.push(std::move(r))) break;
-      }
-    }));
-  }
-
-  // Inference batches are fixed shot-index groups: shots g in
-  // [k·batch, (k+1)·batch), clipped to [start_g, shots), form group k,
-  // classified in g order once every record has arrived. Batch
-  // composition — and with it every allocation inference makes — is a
-  // pure function of shot coordinates, never of arrival timing.
-  infer_group.spawn(guarded([&] {
-    // Classify one group (keyed by g) and hand it on; false once done_q
-    // has closed.
-    auto classify_group = [&](std::map<long long, ShotRec>& group) {
-      std::vector<Tensor> inputs;
-      std::vector<ShotRec*> ok;
-      for (auto& [g, r] : group) {
-        if (r.outcome != ShotOutcome::kOk) continue;
-        inputs.push_back(std::move(r.input));
-        ok.push_back(&r);
-      }
-      if (!inputs.empty()) {
-        ES_TRACE_SCOPE("service", "inference");
-        const std::vector<ShotPrediction> preds =
-            classify_inputs(model, inputs, 3, nullptr);
-        for (std::size_t i = 0; i < ok.size(); ++i) {
-          ShotRec& r = *ok[i];
-          r.predicted = preds[i].predicted();
-          r.conf_q = static_cast<long long>(
-              std::llround(preds[i].confidence() * 1e6));
-          r.correct = topk_correct(
-              preds[i], bank_class[static_cast<std::size_t>(r.stimulus)],
-              1);
-        }
-      }
-      for (auto& [g, r] : group)
-        if (!done_q.push(std::move(r))) return false;
-      return true;
-    };
-    std::map<long long, std::map<long long, ShotRec>> open_groups;
-    while (std::optional<ShotRec> rec = infer_q.pop()) {
-      const long long k = rec->g / batch;
-      std::map<long long, ShotRec>& group = open_groups[k];
-      group.emplace(rec->g, std::move(*rec));
-      if (static_cast<long long>(group.size()) <
-          std::min((k + 1) * batch, config.shots) -
-              std::max(k * batch, start_g))
-        continue;
-      if (!classify_group(open_groups.extract(k).mapped())) break;
-    }
-    // Groups still open when infer_q closes (an early stop) are partial.
-    for (auto& [k, group] : open_groups)
-      if (!classify_group(group)) break;
-    done_q.close();
-  }));
-
-  // Teardown chain: each queue closes once every producer upstream of
-  // it has drained and joined (the scheduler closes develop_q, the
-  // inference stage closes done_q). Early stop short-circuits all of it
-  // via Shared::abort_all.
-  scheduler_group.join();
-  develop_group.join();
-  infer_q.close();
-  infer_group.join();
-  agg_group.join();
+  // The compute: one parallel region, each chunk a lane loop. A lane
+  // develops a shot, parks it in inference group k (shots g in
+  // [k·batch, (k+1)·batch), clipped to [start_g, shots): composition is a
+  // pure function of shot coordinates) and, if the shot completed the
+  // group, classifies it inline; the nested predict_logits region keeps
+  // its chunk layout. run_chunks rethrows the first lane exception.
+  runtime::ThreadPool::global().run_chunks(
+      static_cast<std::size_t>(lanes), 1,
+      [&](std::size_t, std::size_t) {
+        guarded([&] {
+          while (std::optional<ShotRec> rec = develop_q.pop()) {
+            if (rec->outcome == ShotOutcome::kOk) develop(*rec);
+            const long long k = rec->g / batch;
+            std::map<long long, ShotRec> group;
+            {
+              std::lock_guard<std::mutex> lock(groups_mu);
+              auto& open = open_groups[k];
+              open.emplace(rec->g, std::move(*rec));
+              parked_high = std::max(parked_high, ++parked);
+              if (static_cast<long long>(open.size()) <
+                  std::min((k + 1) * batch, config.shots) -
+                      std::max(k * batch, start_g))
+                continue;
+              parked -= open.size();
+              group = std::move(open_groups.extract(k).mapped());
+            }
+            if (!classify_group(group)) break;
+          }
+        })();
+      });
+  // Every group is whole once develop_q has closed and drained (an early
+  // stop has closed done_q already and discards what is left parked).
+  done_q.close();
+  coordinators.join();
   meter.finish();
 
   // ---- Report.
@@ -1050,12 +1064,9 @@ SoakReport run_fleet_service(const Model& model,
   // A stopped run's deterministic surface is the checkpoint's: the
   // scheduler raced nondeterministically far ahead of the cut, so its
   // live state is not comparable across runs — the snapshot is.
-  if (report.stopped_at_checkpoint) {
-    report.sched = aggregator.checkpoint_sched();
-  } else {
-    std::lock_guard<std::mutex> lock(final_sched_mu);
-    report.sched = final_sched;
-  }
+  report.sched = report.stopped_at_checkpoint
+                     ? aggregator.checkpoint_sched()
+                     : final_sched;
 
   for (const DeviceSchedState& d : report.sched.devices) {
     report.breaker_opens += d.breaker.opens;
@@ -1107,13 +1118,9 @@ SoakReport run_fleet_service(const Model& model,
           ? static_cast<double>(folded_here) / report.wall_seconds
           : 0.0;
   for (const Stage& stage : shared.stages) {
-    StageStats s;
-    s.name = stage.name;
-    s.workers = stage.workers;
-    s.capacity = stage.in->capacity();
-    s.high_water = stage.in->high_water();
-    s.processed = stage.in->pushed();
-    report.stages.push_back(std::move(s));
+    const StageLoad load = stage.load();
+    report.stages.push_back({stage.name, stage.workers, stage.capacity,
+                             load.high_water, load.processed});
   }
   return report;
 }

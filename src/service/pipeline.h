@@ -3,13 +3,13 @@
 // A resident, backpressured, staged pipeline over the capture→inference
 // path: a serial admission scheduler decides every shot's fate (breaker,
 // load shedding, deadline budget) as a pure function of the fault
-// schedule; bounded MPMC queues carry shot records through a develop
-// stage, whose interchangeable workers each take one shot through
-// capture → ISP → encode → decode with the batch path's own step
-// functions (device/capture.h, core/resilience.h), and a single
-// inference stage; a serial aggregator folds results in shot order,
-// files every receipt, and cuts crash-consistent checkpoints at slot
-// boundaries. The fold is bit-identical at any worker count, and a
+// schedule; a bounded queue feeds the shot records to pool lanes, each of
+// which takes one shot through capture → ISP → encode → decode with the
+// batch path's own step functions (device/capture.h, core/resilience.h)
+// and classifies every fixed inference group its shot completes; a
+// second queue feeds a serial aggregator, which folds results in shot
+// order, files every receipt, and cuts crash-consistent checkpoints at
+// slot boundaries. The fold is bit-identical at any lane count, and a
 // SIGKILLed run resumed from its last checkpoint finishes with
 // byte-identical aggregates, ledgers and digests.
 //
@@ -67,7 +67,8 @@ struct ServiceConfig {
   /// reorder buffer even when a breaker storm turns every shot into a
   /// cheap tombstone.
   int max_inflight = 4096;
-  /// Develop-stage worker count; 0 = the global pool's thread count.
+  /// Pool lanes that develop and classify shots, capped by the global
+  /// pool's width; 0 = all of them.
   int threads = 0;
 
   /// Checkpointing. `every_slots` 0 disables; `resume` restores

@@ -1,13 +1,14 @@
 // Bounded MPMC queue — the backpressure primitive of the streaming
 // service.
 //
-// Every stage boundary in the pipeline is one of these: a fixed-capacity
-// mutex+condvar queue whose push() blocks when the downstream stage has
-// fallen behind. That blocking IS the backpressure policy — no stage can
-// run unboundedly ahead of its consumer, so memory stays bounded by the
-// sum of queue capacities no matter how skewed stage costs are.
+// Both queue hops in the pipeline (scheduler → lanes → aggregator) are
+// one of these: a fixed-capacity mutex+condvar queue whose push() blocks
+// when the consumer has fallen behind. That blocking, with the
+// scheduler's lead cap over the shots parked in open inference groups,
+// IS the backpressure policy: memory stays bounded however skewed stage
+// costs are.
 //
-// Determinism note: which worker pops which record is scheduling-
+// Determinism note: which lane pops which record is scheduling-
 // dependent, but stage bodies are pure functions of the record (DESIGN.md
 // §17), so order only affects wall clock. The high-water mark is the one
 // deliberately nondeterministic reading — it feeds the progress heartbeat
@@ -99,10 +100,6 @@ class BoundedQueue {
   long long pushed() const {
     std::lock_guard<std::mutex> lock(mu_);
     return pushed_;
-  }
-  bool closed() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return closed_;
   }
 
  private:

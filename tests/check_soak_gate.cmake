@@ -3,16 +3,17 @@
 # counts AND across a hard kill (std::_Exit right after a checkpoint
 # rename) followed by --resume. The profiler's digest (DESIGN.md §13)
 # must be thread-invariant too. Also exercises the sentinel's offline
-# soak renderer and checks that a --chaos soak's provenance names its
-# fault plan.
+# soak renderer and checks that a soak's provenance names its fault plan
+# and its seed.
 #
 #   1. reference soak at --threads 2 --profile  -> digests D, profile P
 #   2. same soak at --threads 1 --profile       -> digests == D, profile == P
 #   3. same soak with --kill-after-ckpt 2       -> must exit 7
 #   4. --resume from the surviving checkpoint   -> digests == D
 #   5. edgestab_sentinel soak <report>          -> renders, mentions resume
-#   6. clean soak promoted to a baseline, then a --chaos soak:
-#      sentinel compare must judge the two provenance-incomparable
+#   6. clean soak promoted to a baseline, then a --chaos soak and a
+#      --seed 7 soak: sentinel compare must judge each of them
+#      provenance-incomparable to it (fault plan, seed)
 #   7. --repeats 3                              -> 3 repeat samples in the
 #      run archive, digests == D; --repeats with a checkpoint flag is
 #      refused (exit 2)
@@ -133,45 +134,49 @@ if(NOT out MATCHES "resumed from slot" OR NOT out MATCHES "OUTCOME")
   message(FATAL_ERROR "soak_gate: sentinel soak render incomplete:\n${out}")
 endif()
 
-message(STATUS "==== soak_gate: chaos plan reaches provenance ====")
-# --chaos arms its plan after bench::Run has read --faults, so only an
-# explicit record puts it in the manifest and run archive. Without it a
-# chaos soak compares as if it were a clean one.
+message(STATUS "==== soak_gate: chaos plan and seed reach provenance ====")
+# --chaos arms its plan after bench::Run has read --faults, and --seed is
+# the soak's own flag, so only explicit records put them in the manifest
+# and run archive. Without them a chaos soak, or a soak at another seed,
+# compares as if it were the clean one.
 set(prov_dir "${WORK_DIR}/provenance")
 file(MAKE_DIRECTORY "${prov_dir}")
-foreach(mode clean chaos)
-  set(mode_args)
-  if(mode STREQUAL "chaos")
-    set(mode_args --chaos)
-  endif()
+function(provenance_soak label)
   execute_process(
     COMMAND ${CMAKE_COMMAND} -E env "EDGESTAB_CACHE=${CACHE_DIR}"
       "${BENCH_EXE}" --devices 8 --shots 320 --bank 4 --scene 32
-      --threads 2 ${mode_args}
+      --threads 2 ${ARGN}
     WORKING_DIRECTORY "${prov_dir}"
     RESULT_VARIABLE rc
     OUTPUT_VARIABLE out
     ERROR_VARIABLE out)
   if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "soak_gate: ${mode} soak exited with ${rc}:\n${out}")
+    message(FATAL_ERROR "soak_gate: ${label} soak exited with ${rc}:\n${out}")
   endif()
-  if(mode STREQUAL "clean")
-    file(READ "${prov_dir}/bench_out/BENCH_fleet_soak.json" baseline)
-    file(WRITE "${prov_dir}/clean_baseline.json" "${baseline}")
+endfunction()
+# The newest soak in the archive must compare as incomparable to the
+# clean baseline, for the reason `why`.
+function(expect_incomparable label why)
+  execute_process(
+    COMMAND "${SENTINEL_EXE}" compare --bench fleet_soak
+      --baseline "${prov_dir}/clean_baseline.json"
+    WORKING_DIRECTORY "${prov_dir}"
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE out)
+  if(NOT rc EQUAL 0 OR NOT out MATCHES "${why}")
+    message(FATAL_ERROR
+      "soak_gate: ${label} vs clean compare exited ${rc}; want exit 0 with "
+      "'${why}':\n${out}")
   endif()
-endforeach()
-execute_process(
-  COMMAND "${SENTINEL_EXE}" compare --bench fleet_soak
-    --baseline "${prov_dir}/clean_baseline.json"
-  WORKING_DIRECTORY "${prov_dir}"
-  RESULT_VARIABLE rc
-  OUTPUT_VARIABLE out
-  ERROR_VARIABLE out)
-if(NOT rc EQUAL 0 OR NOT out MATCHES "fault plan differs")
-  message(FATAL_ERROR
-    "soak_gate: chaos vs clean compare exited ${rc}; want exit 0 with a "
-    "fault-plan provenance mismatch:\n${out}")
-endif()
+endfunction()
+provenance_soak(clean)
+file(READ "${prov_dir}/bench_out/BENCH_fleet_soak.json" baseline)
+file(WRITE "${prov_dir}/clean_baseline.json" "${baseline}")
+provenance_soak(chaos --chaos)
+expect_incomparable(chaos "fault plan differs")
+provenance_soak(seed --seed 7)
+expect_incomparable("--seed 7" "seed differs")
 
 message(STATUS "==== soak_gate: --repeats 3 ====")
 # A fresh directory so its run archive holds this run's record alone.

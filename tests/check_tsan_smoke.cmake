@@ -63,9 +63,12 @@ if(NOT EXISTS "${run_dir}/bench_out/table4_isp.meta.json")
 endif()
 
 # The streaming service is the most thread-shaped subsystem in the tree
-# (bounded MPMC queues, a condvar lead cap, four worker groups), so a
-# tiny faulted soak runs under TSAN too. --profile adds the profiler's
-# lane merge while pool lanes run inference on the one shared model.
+# (bounded MPMC queues, a condvar lead cap, pool lanes sharing a group
+# table beside the scheduler and aggregator threads), so a tiny faulted
+# soak runs under TSAN too. --profile adds the profiler's lane merge while
+# the lanes run inference on the one shared model. A second soak stops
+# after its first checkpoint: the aggregator's abort_all then tears the
+# pipeline down while lanes are mid-group.
 message(STATUS "==== tsan_smoke: build bench_fleet_soak ====")
 execute_process(
   COMMAND ${CMAKE_COMMAND} --build "${build_dir}"
@@ -90,6 +93,22 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR
     "tsan_smoke: bench_fleet_soak exited with ${rc} (a ThreadSanitizer "
     "report fails the run; see output above)")
+endif()
+
+execute_process(
+  COMMAND ${CMAKE_COMMAND} -E env
+    "EDGESTAB_CACHE=${CACHE_DIR}"
+    "TSAN_OPTIONS=halt_on_error=1"
+    "${build_dir}/bench/bench_fleet_soak" --threads 4
+    --devices 6 --shots 120 --bank 2 --scene 32
+    --faults "light,budget,deadline_ms=24"
+    --ckpt "${run_dir}/t.ckpt" --ckpt-slots 2 --stop-after-ckpt 1
+  WORKING_DIRECTORY "${run_dir}"
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR
+    "tsan_smoke: early-stop bench_fleet_soak exited with ${rc} (a "
+    "ThreadSanitizer report fails the run; see output above)")
 endif()
 
 message(STATUS "tsan_smoke OK — no races reported at --threads 4")

@@ -1,6 +1,6 @@
 // Develop-glue reference tests: the layout steps between the ISP, the
 // codecs and the model — the u8/float conversions, the one-pass model
-// input, the saturation stage with run_isp's clamp rule and the avx2
+// input, the saturation stage, run_isp's unclamped tail and the avx2
 // tone-curve cache — against the per-pixel loops and fresh LUT builds
 // they replaced, bit for bit. The asan_smoke ctest reruns this binary
 // under AddressSanitizer + UBSan, since the fast forms index raw
@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "data/dataset.h"
+#include "device/fleets.h"
 #include "image/image.h"
 #include "isp/pipeline.h"
 #include "isp/sensor.h"
@@ -196,10 +197,54 @@ TEST(DevelopGlue, SaturateMatchesPerPixelReferenceBitForBit) {
   }
 }
 
+TEST(DevelopGlue, ToneMapStaysInUnitRange) {
+  // run_isp adds no clamp after the identity saturation: tone_map leaves
+  // every value in [0, 1] in both float tiers (sharpen_unsharp either
+  // returns early or clamps). Inputs: a grid over [-1, 2], both zeros,
+  // the range ends and their neighbours, and every avx2 knot position
+  // (i/1023)^2 with its neighbours; curves: every phone of the
+  // end-to-end fleet at divergence 0 and 1.
+  std::vector<float> inputs = {0.0f, -0.0f, 1.0f, -1.0f, 2.0f,
+                               std::nextafter(0.0f, -1.0f),
+                               std::nextafter(1.0f, 2.0f),
+                               std::nextafter(1.0f, 0.0f)};
+  for (int i = 0; i <= 3000; ++i)
+    inputs.push_back(-1.0f + 3.0f * static_cast<float>(i) / 3000.0f);
+  for (int i = 0; i < 1024; ++i) {
+    const float t = static_cast<float>(i) / 1023.0f;
+    const float knot = t * t;
+    inputs.insert(inputs.end(), {knot, std::nextafter(knot, -1.0f),
+                                 std::nextafter(knot, 2.0f)});
+  }
+  Image img(static_cast<int>(inputs.size()), 1, 1);
+  std::copy(inputs.begin(), inputs.end(), img.data().begin());
+  std::vector<std::pair<float, float>> curves;
+  for (float divergence : {0.0f, 1.0f})
+    for (const PhoneProfile& phone : end_to_end_fleet(divergence))
+      curves.emplace_back(phone.isp.gamma, phone.isp.s_curve);
+  const BackendKind prev = active_backend();
+  for (BackendKind tier : {BackendKind::kScalar, BackendKind::kAvx2}) {
+    if (!backend_available(tier)) continue;
+    set_active_backend(tier);
+    for (const auto& [gamma, s_curve] : curves) {
+      Image got = img;
+      tone_map(got, gamma, s_curve);
+      for (std::size_t i = 0; i < inputs.size(); ++i) {
+        const float v = got.data()[i];
+        ASSERT_TRUE(v >= 0.0f && v <= 1.0f)
+            << backend_name(tier) << " gamma " << gamma << " s_curve "
+            << s_curve << ": " << inputs[i] << " -> " << v;
+      }
+    }
+  }
+  set_active_backend(prev);
+}
+
 TEST(DevelopGlue, RunIspMatchesStageByStageReferenceBitForBit) {
   // run_isp against the stages called one by one with a clamp after the
-  // saturation stage, at the identity saturation (where run_isp clamps)
-  // and away from it (where saturate itself clamps), in both float tiers.
+  // saturation stage, at the identity saturation (where that clamp is a
+  // no-op, ToneMapStaysInUnitRange) and away from it (where saturate
+  // itself clamps), in both float tiers.
   SensorConfig cfg;
   cfg.width = 40;
   cfg.height = 36;

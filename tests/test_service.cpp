@@ -4,7 +4,12 @@
 // thread-count invariance and kill/resume bit-exactness (DESIGN.md §17).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <filesystem>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
@@ -13,12 +18,15 @@
 #include "core/workspace.h"
 #include "fault/fault.h"
 #include "fault/latency.h"
+#include "nn/layers.h"
 #include "obs/session.h"
+#include "runtime/thread_pool.h"
 #include "service/breaker.h"
 #include "service/checkpoint.h"
 #include "service/pipeline.h"
 #include "service/queue.h"
 #include "service/state.h"
+#include "util/rng.h"
 
 using namespace edgestab;
 using namespace edgestab::service;
@@ -385,6 +393,16 @@ SoakReport run_armed(Model& model, const ServiceConfig& config) {
   return run_fleet_service(model, config);
 }
 
+/// Restores the global pool's width when a test that pins it ends.
+class PoolWidthGuard {
+ public:
+  PoolWidthGuard() : saved_(runtime::ThreadPool::global().threads()) {}
+  ~PoolWidthGuard() { runtime::ThreadPool::set_global_threads(saved_); }
+
+ private:
+  int saved_;
+};
+
 RunDigests run_gate(Model& model, const ServiceConfig& config) {
   const SoakReport r = run_armed(model, config);
   return {r.agg_digest, r.ledger_digest, r.breaker_digest,
@@ -509,8 +527,11 @@ TEST(ServicePipeline, BatchWiderThanLeadCapStillCompletes) {
 
 TEST(ServicePipeline, StagesAccountEveryShot) {
   // DESIGN.md §17's pass-through rule: every record traverses every
-  // queue, terminal or not, so on a completed faulted run each stage has
-  // processed exactly `shots` records. `threads` sizes the develop stage.
+  // stage, terminal or not, so on a completed faulted run each stage has
+  // processed exactly `shots` records. `threads` sizes the pool lanes
+  // (capped by the pool width, pinned here so 3 lanes exist anywhere).
+  PoolWidthGuard guard;
+  runtime::ThreadPool::set_global_threads(3);
   Workspace ws;
   Model model = ws.fresh_model();
   for (int threads : {1, 3}) {
@@ -525,7 +546,75 @@ TEST(ServicePipeline, StagesAccountEveryShot) {
     for (const StageStats& s : report.stages)
       EXPECT_EQ(s.processed, config.shots) << s.name << " @ " << threads;
     EXPECT_EQ(report.stages[0].workers, threads);
+    EXPECT_EQ(report.stages[1].workers, threads);
     // The faulted run must actually end shots early for the rule to bite.
     EXPECT_LT(report.agg.ok, config.shots);
+  }
+}
+
+namespace {
+
+/// Threads in this process, or -1 where /proc/self/task is absent.
+int task_count() {
+  std::error_code ec;
+  std::filesystem::directory_iterator it("/proc/self/task", ec);
+  if (ec) return -1;
+  int n = 0;
+  for (; it != std::filesystem::directory_iterator(); it.increment(ec)) {
+    if (ec) return -1;
+    ++n;
+  }
+  return n;
+}
+
+}  // namespace
+
+TEST(ServicePipeline, ComputeThreadsArePoolLanes) {
+  // Develop and inference run on the pool's lanes, which exist before
+  // the run starts: the only threads a soak adds are the scheduler and
+  // the aggregator (plus this test's sampler).
+  if (task_count() < 0) GTEST_SKIP() << "/proc/self/task is not readable";
+  PoolWidthGuard guard;
+  runtime::ThreadPool::set_global_threads(3);
+  Workspace ws;
+  Model model = ws.fresh_model();
+  ServiceConfig config = gate_config();
+  config.threads = 3;
+  obs::Session session;
+  session.faults().configure(config.plan);
+
+  const int before = task_count();
+  std::atomic<bool> done{false};
+  std::atomic<int> peak{before};
+  std::thread sampler([&] {
+    while (!done.load()) {
+      peak.store(std::max(peak.load(), task_count()));
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  const SoakReport report = run_fleet_service(model, config);
+  done.store(true);
+  sampler.join();
+  ASSERT_TRUE(report.completed);
+  EXPECT_GT(peak.load(), before);  // the sampler saw at least itself
+  EXPECT_LE(peak.load(), before + 3)
+      << "the soak started threads beyond the scheduler and aggregator";
+}
+
+TEST(ServicePipeline, ThrowingLaneTearsDownCleanly) {
+  // Inference throws on every group: a dense-only model cannot take the
+  // develop stage's [3,S,S] inputs. The lane's exception must tear the
+  // pipeline down and reach the caller, at one lane and at three, with
+  // the scheduler and aggregator joined rather than left blocked.
+  PoolWidthGuard guard;
+  runtime::ThreadPool::set_global_threads(3);
+  Model model;
+  model.add(std::make_unique<Dense>("fc", 7, 12));
+  Pcg32 rng(7);
+  model.init(rng);
+  for (int threads : {1, 3}) {
+    ServiceConfig config = gate_config();
+    config.threads = threads;
+    EXPECT_THROW(run_armed(model, config), CheckError) << threads;
   }
 }
