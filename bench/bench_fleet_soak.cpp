@@ -3,9 +3,9 @@
 // Boots the resident staged pipeline over a synthetic fleet and streams
 // shots through develop (capture → ISP → encode → decode) → inference →
 // aggregate under backpressure, deadlines, load shedding and per-device
-// circuit breakers. --threads sets the pool lanes that develop shots and
-// classify their inference groups. Reports throughput, per-stage queue
-// pressure, shed/timeout/breaker counts and the modeled latency tail;
+// circuit breakers. --threads sets the pool lanes that schedule, develop,
+// classify and fold the shots. Reports throughput, per-stage load,
+// shed/timeout/breaker counts and the modeled latency tail;
 // guards the deterministic surface (aggregate, ledger, breaker,
 // telemetry digests) across runs.
 //
@@ -20,10 +20,10 @@
 // resume the same checkpoint.
 #include "bench_util.h"
 
-#include <cinttypes>
 #include <string>
 
 #include "fault/latency.h"
+#include "obs/manifest.h"
 #include "obs/timeline/timeline.h"
 #include "service/pipeline.h"
 #include "util/csv.h"
@@ -64,12 +64,6 @@ bool bool_flag(int argc, char** argv, const std::string& name) {
     if (arg == name || arg == name + "=1") return true;
   }
   return false;
-}
-
-std::string u64_hex(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
-  return buf;
 }
 
 }  // namespace
@@ -154,7 +148,7 @@ int main(int argc, char** argv) {
 
   service::SoakReport report = bench::run_repeats(
       run, [&] { return service::run_fleet_service(model, config); });
-  // (A --kill-after-ckpt run never gets here: the aggregator _Exits
+  // (A --kill-after-ckpt run never gets here: the folding lane _Exits
   // with kHardKillExitCode right after the checkpoint rename.)
 
   run.set_items(static_cast<double>(report.agg.shots_folded));
@@ -227,13 +221,14 @@ int main(int argc, char** argv) {
   exact("slots_fully_covered",
         static_cast<double>(report.agg.slots_fully_covered));
   exact("latency_p99_us", static_cast<double>(report.latency_p99_us));
-  run.record_digest_metric("soak_digest", u64_hex(report.agg_digest));
+  run.record_digest_metric("soak_digest",
+                           obs::hex_digest(report.agg_digest));
   run.record_digest_metric("soak_ledger_digest",
-                           u64_hex(report.ledger_digest));
+                           obs::hex_digest(report.ledger_digest));
   run.record_digest_metric("soak_breaker_digest",
-                           u64_hex(report.breaker_digest));
+                           obs::hex_digest(report.breaker_digest));
   run.record_digest_metric("soak_telemetry_digest",
-                           u64_hex(report.telemetry_digest));
+                           obs::hex_digest(report.telemetry_digest));
   run.record_metric("shots_per_second", report.shots_per_second,
                     MetricKind::kPerf, Direction::kHigherIsBetter, "1/s");
   run.record_metric("peak_queue_depth", static_cast<double>(peak_depth),

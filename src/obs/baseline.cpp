@@ -10,6 +10,7 @@
 
 #include "obs/manifest.h"
 #include "obs/metrics.h"
+#include "util/file.h"
 
 namespace edgestab::obs {
 
@@ -64,18 +65,6 @@ bool read_seed(const JsonValue& v, std::uint64_t* out) {
   }
   if (n) *out = *n;
   return n.has_value();
-}
-
-bool write_text_file(const std::string& path, const std::string& doc) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "[obs] cannot open %s for writing\n", path.c_str());
-    return false;
-  }
-  std::size_t written = std::fwrite(doc.data(), 1, doc.size(), f);
-  bool ok = written == doc.size() && std::fclose(f) == 0;
-  if (!ok) std::fprintf(stderr, "[obs] short write to %s\n", path.c_str());
-  return ok;
 }
 
 }  // namespace
@@ -193,18 +182,8 @@ std::string run_record_json(const RunRecord& record) {
 }
 
 bool append_run_record(const std::string& path, const RunRecord& record) {
-  std::string line = run_record_json(record);
-  std::FILE* f = std::fopen(path.c_str(), "ab");
-  if (f == nullptr) {
-    std::fprintf(stderr, "[archive] cannot open %s for append\n",
-                 path.c_str());
-    return false;
-  }
-  line += '\n';
-  std::size_t written = std::fwrite(line.data(), 1, line.size(), f);
-  bool ok = written == line.size() && std::fclose(f) == 0;
-  if (!ok) std::fprintf(stderr, "[archive] short write to %s\n", path.c_str());
-  return ok;
+  return write_file_logged(path, run_record_json(record) + '\n',
+                           "[archive]", /*append=*/true);
 }
 
 bool parse_run_record(const JsonValue& doc, RunRecord* out,
@@ -342,7 +321,7 @@ bool prune_run_archive(const std::string& path, std::size_t keep,
   // any instant leaves either the old or the new archive, never a torn
   // one.
   std::string tmp = path + ".tmp";
-  if (!write_text_file(tmp, doc)) {
+  if (!write_file_logged(tmp, doc, "[obs]")) {
     if (error != nullptr) *error = "cannot write " + tmp;
     return false;
   }
@@ -461,7 +440,7 @@ std::string baseline_json(const Baseline& baseline) {
 }
 
 bool write_baseline(const std::string& path, const Baseline& baseline) {
-  return write_text_file(path, baseline_json(baseline) + "\n");
+  return write_file_logged(path, baseline_json(baseline) + "\n", "[obs]");
 }
 
 bool parse_baseline(const JsonValue& doc, Baseline* out,

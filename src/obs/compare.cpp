@@ -7,6 +7,8 @@
 #include <map>
 #include <sstream>
 
+#include "obs/report.h"
+
 namespace edgestab::obs {
 
 namespace {
@@ -18,21 +20,6 @@ std::string fmt(const char* format, ...) {
   std::vsnprintf(buf, sizeof(buf), format, args);
   va_end(args);
   return buf;
-}
-
-std::string html_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '&': out += "&amp;"; break;
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      case '"': out += "&quot;"; break;
-      default: out += c;
-    }
-  }
-  return out;
 }
 
 std::string num(double v) {

@@ -7,6 +7,7 @@
 
 #include "obs/json.h"
 #include "obs/metrics.h"
+#include "util/file.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
@@ -246,16 +247,7 @@ std::string RunManifest::to_json() const {
 }
 
 bool RunManifest::write(const std::string& path) const {
-  std::string doc = to_json();
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "[obs] cannot open %s for writing\n", path.c_str());
-    return false;
-  }
-  std::size_t written = std::fwrite(doc.data(), 1, doc.size(), f);
-  bool ok = written == doc.size() && std::fclose(f) == 0;
-  if (!ok) std::fprintf(stderr, "[obs] short write to %s\n", path.c_str());
-  return ok;
+  return write_file_logged(path, to_json(), "[obs]");
 }
 
 }  // namespace edgestab::obs

@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <deque>
-#include <fstream>
 #include <map>
 #include <mutex>
 #include <tuple>
@@ -17,6 +16,7 @@
 #include "obs/report.h"
 #include "runtime/task_context.h"
 #include "util/check.h"
+#include "util/file.h"
 #include "util/hashing.h"
 
 namespace edgestab::obs {
@@ -178,25 +178,6 @@ std::uint64_t digest_of(const std::vector<ProfileNode>& nodes) {
   return fp.value();
 }
 
-bool write_text_file(const std::string& path, const std::string& text) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "[profile] cannot open %s for writing\n",
-                 path.c_str());
-    return false;
-  }
-  out << text;
-  out.flush();
-  if (!out) {
-    std::fprintf(stderr, "[profile] short write to %s\n", path.c_str());
-    return false;
-  }
-  return true;
-}
-
-// The shared obs::html_escape (obs/report.h) under the name this file
-// historically used.
-std::string html_escape_text(const std::string& s) { return html_escape(s); }
 
 }  // namespace
 
@@ -611,7 +592,7 @@ std::string profile_html(const std::vector<ProfileNode>& nodes,
 
   std::string out;
   out += "<!doctype html>\n<html>\n<head>\n<meta charset=\"utf-8\">\n";
-  out += "<title>profile: " + html_escape_text(bench_name) + "</title>\n";
+  out += "<title>profile: " + html_escape(bench_name) + "</title>\n";
   out +=
       "<style>\n"
       "body{font-family:monospace;background:#1b1b1f;color:#d8d8d8;"
@@ -629,7 +610,7 @@ std::string profile_html(const std::vector<ProfileNode>& nodes,
       "td,th{border:1px solid #3a3a40;padding:3px 8px;text-align:right;}\n"
       "td.p,th.p{text-align:left;}\n"
       "</style>\n</head>\n<body>\n";
-  out += "<h1>profile: " + html_escape_text(bench_name) + "</h1>\n";
+  out += "<h1>profile: " + html_escape(bench_name) + "</h1>\n";
   {
     char sub[256];
     std::snprintf(sub, sizeof(sub),
@@ -660,11 +641,11 @@ std::string profile_html(const std::vector<ProfileNode>& nodes,
         "width:%.2f%%\" title=\"%s — incl %.2f ms, excl %.2f ms, "
         "calls %" PRIu64 ", alloc %" PRIu64 " (%.1f KiB)\"></div>"
         "<div class=\"lbl\" style=\"left:%.1f%%\">%s</div></div>\n",
-        color, left, width, html_escape_text(node.path).c_str(),
+        color, left, width, html_escape(node.path).c_str(),
         static_cast<double>(node.incl_ns) / 1e6,
         static_cast<double>(node.excl_ns) / 1e6, node.calls,
         node.alloc_count, static_cast<double>(node.alloc_bytes) / 1024.0,
-        left, html_escape_text(node.category + "." + node.name).c_str());
+        left, html_escape(node.category + "." + node.name).c_str());
     out += row;
   }
 
@@ -678,7 +659,7 @@ std::string profile_html(const std::vector<ProfileNode>& nodes,
                   "<tr><td class=\"p\">%s</td><td>%" PRIu64
                   "</td><td>%.2f</td><td>%.2f</td><td>%.3f</td><td>%.3f</td>"
                   "<td>%" PRIu64 "</td><td>%.1f</td><td>%.1f</td></tr>\n",
-                  html_escape_text(node.path).c_str(), node.calls,
+                  html_escape(node.path).c_str(), node.calls,
                   static_cast<double>(node.incl_ns) / 1e6,
                   static_cast<double>(node.excl_ns) / 1e6, node.p50_ns / 1e6,
                   node.p95_ns / 1e6, node.alloc_count,
@@ -700,9 +681,10 @@ bool write_profile_report(const Profiler& profiler,
   std::string html_file = bench_name + ".profile.html";
   std::string json_path = dir + "/" + json_file;
   std::string html_path = dir + "/" + html_file;
-  bool ok = write_text_file(json_path, profile_json(profiler, bench_name));
-  ok = write_text_file(html_path,
-                       profile_html(nodes, totals, bench_name)) &&
+  bool ok = write_file_logged(json_path, profile_json(profiler, bench_name),
+                              "[profile]");
+  ok = write_file_logged(html_path, profile_html(nodes, totals, bench_name),
+                         "[profile]") &&
        ok;
 
   std::string table = hotspot_table(nodes);

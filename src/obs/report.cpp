@@ -16,23 +16,12 @@
 #include "obs/timeline/timeline_report.h"
 #include "util/check.h"
 #include "util/csv.h"
+#include "util/file.h"
 #include "util/hashing.h"
 
 namespace edgestab::obs {
 
 namespace {
-
-bool write_text_file(const std::string& path, const std::string& doc) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "[obs] cannot open %s for writing\n", path.c_str());
-    return false;
-  }
-  std::size_t written = std::fwrite(doc.data(), 1, doc.size(), f);
-  bool ok = written == doc.size() && std::fclose(f) == 0;
-  if (!ok) std::fprintf(stderr, "[obs] short write to %s\n", path.c_str());
-  return ok;
-}
 
 void emit_stat(JsonWriter& w, const char* key, const DriftStat& s) {
   w.key(key);
@@ -439,9 +428,9 @@ bool write_drift_report(const DriftAuditor& auditor,
   std::string json = drift_json(auditor, bench_name);
   std::string json_file = bench_name + ".drift.json";
   std::string html_file = bench_name + ".drift.html";
-  bool ok = write_text_file(dir + "/" + json_file, json);
-  ok = write_text_file(dir + "/" + html_file,
-                       drift_html(auditor, bench_name)) &&
+  bool ok = write_file_logged(dir + "/" + json_file, json, "[obs]");
+  ok = write_file_logged(dir + "/" + html_file,
+                         drift_html(auditor, bench_name), "[obs]") &&
        ok;
   if (ok) {
     std::printf("[drift] %s/%s + %s\n", dir.c_str(), json_file.c_str(),

@@ -8,22 +8,11 @@
 #include "obs/json.h"
 #include "obs/report.h"
 #include "util/hashing.h"
+#include "util/file.h"
 
 namespace edgestab::obs {
 
 namespace {
-
-bool write_text_file(const std::string& path, const std::string& doc) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "[fleet] cannot open %s for writing\n", path.c_str());
-    return false;
-  }
-  std::size_t written = std::fwrite(doc.data(), 1, doc.size(), f);
-  bool ok = written == doc.size() && std::fclose(f) == 0;
-  if (!ok) std::fprintf(stderr, "[fleet] short write to %s\n", path.c_str());
-  return ok;
-}
 
 std::string fmt(double v, int decimals = 3) {
   char buf[64];
@@ -456,11 +445,11 @@ bool write_fleet_report(const FleetHealthReport& report,
   const std::string json_file = bench_name + ".fleet.json";
   const std::string html_file = bench_name + ".fleet.html";
   const std::string events_file = bench_name + ".events.jsonl";
-  bool ok = write_text_file(dir + "/" + json_file, json);
-  ok = write_text_file(dir + "/" + html_file,
-                       fleet_html(report, bench_name)) &&
+  bool ok = write_file_logged(dir + "/" + json_file, json, "[fleet]");
+  ok = write_file_logged(dir + "/" + html_file,
+                         fleet_html(report, bench_name), "[fleet]") &&
        ok;
-  ok = write_text_file(dir + "/" + events_file, events) && ok;
+  ok = write_file_logged(dir + "/" + events_file, events, "[fleet]") && ok;
   if (ok) {
     std::printf("[fleet] %s/%s + %s + %s (%lld alerts)\n", dir.c_str(),
                 json_file.c_str(), html_file.c_str(), events_file.c_str(),

@@ -9,25 +9,13 @@
 #include "obs/manifest.h"
 #include "obs/report.h"
 #include "util/hashing.h"
+#include "util/file.h"
 
 namespace edgestab::obs {
 
 namespace {
 
 constexpr const char* kTimelineFormat = "edgestab-timeline-v1";
-
-bool write_text_file(const std::string& path, const std::string& doc) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "[timeline] cannot open %s for writing\n",
-                 path.c_str());
-    return false;
-  }
-  std::size_t written = std::fwrite(doc.data(), 1, doc.size(), f);
-  bool ok = written == doc.size() && std::fclose(f) == 0;
-  if (!ok) std::fprintf(stderr, "[timeline] short write to %s\n", path.c_str());
-  return ok;
-}
 
 void appendf(std::string& out, const char* fmt, ...) {
   char buf[512];
@@ -579,8 +567,11 @@ std::uint64_t write_timeline_report(const TimelineDoc& doc,
   const std::uint64_t digest = timeline_digest(doc);
   const std::string json_file = doc.bench + ".timeline.json";
   const std::string html_file = doc.bench + ".timeline.html";
-  bool ok = write_text_file(dir + "/" + json_file, timeline_json(doc));
-  ok = write_text_file(dir + "/" + html_file, timeline_html(doc)) && ok;
+  bool ok = write_file_logged(dir + "/" + json_file, timeline_json(doc),
+                              "[timeline]");
+  ok = write_file_logged(dir + "/" + html_file, timeline_html(doc),
+                         "[timeline]") &&
+       ok;
   if (ok) {
     std::printf("[timeline] %s/%s + %s (%zu epochs, %zu transitions, "
                 "%zu traces)\n",

@@ -1,13 +1,13 @@
 #include "service/pipeline.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <climits>
 #include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -29,10 +29,9 @@
 #include "obs/timeline/timeline.h"
 #include "runtime/seed.h"
 #include "runtime/thread_pool.h"
-#include "runtime/worker.h"
 #include "service/checkpoint.h"
-#include "service/queue.h"
 #include "util/check.h"
+#include "util/file.h"
 #include "util/hashing.h"
 #include "util/timer.h"
 
@@ -105,35 +104,49 @@ struct Device {
   long long deadline_us = 0;
 };
 
-using ShotQueue = BoundedQueue<ShotRec>;
-
-/// A stage's live numbers: records waiting now, the most ever waiting,
-/// and records handed downstream.
+/// A stage's live numbers: records in the stage now, the most ever in
+/// it, and records it has handed on. The lanes keep them in atomics, so
+/// the heartbeat and the folding lane (sampling the timeline's depth
+/// lanes) read them without taking any lock.
 struct StageLoad {
-  std::size_t depth = 0;
-  std::size_t high_water = 0;
-  long long processed = 0;
+  std::atomic<std::size_t> depth{0};
+  std::atomic<std::size_t> high_water{0};
+  std::atomic<long long> processed{0};
+
+  void enter(std::size_t n) {
+    const std::size_t now =
+        depth.fetch_add(n, std::memory_order_relaxed) + n;
+    std::size_t seen = high_water.load(std::memory_order_relaxed);
+    while (now > seen && !high_water.compare_exchange_weak(
+                             seen, now, std::memory_order_relaxed)) {
+    }
+  }
+  void leave(std::size_t n) {
+    depth.fetch_sub(n, std::memory_order_relaxed);
+    processed.fetch_add(static_cast<long long>(n),
+                        std::memory_order_relaxed);
+  }
 };
 
-/// One row of the service's stage table: the stage, how many threads
-/// work it, its bound, and where its live numbers come from. The soak
-/// report's stage stats, the timeline's stage names and depth lanes, and
-/// the heartbeat all read this one table.
+/// One row of the service's stage table: the stage, how many lanes work
+/// it, its bound, and its live numbers. The soak report's stage stats,
+/// the timeline's stage names and depth lanes, and the heartbeat all
+/// read this one table.
 struct Stage {
   const char* name;
   int workers;
   std::size_t capacity;
-  std::function<StageLoad()> load;
+  StageLoad load{};
 };
 
-Stage queue_stage(const char* name, const ShotQueue& q, int workers) {
-  return {name, workers, q.capacity(),
-          [&q] { return StageLoad{q.size(), q.high_water(), q.pushed()}; }};
-}
+/// develop: shots on lanes between claim and park; inference: shots
+/// parked in open groups; aggregate: records in the reorder buffer.
+using StageTable = std::array<Stage, 3>;
+constexpr std::size_t kDevelop = 0, kInference = 1, kAggregate = 2;
 
 /// Wall-clock-side live state for the progress heartbeat.
 struct LiveStatus {
-  const std::vector<Stage>* stages = nullptr;
+  const StageTable* stages = nullptr;
   std::atomic<long long> shed{0};
   std::atomic<long long> rejected{0};
   std::atomic<long long> slots_folded{0};
@@ -147,7 +160,7 @@ std::string live_status_text(const LiveStatus& live) {
   const Stage* worst = nullptr;
   std::size_t worst_depth = 0;
   for (const Stage& s : *live.stages) {
-    const std::size_t depth = s.load().depth;
+    const std::size_t depth = s.load.depth.load(std::memory_order_relaxed);
     text += std::string(" ") + s.name + " " + std::to_string(depth);
     if (worst == nullptr || depth > worst_depth) {
       worst = &s;
@@ -224,11 +237,11 @@ int census_of(const CircuitBreaker& br) {
 /// Seed salt for the deterministic per-shot trace sample draw.
 constexpr std::uint64_t kTraceSalt = 0x71ACE;
 
-/// The serial admission scheduler. Owns every control decision (breaker,
+/// The admission scheduler. Owns every control decision (breaker,
 /// shedding, deadlines) as a pure function of (config, g) and the
-/// evolving per-device state it alone mutates — so the decision stream
-/// is bit-identical regardless of how the stage workers behind it are
-/// scheduled.
+/// evolving per-device state it alone mutates. Lanes call decide(g)
+/// under one mutex, strictly in g order, so the decision stream is
+/// bit-identical regardless of which lane claims which shot.
 class Scheduler {
  public:
   Scheduler(const ServiceConfig& config, const std::vector<Device>& fleet)
@@ -400,45 +413,49 @@ class Scheduler {
 
 // ---- Pipeline plumbing -----------------------------------------------------
 
+/// The claim frontier, under the lanes' one scheduler mutex: the next
+/// shot to decide, the fold count the lead cap reads, and the stop flag.
 struct Shared {
-  std::atomic<bool> stop{false};
-  std::mutex fold_mu;
-  std::condition_variable fold_cv;
-  long long folded = 0;  ///< shots folded by the aggregator (under fold_mu)
+  std::mutex mu;
+  std::condition_variable cv;
+  long long next_g = 0;
+  long long folded = 0;  ///< shots folded so far in this run
+  bool stop = false;
 
-  std::vector<Stage> stages;
-  std::vector<ShotQueue*> queues;
-
-  void abort_all() {
-    stop.store(true, std::memory_order_relaxed);
-    for (ShotQueue* q : queues) q->close_and_drain();
-    fold_cv.notify_all();
-  }
   void note_folded() {
     {
-      std::lock_guard<std::mutex> lock(fold_mu);
+      std::lock_guard<std::mutex> lock(mu);
       ++folded;
     }
-    fold_cv.notify_all();
+    cv.notify_all();
+  }
+  /// Ends every lane at its next claim: an early stop or a thrown lane.
+  void stop_all() {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      stop = true;
+    }
+    cv.notify_all();
   }
 };
 
 // ---- Aggregator ------------------------------------------------------------
 
-/// Serial fold + checkpoint cutter. Receives records in arbitrary
-/// arrival order, reorders by g (the buffer is bounded by the
-/// scheduler's lead cap) and folds strictly in shot order — the only
-/// place the session's ledger and telemetry are touched during the run.
+/// Reorder buffer + serial fold + checkpoint cutter. Lanes hand it whole
+/// groups in arbitrary order; it folds strictly in shot order (the
+/// buffer is bounded by the scheduler's lead cap), and the fold is the
+/// only place the session's ledger and telemetry are touched during the
+/// run.
 class Aggregator {
  public:
   Aggregator(const ServiceConfig& config, const std::vector<Device>& fleet,
-             Shared& shared, ShotQueue& done, AggregateState agg,
+             Shared& shared, StageTable& stages, AggregateState agg,
              long long start_g, std::uint64_t config_digest,
              obs::ProgressMeter& meter, LiveStatus& live)
       : config_(config),
         fleet_(fleet),
         shared_(shared),
-        done_(done),
+        stages_(stages),
         agg_(std::move(agg)),
         next_fold_(start_g),
         config_digest_(config_digest),
@@ -450,23 +467,35 @@ class Aggregator {
     cells_.resize(devices);
   }
 
-  void run() {
-    while (std::optional<ShotRec> rec = done_.pop()) {
-      buffer_.emplace(rec->g, std::move(*rec));
-      while (true) {
-        auto it = buffer_.find(next_fold_);
-        if (it == buffer_.end()) break;
-        ShotRec r = std::move(it->second);
-        buffer_.erase(it);
-        fold(r);
-        ++next_fold_;
-        shared_.note_folded();
-        if (stop_requested_) {
-          shared_.abort_all();
-          return;
-        }
+  /// Takes a classified group's records into the buffer. The lane that
+  /// finds the fold cursor's record there with nobody folding becomes
+  /// the folder and folds until the cursor's record is missing; it steps
+  /// down only under the buffer's lock, so no record is ever left waiting
+  /// with nobody to fold it. The fold runs off the lock: a lane that only
+  /// hands over never waits behind it (nor a checkpoint's fsync). An
+  /// early stop, or a fold that throws, never steps down, so nothing
+  /// past the cut is folded.
+  void hand_over(std::map<long long, ShotRec>& group) {
+    StageLoad& load = stages_[kAggregate].load;
+    std::unique_lock<std::mutex> lock(mu_);
+    load.enter(group.size());
+    buffer_.merge(group);
+    if (folding_) return;
+    folding_ = true;
+    while (!buffer_.empty() && buffer_.begin()->first == next_fold_) {
+      auto node = buffer_.extract(buffer_.begin());
+      lock.unlock();
+      fold(node.mapped());
+      load.leave(1);
+      ++next_fold_;
+      shared_.note_folded();
+      if (stop_requested_) {
+        shared_.stop_all();
+        return;
       }
+      lock.lock();
     }
+    folding_ = false;
   }
 
   const AggregateState& aggregate() const { return agg_; }
@@ -676,9 +705,10 @@ class Aggregator {
       // for the observational lanes (wall-clock data — exported but
       // never digested, DESIGN.md §18).
       std::vector<long long> depths;
-      depths.reserve(shared_.stages.size());
-      for (const Stage& s : shared_.stages)
-        depths.push_back(static_cast<long long>(s.load().depth));
+      depths.reserve(stages_.size());
+      for (const Stage& s : stages_)
+        depths.push_back(static_cast<long long>(
+            s.load.depth.load(std::memory_order_relaxed)));
       obs::TimelineRecorder::global().note_slot_folded(depths);
     }
   }
@@ -726,13 +756,15 @@ class Aggregator {
   const ServiceConfig& config_;
   const std::vector<Device>& fleet_;
   Shared& shared_;
-  ShotQueue& done_;
+  StageTable& stages_;
   AggregateState agg_;
-  long long next_fold_ = 0;
+  long long next_fold_ = 0;  ///< the folder's cursor
   std::uint64_t config_digest_ = 0;
   obs::ProgressMeter& meter_;
   LiveStatus& live_;
+  std::mutex mu_;  ///< guards buffer_ and folding_
   std::map<long long, ShotRec> buffer_;
+  bool folding_ = false;
   std::vector<SlotCell> cells_;
   SchedulerState ckpt_sched_;
   int checkpoints_written_ = 0;
@@ -793,41 +825,32 @@ SoakReport run_fleet_service(const Model& model,
       signals[p].push_back(phone_signal(base[p], emission));
   }
 
-  // ---- The stage table. `lanes` pool lanes develop shots and classify
-  // the inference groups they complete (DESIGN.md §17).
+  // ---- The stage table. `lanes` pool lanes schedule, develop, classify
+  // and fold the shots (DESIGN.md §17).
   const int pool_lanes = runtime::ThreadPool::global().threads();
   const int lanes = config.threads > 0 ? std::min(config.threads, pool_lanes)
                                        : pool_lanes;
-  // An inference group closes only once all its shots are scheduled, so
+  // An inference group closes only once all its shots are claimed, so
   // the lead cap must admit one whole group past the fold cursor; it also
-  // bounds the shots parked in open groups.
+  // bounds the shots parked in open groups and the reorder buffer.
   const long long batch = config.inference_batch;
   const long long lead_cap =
       std::max({static_cast<long long>(config.max_inflight), 2LL * devices,
                 batch});
-  ShotQueue develop_q(64), done_q(256);
+  StageTable stages{{{"develop", lanes, static_cast<std::size_t>(lanes)},
+                     {"inference", lanes, static_cast<std::size_t>(lead_cap)},
+                     {"aggregate", 1, static_cast<std::size_t>(lead_cap)}}};
   // Developed shots wait here, keyed by group then g, until their
-  // inference group is whole (the inference row's depth).
+  // inference group is whole.
   std::mutex groups_mu;
   std::map<long long, std::map<long long, ShotRec>> open_groups;
-  std::size_t parked = 0, parked_high = 0;
-  Shared shared;
-  shared.queues = {&develop_q, &done_q};
-  shared.stages = {
-      queue_stage("develop", develop_q, lanes),
-      {"inference", lanes, static_cast<std::size_t>(lead_cap),
-       [&] {
-         std::lock_guard<std::mutex> lock(groups_mu);
-         return StageLoad{parked, parked_high, done_q.pushed()};
-       }},
-      queue_stage("aggregate", done_q, 1)};
 
   // ---- Timeline bootstrap: register the run's name tables before any
   // restore (restore_state then overwrites the fresh series with the
   // checkpointed one).
   if (obs::timeline_enabled()) {
     std::vector<std::string> stage_names;
-    for (const Stage& s : shared.stages) stage_names.push_back(s.name);
+    for (const Stage& s : stages) stage_names.push_back(s.name);
     std::vector<std::string> class_names;
     for (int c = 0; c < 3; ++c)
       class_names.push_back(
@@ -888,7 +911,7 @@ SoakReport run_fleet_service(const Model& model,
   const long long start_g = start_slot * devices;
 
   LiveStatus live;
-  live.stages = &shared.stages;
+  live.stages = &stages;
   live.slots_folded.store(start_slot, std::memory_order_relaxed);
   live.epoch_slots = obs::timeline_enabled()
                          ? obs::TimelineRecorder::global().epoch_slots()
@@ -897,23 +920,35 @@ SoakReport run_fleet_service(const Model& model,
       "fleet-soak", config.shots - start_g,
       config.progress || obs::ProgressMeter::env_enabled(),
       [&live] { return live_status_text(live); });
-  Aggregator aggregator(config, fleet, shared, done_q, std::move(agg),
+  Shared shared;
+  shared.next_g = start_g;
+  Aggregator aggregator(config, fleet, shared, stages, std::move(agg),
                         start_g, config_digest, meter, live);
 
   WallTimer wall;
-  SchedulerState final_sched;  ///< written by the scheduler; read after join
 
-  // Every worker body tears the pipeline down on an exception so no
-  // peer blocks forever on a queue that will never move again.
-  auto guarded = [&shared](auto body) {
-    return [&shared, body] {
-      try {
-        body();
-      } catch (...) {
-        shared.abort_all();
-        throw;
-      }
-    };
+  // Claim the next shot and decide it, in g order under the scheduler
+  // mutex, once the lead cap admits it; nullopt when no shot is left or
+  // the run is stopping. The snapshot rides on each checkpoint-boundary
+  // shot to the fold.
+  const long long boundary =
+      static_cast<long long>(std::max(0, config.checkpoint_every_slots)) *
+      devices;
+  auto claim = [&]() -> std::optional<ShotRec> {
+    std::unique_lock<std::mutex> lock(shared.mu);
+    shared.cv.wait(lock, [&] {
+      return shared.stop || shared.next_g >= config.shots ||
+             shared.next_g - (start_g + shared.folded) < lead_cap;
+    });
+    if (shared.stop || shared.next_g >= config.shots) return std::nullopt;
+    const long long g = shared.next_g++;
+    std::optional<ShotRec> r = scheduler.decide(g);
+    if (boundary > 0 && (g + 1) % boundary == 0) {
+      r->has_snapshot = true;
+      r->snapshot = scheduler.state(g + 1);
+    }
+    stages[kDevelop].load.enter(1);
+    return r;
   };
 
   // One shot's per-shot transforms, in the batch path's own step
@@ -954,10 +989,10 @@ SoakReport run_fleet_service(const Model& model,
     r.input = capture_to_input(delivery.image);
   };
 
-  // Classify one whole group in g order and hand its records on; false
-  // once done_q has closed. The input tensors die with `inputs`, after
-  // the inference scope has closed, so their frees attribute to the
-  // lane's ambient scope (profile_digest counts them there).
+  // Classify one whole group in g order. The input tensors die with
+  // `inputs`, after the inference scope has closed, so their frees
+  // attribute to the lane's ambient scope (profile_digest counts them
+  // there).
   auto classify_group = [&](std::map<long long, ShotRec>& group) {
     std::vector<Tensor> inputs;
     std::vector<ShotRec*> ok;
@@ -979,52 +1014,20 @@ SoakReport run_fleet_service(const Model& model,
             preds[i], bank_class[static_cast<std::size_t>(r.stimulus)], 1);
       }
     }
-    for (auto& [g, r] : group)
-      if (!done_q.push(std::move(r))) return false;
-    return true;
   };
 
-  // The scheduler and the aggregator only coordinate; they run beside
-  // the lanes on their own threads, in the spawner's task context.
-  runtime::WorkerGroup coordinators;
-  coordinators.spawn(guarded([&] { aggregator.run(); }));
-  coordinators.spawn(guarded([&] {
-    const bool checkpointing = config.checkpoint_every_slots > 0;
-    const long long boundary =
-        checkpointing
-            ? static_cast<long long>(config.checkpoint_every_slots) * devices
-            : 0;
-    for (long long g = start_g; g < config.shots; ++g) {
-      {
-        std::unique_lock<std::mutex> lock(shared.fold_mu);
-        shared.fold_cv.wait(lock, [&] {
-          return shared.stop.load(std::memory_order_relaxed) ||
-                 g - (start_g + shared.folded) < lead_cap;
-        });
-      }
-      if (shared.stop.load(std::memory_order_relaxed)) break;
-      ShotRec r = scheduler.decide(g);
-      if (checkpointing && (g + 1) % boundary == 0) {
-        r.has_snapshot = true;
-        r.snapshot = scheduler.state(g + 1);
-      }
-      if (!develop_q.push(std::move(r))) break;
-    }
-    final_sched = scheduler.state(config.shots);
-    develop_q.close();
-  }));
-
-  // The compute: one parallel region, each chunk a lane loop. A lane
-  // develops a shot, parks it in inference group k (shots g in
-  // [k·batch, (k+1)·batch), clipped to [start_g, shots): composition is a
-  // pure function of shot coordinates) and, if the shot completed the
-  // group, classifies it inline; the nested predict_logits region keeps
-  // its chunk layout. run_chunks rethrows the first lane exception.
+  // The run: one parallel region, each chunk a lane loop. A lane claims
+  // and decides a shot, develops it, parks it in inference group k (shots
+  // g in [k·batch, (k+1)·batch), clipped to [start_g, shots): composition
+  // is a pure function of shot coordinates) and, if the shot completed
+  // the group, classifies it inline (the nested predict_logits region
+  // keeps its chunk layout) and hands it to the aggregator, folding if
+  // no other lane is. A throwing lane stops the others at their next
+  // claim, and run_chunks rethrows its exception.
   runtime::ThreadPool::global().run_chunks(
-      static_cast<std::size_t>(lanes), 1,
-      [&](std::size_t, std::size_t) {
-        guarded([&] {
-          while (std::optional<ShotRec> rec = develop_q.pop()) {
+      static_cast<std::size_t>(lanes), 1, [&](std::size_t, std::size_t) {
+        try {
+          while (std::optional<ShotRec> rec = claim()) {
             if (rec->outcome == ShotOutcome::kOk) develop(*rec);
             const long long k = rec->g / batch;
             std::map<long long, ShotRec> group;
@@ -1032,22 +1035,23 @@ SoakReport run_fleet_service(const Model& model,
               std::lock_guard<std::mutex> lock(groups_mu);
               auto& open = open_groups[k];
               open.emplace(rec->g, std::move(*rec));
-              parked_high = std::max(parked_high, ++parked);
+              stages[kDevelop].load.leave(1);
+              stages[kInference].load.enter(1);
               if (static_cast<long long>(open.size()) <
                   std::min((k + 1) * batch, config.shots) -
                       std::max(k * batch, start_g))
                 continue;
-              parked -= open.size();
+              stages[kInference].load.leave(open.size());
               group = std::move(open_groups.extract(k).mapped());
             }
-            if (!classify_group(group)) break;
+            classify_group(group);
+            aggregator.hand_over(group);
           }
-        })();
+        } catch (...) {
+          shared.stop_all();
+          throw;
+        }
       });
-  // Every group is whole once develop_q has closed and drained (an early
-  // stop has closed done_q already and discards what is left parked).
-  done_q.close();
-  coordinators.join();
   meter.finish();
 
   // ---- Report.
@@ -1066,7 +1070,7 @@ SoakReport run_fleet_service(const Model& model,
   // live state is not comparable across runs — the snapshot is.
   report.sched = report.stopped_at_checkpoint
                      ? aggregator.checkpoint_sched()
-                     : final_sched;
+                     : scheduler.state(config.shots);
 
   for (const DeviceSchedState& d : report.sched.devices) {
     report.breaker_opens += d.breaker.opens;
@@ -1117,26 +1121,14 @@ SoakReport run_fleet_service(const Model& model,
       report.wall_seconds > 1e-9
           ? static_cast<double>(folded_here) / report.wall_seconds
           : 0.0;
-  for (const Stage& stage : shared.stages) {
-    const StageLoad load = stage.load();
+  for (const Stage& stage : stages)
     report.stages.push_back({stage.name, stage.workers, stage.capacity,
-                             load.high_water, load.processed});
-  }
+                             stage.load.high_water.load(),
+                             stage.load.processed.load()});
   return report;
 }
 
 // ---- Soak report JSON ------------------------------------------------------
-
-namespace {
-
-std::string u64_hex_str(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return std::string(buf);
-}
-
-}  // namespace
 
 std::string serialize_soak_report(const SoakReport& report) {
   obs::JsonWriter w;
@@ -1189,11 +1181,11 @@ std::string serialize_soak_report(const SoakReport& report) {
   w.end_object();
 
   w.key("digests").begin_object();
-  w.key("config").value(u64_hex_str(report.config_digest));
-  w.key("aggregate").value(u64_hex_str(report.agg_digest));
-  w.key("ledger").value(u64_hex_str(report.ledger_digest));
-  w.key("breaker").value(u64_hex_str(report.breaker_digest));
-  w.key("telemetry").value(u64_hex_str(report.telemetry_digest));
+  w.key("config").value(obs::hex_digest(report.config_digest));
+  w.key("aggregate").value(obs::hex_digest(report.agg_digest));
+  w.key("ledger").value(obs::hex_digest(report.ledger_digest));
+  w.key("breaker").value(obs::hex_digest(report.breaker_digest));
+  w.key("telemetry").value(obs::hex_digest(report.telemetry_digest));
   w.end_object();
 
   w.key("latency_us").begin_object();
@@ -1250,20 +1242,7 @@ std::string serialize_soak_report(const SoakReport& report) {
 
 bool write_soak_report_file(const std::string& path,
                             const SoakReport& report, std::string* error) {
-  const std::string body = serialize_soak_report(report);
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    if (error != nullptr) *error = "cannot open " + path;
-    return false;
-  }
-  const bool ok =
-      std::fwrite(body.data(), 1, body.size(), f) == body.size();
-  const bool closed = std::fclose(f) == 0;
-  if (!(ok && closed)) {
-    if (error != nullptr) *error = "short write to " + path;
-    return false;
-  }
-  return true;
+  return write_file(path, serialize_soak_report(report), error);
 }
 
 }  // namespace edgestab::service

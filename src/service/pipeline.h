@@ -1,17 +1,18 @@
 // The streaming fleet service (DESIGN.md §17).
 //
 // A resident, backpressured, staged pipeline over the capture→inference
-// path: a serial admission scheduler decides every shot's fate (breaker,
-// load shedding, deadline budget) as a pure function of the fault
-// schedule; a bounded queue feeds the shot records to pool lanes, each of
-// which takes one shot through capture → ISP → encode → decode with the
-// batch path's own step functions (device/capture.h, core/resilience.h)
-// and classifies every fixed inference group its shot completes; a
-// second queue feeds a serial aggregator, which folds results in shot
-// order, files every receipt, and cuts crash-consistent checkpoints at
-// slot boundaries. The fold is bit-identical at any lane count, and a
-// SIGKILLed run resumed from its last checkpoint finishes with
-// byte-identical aggregates, ledgers and digests.
+// path, run entirely on pool lanes. A lane claims the next shot and,
+// under one scheduler mutex and in shot order, decides its fate
+// (breaker, load shedding, deadline budget) as a pure function of the
+// fault schedule; it then takes the shot through capture → ISP → encode
+// → decode with the batch path's own step functions (device/capture.h,
+// core/resilience.h), classifies every fixed inference group its shot
+// completes and hands the records to the aggregator's reorder buffer.
+// One lane at a time folds that buffer in shot order, files every
+// receipt, and cuts crash-consistent checkpoints at slot boundaries. The
+// fold is bit-identical at any lane count, and a SIGKILLed run resumed
+// from its last checkpoint finishes with byte-identical aggregates,
+// ledgers and digests.
 //
 // Shot coordinates: shot g targets device g % devices at slot
 // g / devices, photographing stimulus (slot % stimulus_bank) — every
@@ -63,12 +64,13 @@ struct ServiceConfig {
   /// Inference batch size B: shots g in [k·B, (k+1)·B) are classified
   /// together, so batch composition never depends on timing.
   int inference_batch = 8;
-  /// Scheduler lead cap over the fold cursor — bounds the aggregator's
-  /// reorder buffer even when a breaker storm turns every shot into a
-  /// cheap tombstone.
+  /// Lead cap of the claimed shots over the fold cursor — the service's
+  /// only backpressure: bounds the parked shots and the reorder buffer
+  /// even when a breaker storm turns every shot into a cheap tombstone.
   int max_inflight = 4096;
-  /// Pool lanes that develop and classify shots, capped by the global
-  /// pool's width; 0 = all of them.
+  /// Pool lanes that schedule, develop, classify and fold shots, capped
+  /// by the global pool's width; 0 = all of them. The run starts no
+  /// thread of its own.
   int threads = 0;
 
   /// Checkpointing. `every_slots` 0 disables; `resume` restores
@@ -141,7 +143,7 @@ struct SoakReport {
 /// Run the service in the current session (obs/session.h). Files
 /// receipts with its FaultLedger under group "service" and feeds its
 /// DeviceHealthRegistry and TimelineRecorder (all serially, from the
-/// aggregator only).
+/// fold only).
 SoakReport run_fleet_service(const Model& model,
                              const ServiceConfig& config);
 

@@ -63,12 +63,11 @@ if(NOT EXISTS "${run_dir}/bench_out/table4_isp.meta.json")
 endif()
 
 # The streaming service is the most thread-shaped subsystem in the tree
-# (bounded MPMC queues, a condvar lead cap, pool lanes sharing a group
-# table beside the scheduler and aggregator threads), so a tiny faulted
-# soak runs under TSAN too. --profile adds the profiler's lane merge while
-# the lanes run inference on the one shared model. A second soak stops
-# after its first checkpoint: the aggregator's abort_all then tears the
-# pipeline down while lanes are mid-group.
+# (pool lanes claiming shots under one mutex and a condvar lead cap,
+# sharing a group table and taking turns at the fold), so tiny faulted
+# soaks run under TSAN too: one with the profiler's lane merge and with
+# checkpoint cuts and timeline depth sampling on the folding lane, one
+# stopped at its first checkpoint while the other lanes are mid-group.
 message(STATUS "==== tsan_smoke: build bench_fleet_soak ====")
 execute_process(
   COMMAND ${CMAKE_COMMAND} --build "${build_dir}"
@@ -87,6 +86,7 @@ execute_process(
     "${build_dir}/bench/bench_fleet_soak" --threads 4 --profile
     --devices 6 --shots 120 --bank 2 --scene 32
     --faults "light,budget,deadline_ms=24" --telemetry
+    --ckpt "${run_dir}/t0.ckpt" --ckpt-slots 2 --timeline
   WORKING_DIRECTORY "${run_dir}"
   RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)

@@ -1,5 +1,5 @@
-// Tests for the streaming fleet service (src/service): queue semantics,
-// the circuit-breaker state machine, the per-device-class latency model,
+// Tests for the streaming fleet service (src/service): the
+// circuit-breaker state machine, the per-device-class latency model,
 // checkpoint round trips, and the end-to-end determinism contract —
 // thread-count invariance and kill/resume bit-exactness (DESIGN.md §17).
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,55 +23,11 @@
 #include "service/breaker.h"
 #include "service/checkpoint.h"
 #include "service/pipeline.h"
-#include "service/queue.h"
 #include "service/state.h"
 #include "util/rng.h"
 
 using namespace edgestab;
 using namespace edgestab::service;
-
-// ---- BoundedQueue ----------------------------------------------------------
-
-TEST(BoundedQueue, FifoAndCounts) {
-  BoundedQueue<int> q(4);
-  EXPECT_TRUE(q.push(1));
-  EXPECT_TRUE(q.push(2));
-  EXPECT_TRUE(q.push(3));
-  EXPECT_EQ(q.size(), 3u);
-  EXPECT_EQ(q.high_water(), 3u);
-  EXPECT_EQ(q.pushed(), 3);
-  EXPECT_EQ(q.pop().value(), 1);
-  EXPECT_EQ(q.pop().value(), 2);
-  EXPECT_EQ(q.pop().value(), 3);
-  EXPECT_EQ(q.size(), 0u);
-  EXPECT_EQ(q.high_water(), 3u);  // high-water survives the drain
-}
-
-TEST(BoundedQueue, PushBlocksUntilPopped) {
-  BoundedQueue<int> q(1);
-  ASSERT_TRUE(q.push(1));
-  std::thread producer([&] { EXPECT_TRUE(q.push(2)); });
-  // The producer is blocked on the full queue until this pop.
-  EXPECT_EQ(q.pop().value(), 1);
-  producer.join();
-  EXPECT_EQ(q.pop().value(), 2);
-}
-
-TEST(BoundedQueue, CloseDrainsPendingThenEnds) {
-  BoundedQueue<int> q(4);
-  ASSERT_TRUE(q.push(7));
-  q.close();
-  EXPECT_FALSE(q.push(8));  // rejected after close
-  EXPECT_EQ(q.pop().value(), 7);  // pending item still delivered
-  EXPECT_FALSE(q.pop().has_value());  // then end-of-stream
-}
-
-TEST(BoundedQueue, CloseAndDrainDiscardsPending) {
-  BoundedQueue<int> q(4);
-  ASSERT_TRUE(q.push(7));
-  q.close_and_drain();
-  EXPECT_FALSE(q.pop().has_value());
-}
 
 // ---- CircuitBreaker --------------------------------------------------------
 
@@ -554,26 +509,21 @@ TEST(ServicePipeline, StagesAccountEveryShot) {
 
 namespace {
 
-/// Threads in this process, or -1 where /proc/self/task is absent.
+/// Threads in this process, or 0 where /proc/self/task is absent.
 int task_count() {
   std::error_code ec;
-  std::filesystem::directory_iterator it("/proc/self/task", ec);
-  if (ec) return -1;
-  int n = 0;
-  for (; it != std::filesystem::directory_iterator(); it.increment(ec)) {
-    if (ec) return -1;
-    ++n;
-  }
-  return n;
+  return static_cast<int>(std::distance(
+      std::filesystem::directory_iterator("/proc/self/task", ec),
+      std::filesystem::directory_iterator()));
 }
 
 }  // namespace
 
 TEST(ServicePipeline, ComputeThreadsArePoolLanes) {
-  // Develop and inference run on the pool's lanes, which exist before
-  // the run starts: the only threads a soak adds are the scheduler and
-  // the aggregator (plus this test's sampler).
-  if (task_count() < 0) GTEST_SKIP() << "/proc/self/task is not readable";
+  // Scheduling, develop, inference and the fold all run on the pool's
+  // lanes, which exist before the run starts: a soak adds no thread, so
+  // the only new one is this test's sampler.
+  if (task_count() == 0) GTEST_SKIP() << "/proc/self/task is not readable";
   PoolWidthGuard guard;
   runtime::ThreadPool::set_global_threads(3);
   Workspace ws;
@@ -597,15 +547,15 @@ TEST(ServicePipeline, ComputeThreadsArePoolLanes) {
   sampler.join();
   ASSERT_TRUE(report.completed);
   EXPECT_GT(peak.load(), before);  // the sampler saw at least itself
-  EXPECT_LE(peak.load(), before + 3)
-      << "the soak started threads beyond the scheduler and aggregator";
+  EXPECT_LE(peak.load(), before + 1)
+      << "the soak started threads of its own beside the pool lanes";
 }
 
 TEST(ServicePipeline, ThrowingLaneTearsDownCleanly) {
   // Inference throws on every group: a dense-only model cannot take the
-  // develop stage's [3,S,S] inputs. The lane's exception must tear the
-  // pipeline down and reach the caller, at one lane and at three, with
-  // the scheduler and aggregator joined rather than left blocked.
+  // develop stage's [3,S,S] inputs. The lane's exception must stop the
+  // other lanes and reach the caller, at one lane and at three, with no
+  // lane left blocked on the lead cap.
   PoolWidthGuard guard;
   runtime::ThreadPool::set_global_threads(3);
   Model model;
@@ -616,5 +566,29 @@ TEST(ServicePipeline, ThrowingLaneTearsDownCleanly) {
     ServiceConfig config = gate_config();
     config.threads = threads;
     EXPECT_THROW(run_armed(model, config), CheckError) << threads;
+  }
+}
+
+TEST(ServicePipeline, CheckpointWriteFailureTearsDownCleanly) {
+  // The checkpoint's directory does not exist, so the first cut throws
+  // on whichever lane is folding. That lane must stop the others and the
+  // error reach the caller, at one lane and at three, with no hang.
+  PoolWidthGuard guard;
+  runtime::ThreadPool::set_global_threads(3);
+  Workspace ws;
+  Model model = ws.fresh_model();
+  for (int threads : {1, 3}) {
+    ServiceConfig config = gate_config();
+    config.threads = threads;
+    config.checkpoint_path = testing::TempDir() + "/no_such_dir/x.ckpt";
+    config.checkpoint_every_slots = 2;
+    try {
+      run_armed(model, config);
+      ADD_FAILURE() << "no CheckError at " << threads;
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("checkpoint write failed"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }

@@ -1,15 +1,17 @@
 // Unit tests for the util library: RNG determinism and distribution
 // sanity, MD5 vectors, stats, table/CSV formatting, byte round-trips,
-// fingerprints.
+// file writes, fingerprints.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <string>
 
 #include "util/bytes.h"
 #include "util/check.h"
 #include "util/csv.h"
+#include "util/file.h"
 #include "util/hashing.h"
 #include "util/md5.h"
 #include "util/rng.h"
@@ -240,6 +242,27 @@ TEST(Bytes, FileRoundTrip) {
   EXPECT_EQ(read_file(path), data);
   std::filesystem::remove(path);
   EXPECT_FALSE(file_exists(path));
+}
+
+TEST(File, FailedWritesCloseTheFile) {
+  // /dev/full fails every write: a large one comes back short, a small
+  // one only at fclose's flush. Each must still close the file.
+  namespace fs = std::filesystem;
+  if (!fs::exists("/dev/full") || !fs::exists("/proc/self/fd"))
+    GTEST_SKIP() << "needs /dev/full and /proc/self/fd";
+  auto open_fds = [] {
+    return std::distance(fs::directory_iterator("/proc/self/fd"),
+                         fs::directory_iterator());
+  };
+  const std::string big(64 * 1024, 'x');
+  const auto before = open_fds();
+  for (int i = 0; i < 16; ++i) {
+    std::string error;
+    EXPECT_FALSE(write_file("/dev/full", big, &error)) << i;
+    EXPECT_EQ(error, "short write to /dev/full");
+    EXPECT_FALSE(write_file("/dev/full", "x", nullptr)) << i;
+  }
+  EXPECT_EQ(open_fds(), before);
 }
 
 TEST(Hashing, FingerprintOrderSensitive) {

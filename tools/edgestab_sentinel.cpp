@@ -64,6 +64,7 @@
 #include "obs/telemetry/fleet_report.h"
 #include "obs/timeline/timeline.h"
 #include "obs/timeline/timeline_report.h"
+#include "util/file.h"
 #include "util/table.h"
 
 using namespace edgestab;
@@ -111,19 +112,6 @@ bool file_exists(const std::string& path) {
   if (f == nullptr) return false;
   std::fclose(f);
   return true;
-}
-
-bool write_file(const std::string& path, const std::string& doc) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "sentinel: cannot open %s for writing\n",
-                 path.c_str());
-    return false;
-  }
-  std::size_t written = std::fwrite(doc.data(), 1, doc.size(), f);
-  bool ok = written == doc.size() && std::fclose(f) == 0;
-  if (!ok) std::fprintf(stderr, "sentinel: short write to %s\n", path.c_str());
-  return ok;
 }
 
 int cmd_compare(int argc, char** argv) {
@@ -249,7 +237,9 @@ int cmd_trend(int argc, char** argv) {
                    error.c_str());
   }
 
-  if (!write_file(out_path, obs::trend_html(records, baselines))) return 1;
+  if (!write_file_logged(out_path, obs::trend_html(records, baselines),
+                         "sentinel:"))
+    return 1;
   std::printf("sentinel: %s (%zu run(s), %zu baseline(s))\n",
               out_path.c_str(), records.size(), baselines.size());
   return 0;
@@ -409,7 +399,7 @@ int cmd_fleet(int argc, char** argv) {
       std::printf("%s", html.c_str());
       return 0;
     }
-    if (!write_file(out_path, html)) return 1;
+    if (!write_file_logged(out_path, html, "sentinel:")) return 1;
     std::printf("sentinel: %s (%zu device(s), %zu alert(s))\n",
                 out_path.c_str(), fleet.report.fleet.devices.size(),
                 fleet.report.alerts.total());
@@ -498,7 +488,8 @@ int cmd_timeline(int argc, char** argv) {
               doc.traces.size(), doc.traces_dropped);
 
   if (!out_path.empty()) {
-    if (!write_file(out_path, obs::timeline_html(doc))) return 1;
+    if (!write_file_logged(out_path, obs::timeline_html(doc), "sentinel:"))
+      return 1;
     std::printf("sentinel: %s (%zu epoch(s), %zu transition(s))\n",
                 out_path.c_str(), doc.epochs.size(), doc.transitions.size());
   }
