@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
     double instability;
     double min_accuracy;
     double max_accuracy;
-    int items;
+    long long items;
   };
   auto fleet = end_to_end_fleet();
   bench_run.record_fleet(fleet);
@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
   CsvWriter csv({"configuration", "instability", "min_accuracy",
                  "max_accuracy"});
   Table t({"CONFIGURATION", "INSTABILITY", "ACC MIN", "ACC MAX"});
-  int total_items = 0;
+  long long total_items = 0;
   for (const SourceRow& row : rows) {
     t.add_row({row.tag, Table::pct(row.instability),
                Table::pct(row.min_accuracy), Table::pct(row.max_accuracy)});

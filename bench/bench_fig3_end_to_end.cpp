@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   WallTimer timer;
   EndToEndResult r = bench::run_repeats(
       run, [&] { return run_end_to_end(model, fleet, rig); });
-  std::printf("captured + classified %d stimuli x %zu phones in %.1fs\n",
+  std::printf("captured + classified %lld stimuli x %zu phones in %.1fs\n",
               r.overall.total_items, fleet.size(), timer.seconds());
   run.set_items(static_cast<double>(r.overall.total_items));
 

@@ -217,7 +217,7 @@ int main(int argc, char** argv) {
   exact("decode_lost", static_cast<double>(report.agg.decode_lost));
   exact("breaker_opens", static_cast<double>(report.breaker_opens));
   exact("sticky_devices", static_cast<double>(report.sticky_devices));
-  exact("unstable_slots", static_cast<double>(report.agg.unstable_slots));
+  exact("unstable_slots", static_cast<double>(report.agg.verdicts.unstable_items));
   exact("slots_fully_covered",
         static_cast<double>(report.agg.slots_fully_covered));
   exact("latency_p99_us", static_cast<double>(report.latency_p99_us));
@@ -304,6 +304,19 @@ int main(int argc, char** argv) {
            std::to_string(row.latency_us_sum), state, sticky});
     }
     run.write_csv(csv, run.name() + "_devices.csv");
+  }
+
+  // The aggregate must keep its own accounting to the end of the run:
+  // the identities a resume demands of a checkpoint.
+  const std::string broken = service::aggregate_inconsistency(
+      report.agg, report.agg.slots_folded, report.devices,
+      static_cast<long long>(obs::FaultLedger::global()
+                                 .export_group_raw(service::kServiceLedgerGroup)
+                                 .size()));
+  if (!broken.empty()) {
+    std::fprintf(stderr, "[soak] aggregate breaks its accounting: %s\n",
+                 broken.c_str());
+    run.fail();
   }
 
   // The offline artifact (edgestab_sentinel soak FILE re-renders it).

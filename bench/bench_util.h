@@ -646,33 +646,29 @@ auto run_repeats(Run& run, Fn&& body) {
   return result;
 }
 
-/// Cross-check the drift flip-ledger's totals against the instability
-/// numbers core/instability computed for the same observations. The two
-/// are independent implementations of the paper's §2.2 bookkeeping; a
-/// mismatch means the drift report is lying about the run and fails the
-/// bench. No-op when the auditor is off.
+/// Cross-check the drift flip-ledger's tally against the one
+/// core/instability computed for the same observations. Both apply the
+/// one verdict of obs/verdict.h, so a mismatch means the ledger saw
+/// other observations than the metric: the drift report is lying about
+/// the run and the bench fails. No-op when the auditor is off.
 inline void check_flip_ledger(Run& run, const std::string& group,
                               const InstabilityResult& expected) {
   if (!obs::drift_enabled()) return;
   auto summary = obs::DriftAuditor::global().ledger().find_group(group);
-  if (summary.has_value() &&
-      summary->total_items == expected.total_items &&
-      summary->unstable_items == expected.unstable_items &&
-      summary->all_correct_items == expected.all_correct_items &&
-      summary->all_incorrect_items == expected.all_incorrect_items) {
+  if (summary.has_value() && summary->verdicts == expected) {
     std::printf(
-        "[drift] ledger '%s' matches core/instability: %d/%d unstable "
-        "(%d all-correct, %d all-incorrect)\n",
-        group.c_str(), summary->unstable_items, summary->total_items,
-        summary->all_correct_items, summary->all_incorrect_items);
+        "[drift] ledger '%s' matches core/instability: %lld/%lld unstable "
+        "(%lld all-correct, %lld all-incorrect)\n",
+        group.c_str(), expected.unstable_items, expected.total_items,
+        expected.all_correct_items, expected.all_incorrect_items);
     return;
   }
   if (summary.has_value()) {
     std::fprintf(stderr,
-                 "[drift] ledger '%s' MISMATCH: ledger %d/%d unstable vs "
-                 "instability %d/%d\n",
-                 group.c_str(), summary->unstable_items,
-                 summary->total_items, expected.unstable_items,
+                 "[drift] ledger '%s' MISMATCH: ledger %lld/%lld unstable vs "
+                 "instability %lld/%lld\n",
+                 group.c_str(), summary->verdicts.unstable_items,
+                 summary->verdicts.total_items, expected.unstable_items,
                  expected.total_items);
   } else {
     std::fprintf(stderr, "[drift] ledger group '%s' missing\n",

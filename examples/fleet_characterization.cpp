@@ -89,7 +89,7 @@ int main() {
                       Table::pct(r.accuracy_by_phone_top3[p])});
   std::printf("\n%s", accuracy.str().c_str());
 
-  std::printf("\ngroup instability: %s over %d stimuli\n",
+  std::printf("\ngroup instability: %s over %lld stimuli\n",
               Table::pct(r.overall.instability()).c_str(),
               r.overall.total_items);
 

@@ -78,8 +78,8 @@ int main() {
   }
   InstabilityResult result = compute_instability(observations);
   std::printf(
-      "\nover %d objects: %d unstable (instability %.1f%%), %d all-correct, "
-      "%d all-wrong\n",
+      "\nover %lld objects: %lld unstable (instability %.1f%%), %lld "
+      "all-correct, %lld all-wrong\n",
       result.total_items, result.unstable_items,
       result.instability() * 100.0, result.all_correct_items,
       result.all_incorrect_items);

@@ -7,25 +7,13 @@ namespace edgestab {
 
 ConfidenceSplit split_confidences(
     std::span<const Observation> observations) {
-  struct Tally {
-    int correct = 0;
-    int incorrect = 0;
-  };
-  std::map<int, Tally> items;
-  for (const Observation& o : observations) {
-    Tally& t = items[o.item];
-    if (o.correct) {
-      ++t.correct;
-    } else {
-      ++t.incorrect;
-    }
-  }
+  std::map<int, obs::ItemCounts> items;
+  for (const Observation& o : observations) items[o.item].add(o.correct);
   ConfidenceSplit split;
   for (const Observation& o : observations) {
-    const Tally& t = items[o.item];
-    if (t.correct + t.incorrect < 2) continue;
-    bool unstable = t.correct > 0 && t.incorrect > 0;
-    if (unstable) {
+    const obs::ItemVerdict v = items[o.item].verdict();
+    if (v == obs::ItemVerdict::kSkipped) continue;
+    if (v == obs::ItemVerdict::kUnstable) {
       (o.correct ? split.unstable_correct : split.unstable_incorrect)
           .push_back(o.confidence);
     } else {

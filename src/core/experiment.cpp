@@ -71,20 +71,18 @@ void telemetry_label_devices(const std::vector<std::string>& names) {
     registry.set_device_label(static_cast<int>(i), names[i]);
 }
 
-/// Feed finished device-indexed observations. `flipped` is the
-/// env_incorrect side of a FlipLedger entry — this device wrong while
-/// at least one device was right on the same item — so the per-device
-/// flip rate stays recomputable from the flip ledger.
+/// Feed finished device-indexed observations. The flip flag is
+/// obs::flipped, so the per-device flip rate recounts from the ledger.
 void telemetry_record_observations(std::span<const Observation> observations) {
   if (!obs::telemetry_enabled()) return;
-  std::map<int, bool> any_correct;
+  std::map<int, long long> item_correct;
   for (const Observation& o : observations)
-    if (o.correct) any_correct[o.item] = true;
+    if (o.correct) ++item_correct[o.item];
   auto& registry = obs::DeviceHealthRegistry::global();
-  for (const Observation& o : observations) {
-    const bool flipped = !o.correct && any_correct.count(o.item) > 0;
-    registry.record_observation(o.env, o.item, o.correct, flipped);
-  }
+  for (const Observation& o : observations)
+    registry.record_observation(
+        o.env, o.item, o.correct,
+        obs::flipped(o.correct, item_correct[o.item]));
 }
 
 }  // namespace

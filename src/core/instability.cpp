@@ -10,38 +10,17 @@ namespace edgestab {
 
 namespace {
 
-/// Per-item correctness tally.
-struct ItemTally {
-  int correct = 0;
-  int incorrect = 0;
-  int observations() const { return correct + incorrect; }
-};
-
 template <typename KeyFn>
 std::map<int, InstabilityResult> grouped_instability(
     std::span<const Observation> observations, KeyFn key_of) {
-  // (group key, item) -> tally
-  std::map<std::pair<int, int>, ItemTally> tallies;
-  for (const Observation& o : observations) {
-    ItemTally& t = tallies[{key_of(o), o.item}];
-    if (o.correct) {
-      ++t.correct;
-    } else {
-      ++t.incorrect;
-    }
-  }
+  // (group key, item) -> counts
+  std::map<std::pair<int, int>, obs::ItemCounts> items;
+  for (const Observation& o : observations)
+    items[{key_of(o), o.item}].add(o.correct);
   std::map<int, InstabilityResult> out;
-  for (const auto& [key, tally] : tallies) {
-    if (tally.observations() < 2) continue;
-    InstabilityResult& r = out[key.first];
-    ++r.total_items;
-    if (tally.correct > 0 && tally.incorrect > 0) {
-      ++r.unstable_items;
-    } else if (tally.incorrect == 0) {
-      ++r.all_correct_items;
-    } else {
-      ++r.all_incorrect_items;
-    }
+  for (const auto& [key, counts] : items) {
+    const obs::ItemVerdict v = counts.verdict();
+    if (v != obs::ItemVerdict::kSkipped) out[key.first].add(v);
   }
   return out;
 }
@@ -81,35 +60,21 @@ InstabilityCi bootstrap_instability_ci(
   ES_CHECK(confidence > 0.0 && confidence < 1.0);
   ES_CHECK(iterations >= 10);
 
-  // Collapse observations into per-item outcome categories once.
-  enum Outcome { kUnstable, kAllCorrect, kAllIncorrect };
-  struct Tally {
-    int correct = 0;
-    int incorrect = 0;
-  };
-  std::map<int, Tally> tallies;
-  for (const Observation& o : observations) {
-    Tally& t = tallies[o.item];
-    (o.correct ? t.correct : t.incorrect) += 1;
-  }
-  std::vector<Outcome> outcomes;
-  for (const auto& [item, t] : tallies) {
-    if (t.correct + t.incorrect < 2) continue;
-    if (t.correct > 0 && t.incorrect > 0) {
-      outcomes.push_back(kUnstable);
-    } else if (t.incorrect == 0) {
-      outcomes.push_back(kAllCorrect);
-    } else {
-      outcomes.push_back(kAllIncorrect);
-    }
+  // Collapse observations into per-item verdicts once.
+  std::map<int, obs::ItemCounts> items;
+  for (const Observation& o : observations) items[o.item].add(o.correct);
+  std::vector<obs::ItemVerdict> outcomes;
+  InstabilityResult tally;
+  for (const auto& [item, counts] : items) {
+    const obs::ItemVerdict v = counts.verdict();
+    if (v == obs::ItemVerdict::kSkipped) continue;
+    outcomes.push_back(v);
+    tally.add(v);
   }
 
   InstabilityCi ci;
   if (outcomes.empty()) return ci;
-  int unstable = 0;
-  for (Outcome o : outcomes) unstable += o == kUnstable ? 1 : 0;
-  ci.point = static_cast<double>(unstable) /
-             static_cast<double>(outcomes.size());
+  ci.point = tally.instability();
 
   Pcg32 rng(seed, 17);
   std::vector<double> samples;
@@ -118,7 +83,7 @@ InstabilityCi bootstrap_instability_ci(
   for (int it = 0; it < iterations; ++it) {
     int u = 0;
     for (std::uint32_t i = 0; i < n; ++i)
-      u += outcomes[rng.uniform_int(n)] == kUnstable ? 1 : 0;
+      u += outcomes[rng.uniform_int(n)] == obs::ItemVerdict::kUnstable ? 1 : 0;
     samples.push_back(static_cast<double>(u) / n);
   }
   double tail = (1.0 - confidence) / 2.0;

@@ -1,20 +1,16 @@
-// Instability — the paper's core metric (§2.2, §4.1).
-//
-// A stimulus (the same displayed image) is observed in several
-// environments (phones, codecs, ISPs, OSes). It is *unstable* when at
-// least one environment classifies it correctly AND at least one
-// classifies it incorrectly. Stimuli that every environment gets wrong
-// are not counted as unstable ("it is difficult to say whether a
-// particular classification is more incorrect than another"), but they
-// remain in the denominator:
-//
-//   instability = unstable_stimuli / total_stimuli.
+// Instability — the paper's core metric (§2.2, §4.1): the share of
+// stimuli (the same displayed image, observed in several environments —
+// phones, codecs, ISPs, OSes) that are unstable. This header groups
+// observations by stimulus; each stimulus's verdict and their tally are
+// the one definition in obs/verdict.h.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <span>
 #include <vector>
+
+#include "obs/verdict.h"
 
 namespace edgestab {
 
@@ -29,28 +25,9 @@ struct Observation {
   int angle = -1;     ///< viewpoint (grouping key)
 };
 
-struct InstabilityResult {
-  int total_items = 0;
-  int unstable_items = 0;
-  int all_correct_items = 0;
-  int all_incorrect_items = 0;
-
-  double instability() const {
-    return total_items > 0
-               ? static_cast<double>(unstable_items) / total_items
-               : 0.0;
-  }
-  /// Mean per-environment accuracy is tracked separately; this is the
-  /// fraction of items every environment agreed correctly on.
-  double all_correct_fraction() const {
-    return total_items > 0
-               ? static_cast<double>(all_correct_items) / total_items
-               : 0.0;
-  }
-};
+using InstabilityResult = obs::VerdictTally;
 
 /// Group instability across all environments present in `observations`.
-/// Items observed in fewer than 2 environments are skipped.
 InstabilityResult compute_instability(
     std::span<const Observation> observations);
 

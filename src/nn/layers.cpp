@@ -341,15 +341,19 @@ void Dense::infer_int8(const float* input, int n, float* out,
   int8::quantize_cols(weight_.value.raw(), in_dim_, out_dim_, qw,
                       col_scales);
 
-  const std::size_t numel = static_cast<std::size_t>(n) * in_dim_;
-  const float act_scale = int8::tensor_scale(input, numel);
-  std::int8_t* qin = arena.qacts(numel);
-  int8::quantize(input, numel, act_scale, qin);
-
-  std::int32_t* acc = arena.acc(static_cast<std::size_t>(n) * out_dim_);
-  int8::gemm_s8(qin, qw, acc, n, in_dim_, out_dim_);
-  int8::requant_cols(acc, n, out_dim_, act_scale, col_scales,
-                     use_bias_ ? bias_.value.raw() : nullptr, out);
+  // Each row gets its own activation scale, so a row's logits never
+  // depend on which other rows share the call.
+  std::int8_t* qin = arena.qacts(static_cast<std::size_t>(in_dim_));
+  std::int32_t* acc = arena.acc(static_cast<std::size_t>(out_dim_));
+  for (int i = 0; i < n; ++i) {
+    const float* row = input + static_cast<std::size_t>(i) * in_dim_;
+    const float act_scale = int8::tensor_scale(row, in_dim_);
+    int8::quantize(row, in_dim_, act_scale, qin);
+    int8::gemm_s8(qin, qw, acc, 1, in_dim_, out_dim_);
+    int8::requant_cols(acc, 1, out_dim_, act_scale, col_scales,
+                       use_bias_ ? bias_.value.raw() : nullptr,
+                       out + static_cast<std::size_t>(i) * out_dim_);
+  }
 }
 
 Tensor Dense::backward(const Tensor& grad_output) {

@@ -48,12 +48,11 @@ Tensor Model::infer(std::span<const float* const> samples,
 
   // Layers that see a spatial [1,C,H,W] activation run one sample at a
   // time, so the arena holds one sample's activations, never the
-  // batch's. Each of them is row-independent in every tier: convolutions
+  // batch's. Every layer is row-independent in every tier: convolutions
   // and pooling work per sample, batch-norm uses running statistics and
-  // the int8 tier scales activations per sample or per plane. Every
-  // sample's flat output is gathered into the rows buffer, and the
-  // layers after it run on all rows at once: the int8 Dense scales its
-  // activations over the whole batch, so it must see every row.
+  // the int8 tier scales activations per sample, per plane or (Dense)
+  // per row. Every sample's flat output is gathered into the rows
+  // buffer, and the layers after it run on all rows at once.
   const int n = static_cast<int>(samples.size());
   std::size_t tail = 0;
   ActShape rows_shape;

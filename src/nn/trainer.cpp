@@ -227,12 +227,11 @@ Tensor predict_logits(const Model& model,
   const int n = static_cast<int>(samples.size());
   if (n == 0) return Tensor();
 
-  // Inference rows are batch-independent up to the dense tail, which
-  // sees one chunk's rows at once (Model::infer) — and in the int8 tier
-  // its activation scale spans those rows. The cut count is fixed — NOT
-  // derived from the lane count — so the chunk layout, and with it every
-  // int8 logit and each chunk's tracked allocations, is identical at any
-  // --threads (DESIGN.md §13 determinism contract). Lanes share the
+  // Inference rows are batch-independent in every tier; the dense tail
+  // sees one chunk's rows at once (Model::infer). The cut count is fixed
+  // — NOT derived from the lane count — so the chunk layout, and with it
+  // each chunk's tracked allocations, is identical at any --threads
+  // (DESIGN.md §13 determinism contract). Lanes share the
   // const model and read their chunk's samples in place: nothing is
   // copied per chunk.
   constexpr int kEvalCuts = 16;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <limits>
 #include <map>
 #include <sstream>
@@ -263,12 +262,10 @@ bool parse_run_record(const JsonValue& doc, RunRecord* out,
 
 bool load_run_records(const std::string& path, std::vector<RunRecord>* out,
                       std::string* error) {
-  std::ifstream in(path);
-  if (!in.good()) {
-    if (error != nullptr) *error = "cannot open " + path;
-    return false;
-  }
+  std::string text;
+  if (!read_file(path, &text, error)) return false;
   out->clear();
+  std::istringstream in(text);
   std::string line;
   int line_number = 0;
   while (std::getline(in, line)) {
@@ -507,15 +504,10 @@ bool parse_baseline(const JsonValue& doc, Baseline* out,
 
 bool load_baseline(const std::string& path, Baseline* out,
                    std::string* error) {
-  std::ifstream in(path);
-  if (!in.good()) {
-    if (error != nullptr) *error = "cannot open " + path;
-    return false;
-  }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
+  std::string text;
+  if (!read_file(path, &text, error)) return false;
   std::string parse_error;
-  std::optional<JsonValue> doc = parse_json(buffer.str(), &parse_error);
+  std::optional<JsonValue> doc = parse_json(text, &parse_error);
   if (!doc.has_value()) {
     if (error != nullptr) *error = path + ": " + parse_error;
     return false;

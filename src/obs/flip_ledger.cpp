@@ -46,28 +46,22 @@ LedgerGroupSummary FlipLedger::build_summary(const std::string& group) const {
   }
 
   for (const auto& [item, t] : items) {
-    std::size_t observations = t.correct.size() + t.incorrect.size();
-    if (observations < 2) continue;  // same skip rule as compute_instability
-    ++s.total_items;
-    if (!t.correct.empty() && !t.incorrect.empty()) {
-      ++s.unstable_items;
-      ++s.unstable_by_class[t.class_id];
-      for (const FlipOutcome* c : t.correct)
-        for (const FlipOutcome* w : t.incorrect) {
-          ++s.flips_by_class[t.class_id];
-          ++s.flips_by_pair[{c->env, w->env}];
-          if (s.entries.size() < kMaxEntriesPerGroup) {
-            s.entries.push_back({item, t.class_id, c->env, w->env,
-                                 c->predicted, w->predicted});
-          } else {
-            ++s.dropped_entries;
-          }
+    const ItemVerdict v = verdict(static_cast<long long>(t.correct.size()),
+                              static_cast<long long>(t.incorrect.size()));
+    s.verdicts.add(v);
+    if (v != ItemVerdict::kUnstable) continue;
+    ++s.unstable_by_class[t.class_id];
+    for (const FlipOutcome* c : t.correct)
+      for (const FlipOutcome* w : t.incorrect) {
+        ++s.flips_by_class[t.class_id];
+        ++s.flips_by_pair[{c->env, w->env}];
+        if (s.entries.size() < kMaxEntriesPerGroup) {
+          s.entries.push_back({item, t.class_id, c->env, w->env,
+                               c->predicted, w->predicted});
+        } else {
+          ++s.dropped_entries;
         }
-    } else if (t.incorrect.empty()) {
-      ++s.all_correct_items;
-    } else {
-      ++s.all_incorrect_items;
-    }
+      }
   }
   return s;
 }
@@ -89,10 +83,10 @@ std::uint64_t FlipLedger::digest() const {
   Fingerprint fp;
   for (const auto& s : summaries()) {
     fp.add(s.group)
-        .add(s.total_items)
-        .add(s.unstable_items)
-        .add(s.all_correct_items)
-        .add(s.all_incorrect_items);
+        .add(s.verdicts.total_items)
+        .add(s.verdicts.unstable_items)
+        .add(s.verdicts.all_correct_items)
+        .add(s.verdicts.all_incorrect_items);
     for (const auto& [cls, n] : s.flips_by_class) fp.add(cls).add(n);
     for (const auto& [pair, n] : s.flips_by_pair)
       fp.add(pair.first).add(pair.second).add(n);

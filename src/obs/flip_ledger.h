@@ -4,11 +4,11 @@
 // core/instability reduces a set of per-environment observations to a
 // single instability number; the ledger keeps the receipts. For every
 // experiment group it records, per stimulus, which environments got it
-// right and which got it wrong, tallies correct↔incorrect flips by
-// ground-truth class and by (env, env) pair, and reproduces the exact
-// item bookkeeping of `compute_instability` so its totals can be
-// cross-checked against the paper metric for the same run (bench::Run
-// fails the bench if they ever disagree).
+// right and which got it wrong, and tallies correct↔incorrect flips by
+// ground-truth class and by (env, env) pair. Each stimulus's verdict
+// comes from obs/verdict.h, the one definition core/instability uses
+// too; bench::check_flip_ledger compares the two tallies for the same
+// run, which shows the ledger saw the same observations as the metric.
 //
 // The ledger is plain bookkeeping — no images, no tensors — so it lives
 // in src/obs; the drift auditor feeds it only while enabled.
@@ -21,6 +21,8 @@
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "obs/verdict.h"
 
 namespace edgestab::obs {
 
@@ -46,17 +48,11 @@ struct FlipEntry {
   int predicted_incorrect = -1;
 };
 
-/// Per-group summary. The four *_items counters follow the exact
-/// semantics of core::compute_instability: items seen in fewer than two
-/// environments are skipped, an item is unstable iff at least one env is
-/// correct AND at least one is incorrect, and all-wrong items stay in
-/// the denominator.
+/// Per-group summary: the group's verdict tally (obs/verdict.h) plus
+/// the flips behind its unstable items.
 struct LedgerGroupSummary {
   std::string group;
-  int total_items = 0;
-  int unstable_items = 0;
-  int all_correct_items = 0;
-  int all_incorrect_items = 0;
+  VerdictTally verdicts;
 
   /// Flip pair counts: one per (correct env, incorrect env) pair over
   /// all unstable items.
@@ -67,12 +63,6 @@ struct LedgerGroupSummary {
   /// Individual flip records, capped; `dropped_entries` counts the rest.
   std::vector<FlipEntry> entries;
   std::int64_t dropped_entries = 0;
-
-  double instability() const {
-    return total_items > 0
-               ? static_cast<double>(unstable_items) / total_items
-               : 0.0;
-  }
 };
 
 /// Accumulates flip summaries per experiment group. Thread-compatible

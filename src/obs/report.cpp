@@ -134,11 +134,14 @@ std::string drift_json(const DriftAuditor& auditor,
   for (const LedgerGroupSummary& g : auditor.ledger().summaries()) {
     w.begin_object();
     w.key("group").value(g.group);
-    w.key("total_items").value(g.total_items);
-    w.key("unstable_items").value(g.unstable_items);
-    w.key("all_correct_items").value(g.all_correct_items);
-    w.key("all_incorrect_items").value(g.all_incorrect_items);
-    w.key("instability").value(g.instability());
+    const VerdictTally& v = g.verdicts;
+    w.key("total_items").value(static_cast<std::int64_t>(v.total_items));
+    w.key("unstable_items").value(static_cast<std::int64_t>(v.unstable_items));
+    w.key("all_correct_items")
+        .value(static_cast<std::int64_t>(v.all_correct_items));
+    w.key("all_incorrect_items")
+        .value(static_cast<std::int64_t>(v.all_incorrect_items));
+    w.key("instability").value(v.instability());
     w.key("flips_by_class");
     w.begin_array();
     for (const auto& [cls, flips] : g.flips_by_class) {
@@ -333,11 +336,11 @@ std::string drift_html(const DriftAuditor& auditor,
         "<tr><th>items</th><th>unstable</th><th>instability</th>"
         "<th>all correct</th><th>all incorrect</th><th>flip pairs "
         "recorded</th><th>dropped</th></tr>\n<tr>";
-    td(html, std::to_string(g.total_items));
-    td(html, std::to_string(g.unstable_items));
-    td(html, fmt(100.0 * g.instability(), 2) + "%");
-    td(html, std::to_string(g.all_correct_items));
-    td(html, std::to_string(g.all_incorrect_items));
+    td(html, std::to_string(g.verdicts.total_items));
+    td(html, std::to_string(g.verdicts.unstable_items));
+    td(html, fmt(100.0 * g.verdicts.instability(), 2) + "%");
+    td(html, std::to_string(g.verdicts.all_correct_items));
+    td(html, std::to_string(g.verdicts.all_incorrect_items));
     td(html, std::to_string(g.entries.size()));
     td(html, std::to_string(g.dropped_entries));
     html += "</tr>\n</table>\n";

@@ -10,6 +10,7 @@
 
 #include "obs/json.h"
 #include "obs/manifest.h"
+#include "util/file.h"
 #include "util/hashing.h"
 
 namespace edgestab::service {
@@ -49,13 +50,13 @@ void write_aggregate(JsonWriter& w, const AggregateState& agg) {
       .value(static_cast<std::int64_t>(agg.slots_degraded));
   w.key("slots_lost").value(static_cast<std::int64_t>(agg.slots_lost));
   w.key("slots_observed")
-      .value(static_cast<std::int64_t>(agg.slots_observed));
+      .value(static_cast<std::int64_t>(agg.verdicts.total_items));
   w.key("unstable_slots")
-      .value(static_cast<std::int64_t>(agg.unstable_slots));
+      .value(static_cast<std::int64_t>(agg.verdicts.unstable_items));
   w.key("all_correct_slots")
-      .value(static_cast<std::int64_t>(agg.all_correct_slots));
+      .value(static_cast<std::int64_t>(agg.verdicts.all_correct_items));
   w.key("all_incorrect_slots")
-      .value(static_cast<std::int64_t>(agg.all_incorrect_slots));
+      .value(static_cast<std::int64_t>(agg.verdicts.all_incorrect_items));
   w.key("digest_chain").value(obs::hex_digest(agg.digest_chain));
   w.key("latency_hist_100us").begin_array();
   for (const auto& [bucket, count] : agg.latency_hist_100us) {
@@ -102,10 +103,10 @@ bool parse_aggregate(const JsonValue& v, AggregateState* out) {
               {"slots_fully_covered", &a.slots_fully_covered},
               {"slots_degraded", &a.slots_degraded},
               {"slots_lost", &a.slots_lost},
-              {"slots_observed", &a.slots_observed},
-              {"unstable_slots", &a.unstable_slots},
-              {"all_correct_slots", &a.all_correct_slots},
-              {"all_incorrect_slots", &a.all_incorrect_slots}}))
+              {"slots_observed", &a.verdicts.total_items},
+              {"unstable_slots", &a.verdicts.unstable_items},
+              {"all_correct_slots", &a.verdicts.all_correct_items},
+              {"all_incorrect_slots", &a.verdicts.all_incorrect_items}}))
     return false;
   if (!parse_u64_hex(v.find("digest_chain"), &a.digest_chain))
     return false;
@@ -323,18 +324,8 @@ bool write_checkpoint_file(const std::string& path,
 
 bool load_checkpoint_file(const std::string& path, ServiceCheckpoint* out,
                           std::string* error) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    set_error(error, "cannot open checkpoint file");
-    return false;
-  }
   std::string body;
-  char buf[1 << 16];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-    body.append(buf, n);
-  std::fclose(f);
-  return parse_checkpoint(body, out, error);
+  return read_file(path, &body, error) && parse_checkpoint(body, out, error);
 }
 
 std::uint64_t checkpoint_digest(const ServiceCheckpoint& ckpt) {

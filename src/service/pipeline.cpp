@@ -45,7 +45,6 @@ using obs::FaultEventKind;
 /// The renderer's class universe (data/render.h models all 12 paper
 /// classes); the stimulus bank cycles through them.
 constexpr int kClassCount = 12;
-constexpr const char* kServiceGroup = "service";
 
 const float kBankAngles[] = {-1.0f, -0.5f, 0.0f, 0.5f, 1.0f};
 
@@ -95,13 +94,6 @@ struct ShotRec {
 
   bool has_snapshot = false;
   SchedulerState snapshot;  ///< scheduler state right after deciding g
-};
-
-struct Device {
-  PhoneProfile profile;
-  fault::DeviceClass cls = fault::DeviceClass::kMid;
-  std::uint64_t stream = 0;     ///< fault/noise stream id
-  long long deadline_us = 0;
 };
 
 /// A stage's live numbers: records in the stage now, the most ever in
@@ -222,6 +214,59 @@ std::uint64_t ledger_events_digest(const std::vector<FaultEvent>& events) {
   return fp.value();
 }
 
+ServiceFleet make_service_fleet(const ServiceConfig& config) {
+  // Devices cycle the calibrated base fleet, one stream and performance
+  // tier per device.
+  const std::vector<PhoneProfile> base = end_to_end_fleet(config.divergence);
+  ServiceFleet world;
+  world.seed = config.seed;
+  world.devices.resize(static_cast<std::size_t>(config.devices));
+  for (int d = 0; d < config.devices; ++d) {
+    FleetDevice& dev = world.devices[static_cast<std::size_t>(d)];
+    dev.profile = base[static_cast<std::size_t>(d) % base.size()];
+    dev.profile.name.append("#").append(std::to_string(d));
+    dev.profile.noise_stream = runtime::derive_seed(config.seed, 0x5EDE, d);
+    dev.cls = device_class_of(d);
+    dev.deadline_us =
+        quantize_us(fault::deadline_budget_ms(dev.cls, config.plan));
+  }
+
+  // Stimulus bank: every device photographs the same emissions. The
+  // noise-free sensor signal (mount warp, optics, sensor response, PRNU)
+  // depends only on the base profile and the emission, so it is
+  // precomputed per (base profile, stimulus); each shot only samples its
+  // noise over it.
+  world.bank_class.resize(static_cast<std::size_t>(config.stimulus_bank));
+  world.signals.resize(base.size());
+  for (int s = 0; s < config.stimulus_bank; ++s) {
+    SceneSpec spec;
+    spec.class_id = s % kClassCount;
+    spec.instance_seed = runtime::derive_seed(config.seed, 0xBA4C, s);
+    spec.view_angle = kBankAngles[static_cast<std::size_t>(s) % 5];
+    world.bank_class[static_cast<std::size_t>(s)] = spec.class_id;
+    const Image emission = display_on_screen(
+        render_scene(spec, config.scene_size), ScreenConfig{});
+    for (std::size_t p = 0; p < base.size(); ++p)
+      world.signals[p].push_back(phone_signal(base[p], emission));
+  }
+  return world;
+}
+
+int ServiceFleet::stimulus(long long slot) const {
+  return static_cast<int>(slot % static_cast<long long>(bank_class.size()));
+}
+
+const Image& ServiceFleet::signal(int device, int stimulus) const {
+  return signals[static_cast<std::size_t>(device) % signals.size()]
+                [static_cast<std::size_t>(stimulus)];
+}
+
+Pcg32 ServiceFleet::shot_rng(int device, long long slot) const {
+  return runtime::derive_rng(
+      seed, devices[static_cast<std::size_t>(device)].profile.noise_stream,
+      stimulus(slot), slot);
+}
+
 namespace {
 
 // ---- Scheduler -------------------------------------------------------------
@@ -244,7 +289,7 @@ constexpr std::uint64_t kTraceSalt = 0x71ACE;
 /// bit-identical regardless of which lane claims which shot.
 class Scheduler {
  public:
-  Scheduler(const ServiceConfig& config, const std::vector<Device>& fleet)
+  Scheduler(const ServiceConfig& config, const std::vector<FleetDevice>& fleet)
       : config_(config), fleet_(fleet) {
     breakers_.assign(fleet.size(), CircuitBreaker(config.breaker));
     backlog_us_.assign(fleet.size(), 0);
@@ -280,7 +325,7 @@ class Scheduler {
     r.device = static_cast<int>(g % devices);
     r.slot = g / devices;
     r.stimulus = static_cast<int>(r.slot % config_.stimulus_bank);
-    const Device& dev = fleet_[static_cast<std::size_t>(r.device)];
+    const FleetDevice& dev = fleet_[static_cast<std::size_t>(r.device)];
     CircuitBreaker& br = breakers_[static_cast<std::size_t>(r.device)];
     long long& backlog = backlog_us_[static_cast<std::size_t>(r.device)];
     const int item = static_cast<int>(r.slot);
@@ -402,7 +447,7 @@ class Scheduler {
 
  private:
   const ServiceConfig& config_;
-  const std::vector<Device>& fleet_;
+  const std::vector<FleetDevice>& fleet_;
   std::vector<CircuitBreaker> breakers_;
   std::vector<long long> backlog_us_;
   long long shed_us_ = 0;
@@ -448,7 +493,7 @@ struct Shared {
 /// run.
 class Aggregator {
  public:
-  Aggregator(const ServiceConfig& config, const std::vector<Device>& fleet,
+  Aggregator(const ServiceConfig& config, const std::vector<FleetDevice>& fleet,
              Shared& shared, StageTable& stages, AggregateState agg,
              long long start_g, std::uint64_t config_digest,
              obs::ProgressMeter& meter, LiveStatus& live)
@@ -518,7 +563,7 @@ class Aggregator {
   void fold(const ShotRec& r) {
     auto& ledger = obs::FaultLedger::global();
     for (const FaultEvent& e : r.events) {
-      ledger.record(kServiceGroup, e);
+      ledger.record(kServiceLedgerGroup, e);
       if (e.kind == FaultEventKind::kRetry) ++agg_.retries;
     }
     agg_.fault_events += static_cast<long long>(r.events.size());
@@ -648,40 +693,25 @@ class Aggregator {
 
   void finalize_slot(int item) {
     // Coverage + online instability verdict for the completed slot.
-    int observers = 0;
-    bool any_correct = false;
-    bool any_incorrect = false;
-    for (const SlotCell& c : cells_) {
-      if (!c.usable) continue;
-      ++observers;
-      if (c.correct)
-        any_correct = true;
-      else
-        any_incorrect = true;
-    }
-    const int devices = static_cast<int>(cells_.size());
+    obs::ItemCounts counts;
+    for (const SlotCell& c : cells_)
+      if (c.usable) counts.add(c.correct);
+    const long long observers = counts.correct + counts.incorrect;
+    const auto devices = static_cast<long long>(cells_.size());
     if (observers == devices)
       ++agg_.slots_fully_covered;
     else if (observers == 0)
       ++agg_.slots_lost;
     else
       ++agg_.slots_degraded;
-    if (observers >= 2) {
-      ++agg_.slots_observed;
-      if (any_correct && any_incorrect)
-        ++agg_.unstable_slots;
-      else if (any_correct)
-        ++agg_.all_correct_slots;
-      else
-        ++agg_.all_incorrect_slots;
-    }
+    agg_.verdicts.add(counts.verdict());
     if (obs::telemetry_enabled()) {
       auto& registry = obs::DeviceHealthRegistry::global();
       for (std::size_t d = 0; d < cells_.size(); ++d) {
         const SlotCell& c = cells_[d];
         if (!c.usable) continue;
         registry.record_observation(static_cast<int>(d), item, c.correct,
-                                    /*flipped=*/!c.correct && any_correct);
+                                    obs::flipped(c.correct, counts.correct));
       }
     }
 
@@ -724,7 +754,7 @@ class Aggregator {
     ckpt.agg = agg_;
     ckpt.sched = sched;
     ckpt.ledger_events =
-        obs::FaultLedger::global().export_group_raw(kServiceGroup);
+        obs::FaultLedger::global().export_group_raw(kServiceLedgerGroup);
     if (obs::telemetry_enabled())
       ckpt.telemetry_state =
           obs::DeviceHealthRegistry::global().serialize_state();
@@ -754,7 +784,7 @@ class Aggregator {
   }
 
   const ServiceConfig& config_;
-  const std::vector<Device>& fleet_;
+  const std::vector<FleetDevice>& fleet_;
   Shared& shared_;
   StageTable& stages_;
   AggregateState agg_;
@@ -791,39 +821,8 @@ SoakReport run_fleet_service(const Model& model,
   const long long slots = config.shots / devices;
   const std::uint64_t config_digest = service_config_digest(config);
 
-  // ---- Fleet synthesis: cycle the calibrated base fleet, one stream
-  // and performance tier per device.
-  const std::vector<PhoneProfile> base = end_to_end_fleet(config.divergence);
-  std::vector<Device> fleet(static_cast<std::size_t>(devices));
-  for (int d = 0; d < devices; ++d) {
-    Device& dev = fleet[static_cast<std::size_t>(d)];
-    dev.profile = base[static_cast<std::size_t>(d) % base.size()];
-    dev.profile.name.append("#").append(std::to_string(d));
-    dev.stream = runtime::derive_seed(config.seed, 0x5EDE, d);
-    dev.profile.noise_stream = dev.stream;
-    dev.cls = device_class_of(d);
-    dev.deadline_us =
-        quantize_us(fault::deadline_budget_ms(dev.cls, config.plan));
-  }
-
-  // ---- Stimulus bank: every device photographs the same emissions.
-  // The noise-free sensor signal (mount warp, optics, sensor response,
-  // PRNU) depends only on the base profile and the emission, so it is
-  // precomputed per (base profile, stimulus); each shot only samples
-  // its noise over it.
-  std::vector<int> bank_class(static_cast<std::size_t>(config.stimulus_bank));
-  std::vector<std::vector<Image>> signals(base.size());
-  for (int s = 0; s < config.stimulus_bank; ++s) {
-    SceneSpec spec;
-    spec.class_id = s % kClassCount;
-    spec.instance_seed = runtime::derive_seed(config.seed, 0xBA4C, s);
-    spec.view_angle = kBankAngles[static_cast<std::size_t>(s) % 5];
-    bank_class[static_cast<std::size_t>(s)] = spec.class_id;
-    const Image emission = display_on_screen(
-        render_scene(spec, config.scene_size), ScreenConfig{});
-    for (std::size_t p = 0; p < base.size(); ++p)
-      signals[p].push_back(phone_signal(base[p], emission));
-  }
+  const ServiceFleet world = make_service_fleet(config);
+  const std::vector<FleetDevice>& fleet = world.devices;
 
   // ---- The stage table. `lanes` pool lanes schedule, develop, classify
   // and fold the shots (DESIGN.md §17).
@@ -875,13 +874,18 @@ SoakReport run_fleet_service(const Model& model,
         "cannot resume from " + config.checkpoint_path + ": " + error);
     ES_CHECK_MSG(ckpt.config_digest == config_digest,
                  "checkpoint config digest mismatch — refusing to resume");
+    ES_CHECK(ckpt.slot >= 0 && ckpt.slot <= slots);
     ES_CHECK(ckpt.sched.next_shot ==
              ckpt.slot * static_cast<long long>(devices));
-    ES_CHECK(ckpt.slot <= slots);
+    const std::string broken = aggregate_inconsistency(
+        ckpt.agg, ckpt.slot, devices,
+        static_cast<long long>(ckpt.ledger_events.size()));
+    ES_CHECK_MSG(broken.empty(),
+                 "checkpoint aggregate breaks its accounting: " + broken);
     agg = ckpt.agg;
     scheduler.restore(ckpt.sched);
     obs::FaultLedger::global().import_group_raw(
-        kServiceGroup, std::move(ckpt.ledger_events));
+        kServiceLedgerGroup, std::move(ckpt.ledger_events));
     if (obs::telemetry_enabled() && !ckpt.telemetry_state.empty())
       ES_CHECK_MSG(obs::DeviceHealthRegistry::global().restore_state(
                        ckpt.telemetry_state),
@@ -957,11 +961,11 @@ SoakReport run_fleet_service(const Model& model,
   // stays visible through their inner profile scopes.
   auto develop = [&](ShotRec& r) {
     ES_TRACE_SCOPE("service", "develop");
-    const Device& dev = fleet[static_cast<std::size_t>(r.device)];
+    const FleetDevice& dev = fleet[static_cast<std::size_t>(r.device)];
     const int item = static_cast<int>(r.slot);
     if (fault::FaultInjector::global().enabled()) {
       CaptureFaults faults =
-          draw_capture_faults(dev.stream, r.device, item, 0);
+          draw_capture_faults(dev.profile.noise_stream, r.device, item, 0);
       r.events.insert(r.events.end(), faults.events.begin(),
                       faults.events.end());
       r.capture_attempts = faults.attempts;
@@ -970,16 +974,12 @@ SoakReport run_fleet_service(const Model& model,
         return;
       }
     }
-    Pcg32 rng =
-        runtime::derive_rng(config.seed, dev.stream, r.stimulus, r.slot);
-    const Capture capture = photograph(
-        dev.profile,
-        signals[static_cast<std::size_t>(r.device) % base.size()]
-              [static_cast<std::size_t>(r.stimulus)],
-        rng);
-    ShotDelivery delivery =
-        deliver_shot_collect(capture, r.device, dev.stream, item, 0,
-                             dev.profile.os_decoder, r.events);
+    Pcg32 rng = world.shot_rng(r.device, r.slot);
+    const Capture capture =
+        photograph(dev.profile, world.signal(r.device, r.stimulus), rng);
+    ShotDelivery delivery = deliver_shot_collect(
+        capture, r.device, dev.profile.noise_stream, item, 0,
+        dev.profile.os_decoder, r.events);
     r.delivery_attempts = delivery.attempts;
     r.delivery_delay_ms = delivery.delay_ms;
     if (!delivery.usable) {
@@ -1011,7 +1011,8 @@ SoakReport run_fleet_service(const Model& model,
         r.conf_q = static_cast<long long>(
             std::llround(preds[i].confidence() * 1e6));
         r.correct = topk_correct(
-            preds[i], bank_class[static_cast<std::size_t>(r.stimulus)], 1);
+            preds[i], world.bank_class[static_cast<std::size_t>(r.stimulus)],
+            1);
       }
     }
   };
@@ -1089,7 +1090,7 @@ SoakReport run_fleet_service(const Model& model,
   report.agg_digest = aggregate_digest(report.agg);
   report.breaker_digest = scheduler_digest(report.sched);
   report.ledger_digest = ledger_events_digest(
-      obs::FaultLedger::global().export_group_raw(kServiceGroup));
+      obs::FaultLedger::global().export_group_raw(kServiceLedgerGroup));
   report.telemetry_digest = obs::DeviceHealthRegistry::global().digest();
 
   // Latency tail from the deterministic histogram (ok shots only).
@@ -1162,13 +1163,13 @@ std::string serialize_soak_report(const SoakReport& report) {
       .value(static_cast<std::int64_t>(agg.slots_degraded));
   w.key("slots_lost").value(static_cast<std::int64_t>(agg.slots_lost));
   w.key("slots_observed")
-      .value(static_cast<std::int64_t>(agg.slots_observed));
+      .value(static_cast<std::int64_t>(agg.verdicts.total_items));
   w.key("unstable_slots")
-      .value(static_cast<std::int64_t>(agg.unstable_slots));
+      .value(static_cast<std::int64_t>(agg.verdicts.unstable_items));
   w.key("all_correct_slots")
-      .value(static_cast<std::int64_t>(agg.all_correct_slots));
+      .value(static_cast<std::int64_t>(agg.verdicts.all_correct_items));
   w.key("all_incorrect_slots")
-      .value(static_cast<std::int64_t>(agg.all_incorrect_slots));
+      .value(static_cast<std::int64_t>(agg.verdicts.all_incorrect_items));
   w.end_object();
 
   w.key("breaker").begin_object();

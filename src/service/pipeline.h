@@ -24,17 +24,24 @@
 #include <string>
 #include <vector>
 
+#include "device/phone.h"
 #include "fault/fault.h"
+#include "fault/latency.h"
+#include "image/image.h"
 #include "nn/model.h"
 #include "obs/fault_ledger.h"
 #include "service/breaker.h"
 #include "service/state.h"
+#include "util/rng.h"
 
 namespace edgestab::service {
 
 /// Exit code of a --kill-after-checkpoint hard kill (std::_Exit right
 /// after the checkpoint rename — the in-tree SIGKILL analogue).
 inline constexpr int kHardKillExitCode = 7;
+
+/// The fault-ledger group the service files its receipts under.
+inline constexpr const char* kServiceLedgerGroup = "service";
 
 struct ServiceConfig {
   int devices = 8;
@@ -93,6 +100,28 @@ struct ServiceConfig {
 /// across a mismatch.
 std::uint64_t service_config_digest(const ServiceConfig& config);
 
+struct FleetDevice {
+  PhoneProfile profile;  ///< profile.noise_stream keys its noise and faults
+  fault::DeviceClass cls = fault::DeviceClass::kMid;
+  long long deadline_us = 0;
+};
+
+/// The devices and stimulus bank a run photographs, a pure function of
+/// the config; the service and its differential test both build it here.
+struct ServiceFleet {
+  std::uint64_t seed = 0;
+  std::vector<FleetDevice> devices;
+  std::vector<int> bank_class;  ///< ground-truth class per stimulus
+  /// Noise-free sensor signal per (base profile, stimulus).
+  std::vector<std::vector<Image>> signals;
+
+  int stimulus(long long slot) const;  ///< photographed by all at `slot`
+  const Image& signal(int device, int stimulus) const;
+  /// The sensor-noise stream of `device`'s shot at `slot`.
+  Pcg32 shot_rng(int device, long long slot) const;
+};
+ServiceFleet make_service_fleet(const ServiceConfig& config);
+
 /// Observational stage stats (wall-clock side of the report — never
 /// part of any digest).
 struct StageStats {
@@ -141,7 +170,7 @@ struct SoakReport {
 };
 
 /// Run the service in the current session (obs/session.h). Files
-/// receipts with its FaultLedger under group "service" and feeds its
+/// receipts with its FaultLedger under kServiceLedgerGroup and feeds its
 /// DeviceHealthRegistry and TimelineRecorder (all serially, from the
 /// fold only).
 SoakReport run_fleet_service(const Model& model,

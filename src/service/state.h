@@ -11,8 +11,10 @@
 
 #include <cstdint>
 #include <map>
+#include <string>
 #include <vector>
 
+#include "obs/verdict.h"
 #include "service/breaker.h"
 
 namespace edgestab::service {
@@ -67,13 +69,11 @@ struct AggregateState {
   long long slots_degraded = 0;
   long long slots_lost = 0;
 
-  /// Online instability over slots observed by >= 2 devices (the §2.2
-  /// metric folded stream-wise: each slot's verdict is final the moment
-  /// its last device record lands).
-  long long slots_observed = 0;  ///< >= 2 observers
-  long long unstable_slots = 0;
-  long long all_correct_slots = 0;
-  long long all_incorrect_slots = 0;
+  /// Online instability: each slot is one stimulus observed by its
+  /// usable devices, its verdict final once its last record lands.
+  /// Persisted as slots_observed (total_items), unstable_slots,
+  /// all_correct_slots and all_incorrect_slots.
+  obs::VerdictTally verdicts;
 
   /// Per-slot digest chain: h = mix_seed(h, slot_fingerprint). Equal
   /// chains mean equal per-shot outcomes, predictions, confidences and
@@ -99,6 +99,19 @@ struct SchedulerState {
   long long next_shot = 0;
   std::vector<DeviceSchedState> devices;
 };
+
+/// Checks the identities a fold of `slot` whole slots of `devices`
+/// devices, with `ledger_events` receipts filed, always keeps: every
+/// count non-negative; slots_folded == slot; shots_folded == slot ×
+/// devices; the six outcomes sum to shots_folded; the three coverage
+/// counts sum to slots_folded; the verdict tally sums to its total,
+/// which is at most slots_folded; correct <= ok; one row per device,
+/// each per-device column summing to its total; the latency histogram
+/// holding ok shots; fault_events == ledger_events. Returns "" when all
+/// hold, else the first identity that breaks. Sums never overflow.
+std::string aggregate_inconsistency(const AggregateState& agg,
+                                    long long slot, int devices,
+                                    long long ledger_events);
 
 /// Stable fingerprints over the full deterministic surface of each
 /// struct (every counter, the chain, the histogram / breaker fields).

@@ -1,14 +1,16 @@
 // Compute-backend tests (DESIGN.md §15): selection / fallback semantics,
 // scalar-vs-avx2 kernel agreement within float tolerance, int8
 // quantization round-trip properties, and the within-backend determinism
-// contract — bit-identical logits at 1/2/8 pool lanes for every backend
-// available on this host.
+// contract — bit-identical logits at 1/2/8 pool lanes and for any batch
+// composition, for every backend available on this host.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "nn/layers.h"
@@ -435,6 +437,63 @@ TEST(BackendDeterminism, LogitsDigestStableAcrossLaneCounts) {
     }
   }
   runtime::ThreadPool::set_global_threads(prev_threads);
+}
+
+// A row's logits must not depend on which other rows share its
+// Model::infer call: the service classifies in one-row chunks and the
+// batch experiments in wide ones, and both must see the same logits.
+TEST(BackendDeterminism, RowLogitsIndependentOfBatchComposition) {
+  BackendGuard guard;
+  MobileNetConfig config;
+  config.width = 0.25f;
+  Model model = build_mini_mobilenet_v2(config);
+  Pcg32 init_rng(4321, 1);
+  model.init(init_rng);
+
+  constexpr int kRows = 12;
+  Pcg32 data_rng(77, 2);
+  // Rows of very different magnitude, so a scale shared across rows
+  // would move the small ones.
+  std::vector<Tensor> rows;
+  for (int i = 0; i < kRows; ++i)
+    rows.push_back(random_tensor({1, 3, config.input_size, config.input_size},
+                                 data_rng, 0.05 + 0.4 * (i % 4)));
+  const std::vector<int> shape = {3, config.input_size, config.input_size};
+
+  for (BackendKind kind :
+       {BackendKind::kScalar, BackendKind::kAvx2, BackendKind::kInt8}) {
+    if (!backend_available(kind)) continue;
+    set_active_backend(kind);
+    std::vector<Tensor> alone;
+    for (const Tensor& row : rows) {
+      const float* sample = row.raw();
+      alone.push_back(model.infer(std::span<const float* const>(&sample, 1),
+                                  shape));
+    }
+    Pcg32 pick(5, static_cast<std::uint64_t>(kind));
+    for (int trial = 0; trial < 20; ++trial) {
+      // A random batch of 2..8 rows, drawn with repeats.
+      const int n = 2 + static_cast<int>(pick.uniform_int(7));
+      std::vector<int> index;
+      std::vector<const float*> samples;
+      for (int j = 0; j < n; ++j) {
+        index.push_back(static_cast<int>(pick.uniform_int(kRows)));
+        samples.push_back(rows[static_cast<std::size_t>(index.back())].raw());
+      }
+      const Tensor batch = model.infer(samples, shape);
+      const int classes = batch.dim(1);
+      for (int j = 0; j < n; ++j) {
+        const Tensor& ref = alone[static_cast<std::size_t>(index[
+            static_cast<std::size_t>(j)])];
+        for (int c = 0; c < classes; ++c)
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(batch.at2(j, c)),
+                    std::bit_cast<std::uint32_t>(ref.at2(0, c)))
+              << backend_name(kind) << " trial " << trial << " row " << j
+              << " (input " << index[static_cast<std::size_t>(j)]
+              << ") class " << c;
+      }
+    }
+  }
 }
 
 }  // namespace

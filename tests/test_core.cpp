@@ -4,7 +4,10 @@
 // stability-training plumbing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <map>
+#include <string>
 
 #include "core/confidence.h"
 #include "core/experiment.h"
@@ -103,10 +106,10 @@ TEST(Instability, EnvironmentAccuracyAndListing) {
   EXPECT_EQ(environments(v), (std::vector<int>{0, 2}));
 }
 
-// The obs/flip_ledger bookkeeping is an independent implementation of
-// the same §2.2 semantics; randomized observation sets must never make
-// the two disagree (bench::Run enforces this cross-check at run time,
-// this test hammers it over many shapes).
+// The flip ledger and compute_instability both apply obs/verdict.h;
+// randomized observation sets must never make their tallies disagree
+// (bench::Run enforces this cross-check at run time, this test hammers
+// it over many shapes).
 TEST(Instability, FlipLedgerAgreesOnRandomizedObservations) {
   namespace dobs = edgestab::obs;
   Pcg32 rng(991, 7);
@@ -136,13 +139,183 @@ TEST(Instability, FlipLedgerAgreesOnRandomizedObservations) {
     ledger.add_group("trial", outcomes);
     auto summary = ledger.find_group("trial");
     ASSERT_TRUE(summary.has_value());
-    EXPECT_EQ(summary->total_items, expected.total_items) << "trial " << trial;
-    EXPECT_EQ(summary->unstable_items, expected.unstable_items)
-        << "trial " << trial;
-    EXPECT_EQ(summary->all_correct_items, expected.all_correct_items)
-        << "trial " << trial;
-    EXPECT_EQ(summary->all_incorrect_items, expected.all_incorrect_items)
-        << "trial " << trial;
+    EXPECT_TRUE(summary->verdicts == expected) << "trial " << trial;
+  }
+}
+
+// ---- The verdict against an independent count --------------------------------
+//
+// Every caller of obs/verdict.h is checked against a brute-force count
+// written here from the paper's wording alone: an item seen fewer than
+// twice is skipped; one seen right at least once and wrong at least once
+// is unstable; otherwise it is all-correct or all-incorrect, and stays in
+// the denominator either way.
+
+struct BruteCount {
+  long long total = 0, unstable = 0, all_correct = 0, all_incorrect = 0;
+};
+
+/// The brute-force verdict count over the observations `keep` selects.
+template <typename Keep>
+BruteCount brute_count(const std::vector<Observation>& v, Keep keep) {
+  BruteCount count;
+  std::vector<int> items;
+  for (const Observation& o : v)
+    if (keep(o) && std::find(items.begin(), items.end(), o.item) ==
+                       items.end())
+      items.push_back(o.item);
+  for (int item : items) {
+    int seen = 0, right = 0;
+    for (const Observation& o : v) {
+      if (!keep(o) || o.item != item) continue;
+      ++seen;
+      if (o.correct) ++right;
+    }
+    if (seen < 2) continue;
+    ++count.total;
+    if (right > 0 && right < seen)
+      ++count.unstable;
+    else if (right == seen)
+      ++count.all_correct;
+    else
+      ++count.all_incorrect;
+  }
+  return count;
+}
+
+/// True when the observations of `item` are sometimes right, sometimes
+/// wrong (brute force).
+bool brute_unstable(const std::vector<Observation>& v, int item) {
+  bool right = false, wrong = false;
+  for (const Observation& o : v)
+    if (o.item == item) (o.correct ? right : wrong) = true;
+  return right && wrong;
+}
+
+int brute_seen(const std::vector<Observation>& v, int item) {
+  int seen = 0;
+  for (const Observation& o : v) seen += o.item == item ? 1 : 0;
+  return seen;
+}
+
+void expect_tally(const InstabilityResult& got, const BruteCount& want,
+                  const std::string& where) {
+  EXPECT_EQ(got.total_items, want.total) << where;
+  EXPECT_EQ(got.unstable_items, want.unstable) << where;
+  EXPECT_EQ(got.all_correct_items, want.all_correct) << where;
+  EXPECT_EQ(got.all_incorrect_items, want.all_incorrect) << where;
+}
+
+TEST(Verdict, SmallCasesFromThePaper) {
+  using edgestab::obs::ItemVerdict;
+  EXPECT_EQ(edgestab::obs::verdict(0, 0), ItemVerdict::kSkipped);
+  EXPECT_EQ(edgestab::obs::verdict(1, 0), ItemVerdict::kSkipped);
+  EXPECT_EQ(edgestab::obs::verdict(0, 1), ItemVerdict::kSkipped);
+  EXPECT_EQ(edgestab::obs::verdict(1, 1), ItemVerdict::kUnstable);
+  EXPECT_EQ(edgestab::obs::verdict(5, 1), ItemVerdict::kUnstable);
+  EXPECT_EQ(edgestab::obs::verdict(2, 0), ItemVerdict::kAllCorrect);
+  EXPECT_EQ(edgestab::obs::verdict(0, 2), ItemVerdict::kAllIncorrect);
+  EXPECT_FALSE(edgestab::obs::flipped(true, 3));
+  EXPECT_FALSE(edgestab::obs::flipped(false, 0));
+  EXPECT_TRUE(edgestab::obs::flipped(false, 1));
+}
+
+TEST(Verdict, EveryCallerMatchesBruteForceCount) {
+  namespace dobs = edgestab::obs;
+  Pcg32 rng(2026, 26);
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::string where = "trial " + std::to_string(trial);
+    std::vector<Observation> v;
+    const int items = 1 + static_cast<int>(rng.uniform_int(30));
+    for (int item = 0; item < items; ++item) {
+      // 1..5 observers; per item a right-rate of 0, 1/2 or 1, so
+      // single-observer, all-wrong, all-right and unstable items all
+      // occur.
+      const int observers = 1 + static_cast<int>(rng.uniform_int(5));
+      const double p_right = 0.5 * rng.uniform_int(3);
+      const int cls = static_cast<int>(rng.uniform_int(4));
+      for (int env = 0; env < observers; ++env)
+        v.push_back(obs(item, env, rng.uniform() < p_right,
+                        rng.uniform(), cls));
+    }
+    // Observations arrive in any order.
+    for (std::size_t i = v.size(); i > 1; --i)
+      std::swap(v[i - 1],
+                v[rng.uniform_int(static_cast<std::uint32_t>(i))]);
+
+    const BruteCount all = brute_count(v, [](const Observation&) {
+      return true;
+    });
+    expect_tally(compute_instability(v), all, where);
+
+    // Per class: every class with a counted item has exactly its row.
+    const std::map<int, InstabilityResult> by_class = instability_by_class(v);
+    long long class_total = 0;
+    for (int cls = 0; cls < 4; ++cls) {
+      const BruteCount want = brute_count(
+          v, [cls](const Observation& o) { return o.class_id == cls; });
+      const auto it = by_class.find(cls);
+      if (want.total == 0) {
+        EXPECT_EQ(it, by_class.end()) << where << " class " << cls;
+        continue;
+      }
+      ASSERT_NE(it, by_class.end()) << where << " class " << cls;
+      expect_tally(it->second, want, where + " class " + std::to_string(cls));
+      class_total += it->second.total_items;
+    }
+    EXPECT_EQ(class_total, all.total) << where;
+
+    // The bootstrap's point estimate is the plain ratio.
+    EXPECT_DOUBLE_EQ(bootstrap_instability_ci(v, 0.95, 20).point,
+                     all.total > 0 ? static_cast<double>(all.unstable) /
+                                         static_cast<double>(all.total)
+                                   : 0.0)
+        << where;
+
+    // The confidence split sends each counted observation to one side.
+    ConfidenceSplit want;
+    for (const Observation& o : v) {
+      if (brute_seen(v, o.item) < 2) continue;
+      if (brute_unstable(v, o.item))
+        (o.correct ? want.unstable_correct : want.unstable_incorrect)
+            .push_back(o.confidence);
+      else
+        (o.correct ? want.stable_correct : want.stable_incorrect)
+            .push_back(o.confidence);
+    }
+    const ConfidenceSplit got = split_confidences(v);
+    EXPECT_EQ(got.stable_correct, want.stable_correct) << where;
+    EXPECT_EQ(got.stable_incorrect, want.stable_incorrect) << where;
+    EXPECT_EQ(got.unstable_correct, want.unstable_correct) << where;
+    EXPECT_EQ(got.unstable_incorrect, want.unstable_incorrect) << where;
+
+    // The flip ledger, whole and merged from three shards.
+    std::vector<dobs::FlipOutcome> outcomes;
+    for (const Observation& o : v)
+      outcomes.push_back({o.item, o.env, o.correct,
+                          o.correct ? o.class_id : o.class_id + 1,
+                          o.class_id});
+    dobs::FlipLedger whole;
+    whole.add_group("g", outcomes);
+    std::vector<dobs::FlipOutcome> shards[3];
+    for (const dobs::FlipOutcome& o : outcomes)
+      shards[rng.uniform_int(3)].push_back(o);
+    dobs::FlipLedger merged;
+    for (const auto& shard : shards) {
+      dobs::FlipLedger part;
+      part.add_group("g", shard);
+      merged.merge(part);
+    }
+    for (const dobs::FlipLedger* ledger : {&whole, &merged}) {
+      const auto summary = ledger->find_group("g");
+      ASSERT_TRUE(summary.has_value()) << where;
+      expect_tally(summary->verdicts, all, where + " ledger");
+      long long unstable_by_class = 0;
+      for (const auto& [cls, n] : summary->unstable_by_class)
+        unstable_by_class += n;
+      EXPECT_EQ(unstable_by_class, all.unstable) << where;
+    }
+    EXPECT_EQ(whole.digest(), merged.digest()) << where;
   }
 }
 

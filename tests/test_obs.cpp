@@ -600,11 +600,11 @@ TEST(FlipLedger, MatchesInstabilitySemantics) {
   ledger.add_group("g", outcomes);
   auto s = ledger.find_group("g");
   ASSERT_TRUE(s.has_value());
-  EXPECT_EQ(s->total_items, 3);
-  EXPECT_EQ(s->unstable_items, 1);
-  EXPECT_EQ(s->all_correct_items, 1);
-  EXPECT_EQ(s->all_incorrect_items, 1);
-  EXPECT_DOUBLE_EQ(s->instability(), 1.0 / 3.0);
+  EXPECT_EQ(s->verdicts.total_items, 3);
+  EXPECT_EQ(s->verdicts.unstable_items, 1);
+  EXPECT_EQ(s->verdicts.all_correct_items, 1);
+  EXPECT_EQ(s->verdicts.all_incorrect_items, 1);
+  EXPECT_DOUBLE_EQ(s->verdicts.instability(), 1.0 / 3.0);
   EXPECT_EQ(s->flips_by_class.at(3), 1);
   EXPECT_EQ(s->unstable_by_class.at(3), 1);
   EXPECT_EQ(s->flips_by_pair.at({0, 1}), 1);
@@ -624,11 +624,11 @@ TEST(FlipLedger, AppendsToExistingGroup) {
   std::vector<FlipOutcome> second = {{0, 1, false, 2, 1}};
   ledger.add_group("g", first);
   // One observation so far: the item is skipped.
-  EXPECT_EQ(ledger.find_group("g")->total_items, 0);
+  EXPECT_EQ(ledger.find_group("g")->verdicts.total_items, 0);
   ledger.add_group("g", second);
   auto s = ledger.find_group("g");
-  EXPECT_EQ(s->total_items, 1);
-  EXPECT_EQ(s->unstable_items, 1);
+  EXPECT_EQ(s->verdicts.total_items, 1);
+  EXPECT_EQ(s->verdicts.unstable_items, 1);
 }
 
 TEST(FlipLedger, DigestTracksContent) {
@@ -670,8 +670,8 @@ TEST(FlipLedger, MergeIsShardOrderIndependent) {
   EXPECT_EQ(merged_ba.digest(), whole.digest());
   auto s = merged_ab.find_group("g");
   ASSERT_TRUE(s.has_value());
-  EXPECT_EQ(s->total_items, 3);
-  EXPECT_EQ(s->unstable_items, 3);
+  EXPECT_EQ(s->verdicts.total_items, 3);
+  EXPECT_EQ(s->verdicts.unstable_items, 3);
   ASSERT_EQ(s->entries.size(), whole.find_group("g")->entries.size());
   for (std::size_t i = 0; i < s->entries.size(); ++i) {
     EXPECT_EQ(s->entries[i].item,

@@ -16,6 +16,7 @@
 #include "obs/compare.h"
 #include "obs/json.h"
 #include "obs/progress.h"
+#include "util/file.h"
 
 using namespace edgestab;
 using obs::Baseline;
@@ -190,6 +191,31 @@ TEST(RunArchive, MissingArchiveIsAnError) {
   EXPECT_FALSE(obs::load_run_records(
       temp_path("edgestab_test_does_not_exist.jsonl"), &records, &error));
   EXPECT_FALSE(error.empty());
+}
+
+// A directory opens as a stream but does not read: every whole-file
+// reader must refuse it, and a missing path, with a message naming it.
+TEST(RunArchive, MissingPathAndDirectoryFailWithMessage) {
+  const std::string missing = temp_path("edgestab_test_does_not_exist.json");
+  const std::string dir = temp_path("edgestab_test_reader_dir");
+  std::filesystem::create_directories(dir);
+  for (const std::string& path : {missing, dir}) {
+    std::string text = "untouched", error;
+    EXPECT_FALSE(read_file(path, &text, &error)) << path;
+    EXPECT_EQ(text, "untouched");
+    EXPECT_NE(error.find(path), std::string::npos) << error;
+
+    std::vector<RunRecord> records{sample_record()};
+    error.clear();
+    EXPECT_FALSE(obs::load_run_records(path, &records, &error)) << path;
+    EXPECT_NE(error.find(path), std::string::npos) << error;
+
+    Baseline baseline;
+    error.clear();
+    EXPECT_FALSE(obs::load_baseline(path, &baseline, &error)) << path;
+    EXPECT_NE(error.find(path), std::string::npos) << error;
+  }
+  std::filesystem::remove(dir);
 }
 
 TEST(RunArchive, MalformedLineFailsWithLineNumber) {

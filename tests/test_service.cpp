@@ -1,7 +1,9 @@
 // Tests for the streaming fleet service (src/service): the
 // circuit-breaker state machine, the per-device-class latency model,
-// checkpoint round trips, and the end-to-end determinism contract —
-// thread-count invariance and kill/resume bit-exactness (DESIGN.md §17).
+// checkpoint round trips, the end-to-end determinism contract —
+// thread-count invariance and kill/resume bit-exactness (DESIGN.md §17)
+// — and the differential oracle that holds the service's online metric
+// to the batch path's.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +16,12 @@
 #include <thread>
 #include <vector>
 
+#include "core/experiment.h"
+#include "core/instability.h"
+#include "core/resilience.h"
 #include "core/workspace.h"
+#include "data/dataset.h"
+#include "device/capture.h"
 #include "fault/fault.h"
 #include "fault/latency.h"
 #include "nn/layers.h"
@@ -24,6 +31,7 @@
 #include "service/checkpoint.h"
 #include "service/pipeline.h"
 #include "service/state.h"
+#include "tensor/backend.h"
 #include "util/rng.h"
 
 using namespace edgestab;
@@ -235,10 +243,10 @@ ServiceCheckpoint sample_checkpoint() {
   ckpt.agg.slots_fully_covered = 15;
   ckpt.agg.slots_degraded = 5;
   ckpt.agg.slots_lost = 1;
-  ckpt.agg.slots_observed = 20;
-  ckpt.agg.unstable_slots = 7;
-  ckpt.agg.all_correct_slots = 11;
-  ckpt.agg.all_incorrect_slots = 2;
+  ckpt.agg.verdicts.total_items = 20;
+  ckpt.agg.verdicts.unstable_items = 7;
+  ckpt.agg.verdicts.all_correct_items = 11;
+  ckpt.agg.verdicts.all_incorrect_items = 2;
   ckpt.agg.digest_chain = 0xFEEDFACE12345678ULL;
   ckpt.agg.latency_hist_100us[12] = 30;
   ckpt.agg.latency_hist_100us[444] = 2;
@@ -429,6 +437,53 @@ TEST(ServicePipeline, ResumeRefusesMismatchedConfig) {
   std::remove(ckpt_path.c_str());
 }
 
+TEST(ServicePipeline, ResumeRefusesAggregateThatBreaksItsAccounting) {
+  // A real checkpoint resumes; the same checkpoint with its per-device
+  // rows gone, or one unstable slot too many, must be refused rather
+  // than silently zeroed or carried into the final digests.
+  Workspace ws;
+  Model model = ws.fresh_model();
+  const std::string ckpt_path =
+      testing::TempDir() + "/edgestab_service_tamper.ckpt.json";
+  ServiceConfig config = gate_config();
+  config.checkpoint_path = ckpt_path;
+  config.checkpoint_every_slots = 7;
+  config.stop_after_checkpoints = 1;
+  (void)run_armed(model, config);
+  ServiceCheckpoint cut;
+  std::string error;
+  ASSERT_TRUE(load_checkpoint_file(ckpt_path, &cut, &error)) << error;
+  EXPECT_EQ(aggregate_inconsistency(
+                cut.agg, cut.slot, config.devices,
+                static_cast<long long>(cut.ledger_events.size())),
+            "");
+
+  ServiceConfig resume = config;
+  resume.stop_after_checkpoints = 0;
+  resume.resume = true;
+  auto refused = [&](void (*edit)(ServiceCheckpoint&), const char* what) {
+    ServiceCheckpoint bad = cut;
+    edit(bad);
+    ASSERT_TRUE(write_checkpoint_file(ckpt_path, bad, &error)) << error;
+    try {
+      run_armed(model, resume);
+      ADD_FAILURE() << "resumed from a checkpoint with " << what;
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("breaks its accounting"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  refused([](ServiceCheckpoint& c) { c.agg.devices.clear(); },
+          "no per-device rows");
+  refused([](ServiceCheckpoint& c) { ++c.agg.verdicts.unstable_items; },
+          "unstable_slots + 1");
+
+  ASSERT_TRUE(write_checkpoint_file(ckpt_path, cut, &error)) << error;
+  EXPECT_TRUE(run_armed(model, resume).completed);
+  std::remove(ckpt_path.c_str());
+}
+
 TEST(ServicePipeline, ShedAccountingNeverSilent) {
   // Every admission decision lands in exactly one outcome bucket and
   // every shed/reject carries a ledger receipt — nothing is silently
@@ -589,6 +644,180 @@ TEST(ServicePipeline, CheckpointWriteFailureTearsDownCleanly) {
       EXPECT_NE(std::string(e.what()).find("checkpoint write failed"),
                 std::string::npos)
           << e.what();
+    }
+  }
+}
+
+// ---- Differential oracle: the service against the batch path ---------------
+//
+// The streaming service folds the paper's metric online, slot by slot;
+// the batch experiments compute it from a whole observation set. Fed
+// the same shots, the two must agree: on the four verdict counts, on
+// every device's correct count and on the correctness of every (device,
+// slot) cell. The batch side takes every shot through the batch path's
+// own steps — photograph with the service's per-shot stream,
+// deliver_shot_collect, capture_to_input and one classify_inputs call
+// over all shots (wide chunks, against the soak's one-row chunks) —
+// then compute_instability with item = slot and env = device.
+
+namespace {
+
+/// Restores the active kernel tier when the test ends.
+class BackendGuard {
+ public:
+  BackendGuard() : prev_(active_backend()) {}
+  ~BackendGuard() { set_active_backend(prev_); }
+
+ private:
+  BackendKind prev_;
+};
+
+/// A small pretrained model, cached in the working directory's
+/// .edgestab_cache after the first run. fresh_model() predicts one
+/// class for every shot, so every slot would be all-right or all-wrong
+/// and the comparison vacuous.
+Model oracle_model() {
+  WorkspaceConfig wc;
+  wc.pretrain.per_class = 60;
+  wc.pretrain.scene_size = 48;
+  wc.pretrain_train.epochs = 6;
+  wc.verbose = false;
+  Workspace ws(wc);
+  return ws.base_model();
+}
+
+/// A clean run in which every shot classifies: 10 devices and groups of
+/// 8, so inference groups straddle slots.
+ServiceConfig oracle_config(int threads) {
+  ServiceConfig config;
+  config.devices = 10;
+  config.shots = 10 * 36;
+  config.inference_batch = 8;
+  config.plan.deadline_ms = 1e6;
+  config.shed_backlog_ms = 1e9;
+  config.threads = threads;
+  return config;
+}
+
+struct BatchPath {
+  InstabilityResult tally;
+  std::vector<long long> correct_by_device;
+  std::vector<std::vector<bool>> correct;  ///< [device][slot]
+};
+
+BatchPath run_batch_path(const Model& model, const ServiceConfig& config) {
+  obs::Session session;
+  const ServiceFleet fleet = make_service_fleet(config);
+  const int devices = config.devices;
+  const long long slots = config.shots / devices;
+  std::vector<Tensor> inputs;
+  for (long long slot = 0; slot < slots; ++slot)
+    for (int d = 0; d < devices; ++d) {
+      const FleetDevice& dev = fleet.devices[static_cast<std::size_t>(d)];
+      Pcg32 rng = fleet.shot_rng(d, slot);
+      const Capture capture = photograph(
+          dev.profile, fleet.signal(d, fleet.stimulus(slot)), rng);
+      std::vector<obs::FaultEvent> events;
+      const ShotDelivery delivery = deliver_shot_collect(
+          capture, d, dev.profile.noise_stream, static_cast<int>(slot), 0,
+          dev.profile.os_decoder, events);
+      EXPECT_TRUE(delivery.usable);
+      inputs.push_back(capture_to_input(delivery.image));
+    }
+  const std::vector<ShotPrediction> preds =
+      classify_inputs(model, inputs, 3, nullptr);
+
+  BatchPath batch;
+  batch.correct_by_device.assign(static_cast<std::size_t>(devices), 0);
+  batch.correct.assign(static_cast<std::size_t>(devices),
+                       std::vector<bool>(static_cast<std::size_t>(slots)));
+  std::vector<Observation> observations;
+  for (long long slot = 0; slot < slots; ++slot)
+    for (int d = 0; d < devices; ++d) {
+      const ShotPrediction& pred =
+          preds[static_cast<std::size_t>(slot * devices + d)];
+      Observation o;
+      o.item = static_cast<int>(slot);
+      o.env = d;
+      o.correct = topk_correct(
+          pred,
+          fleet.bank_class[static_cast<std::size_t>(fleet.stimulus(slot))],
+          1);
+      observations.push_back(o);
+      batch.correct[static_cast<std::size_t>(d)]
+                   [static_cast<std::size_t>(slot)] = o.correct;
+      if (o.correct) ++batch.correct_by_device[static_cast<std::size_t>(d)];
+    }
+  batch.tally = compute_instability(observations);
+  return batch;
+}
+
+}  // namespace
+
+TEST(ServiceOracle, MatchesBatchPath) {
+  BackendGuard backend_guard;
+  PoolWidthGuard pool_guard;
+  runtime::ThreadPool::set_global_threads(3);
+  set_active_backend(BackendKind::kScalar);  // the model trains in scalar
+  const Model model = oracle_model();
+
+  for (BackendKind kind :
+       {BackendKind::kScalar, BackendKind::kAvx2, BackendKind::kInt8}) {
+    if (!backend_available(kind)) continue;
+    set_active_backend(kind);
+    const BatchPath batch = run_batch_path(model, oracle_config(1));
+    // All three verdict kinds occur, or the comparison proves little.
+    EXPECT_GT(batch.tally.unstable_items, 0) << backend_name(kind);
+    EXPECT_GT(batch.tally.all_correct_items, 0) << backend_name(kind);
+    EXPECT_GT(batch.tally.all_incorrect_items, 0) << backend_name(kind);
+
+    for (int threads : {1, 3}) {
+      const ServiceConfig config = oracle_config(threads);
+      obs::Session session;
+      session.telemetry().set_enabled(true);
+      session.telemetry().set_window_items(1);  // one window per slot
+      const SoakReport report = run_fleet_service(model, config);
+      const obs::FleetHealthSnapshot health = session.telemetry().snapshot();
+      const std::string where =
+          std::string(backend_name(kind)) + " threads " +
+          std::to_string(threads);
+
+      ASSERT_EQ(report.agg.ok, config.shots) << where;
+      EXPECT_TRUE(report.agg.verdicts == batch.tally)
+          << where << ": service " << report.agg.verdicts.unstable_items
+          << "/" << report.agg.verdicts.all_correct_items << "/"
+          << report.agg.verdicts.all_incorrect_items << " vs batch "
+          << batch.tally.unstable_items << "/"
+          << batch.tally.all_correct_items << "/"
+          << batch.tally.all_incorrect_items
+          << " unstable/all-correct/all-incorrect";
+      ASSERT_EQ(health.devices.size(),
+                static_cast<std::size_t>(config.devices))
+          << where;
+      int cells = 0, mismatched = 0;
+      for (int d = 0; d < config.devices; ++d) {
+        const auto ud = static_cast<std::size_t>(d);
+        EXPECT_EQ(report.agg.devices[ud].correct,
+                  batch.correct_by_device[ud])
+            << where << " device " << d;
+        for (const obs::DeviceWindowStats& w : health.devices[ud].windows) {
+          ASSERT_EQ(w.observations, 1) << where << " device " << d;
+          ++cells;
+          const bool service_correct = w.incorrect_items == 0;
+          if (service_correct !=
+              batch.correct[ud][static_cast<std::size_t>(w.window)])
+            ++mismatched;
+        }
+      }
+      EXPECT_EQ(cells, config.shots) << where;
+      EXPECT_EQ(mismatched, 0) << where << ": " << mismatched << " of "
+                               << cells << " cells differ";
+      std::printf(
+          "[oracle] %s: %lld unstable, %lld all-correct, %lld "
+          "all-incorrect slots; %d of %d cells differ\n",
+          where.c_str(), report.agg.verdicts.unstable_items,
+          report.agg.verdicts.all_correct_items,
+          report.agg.verdicts.all_incorrect_items, mismatched, cells);
     }
   }
 }

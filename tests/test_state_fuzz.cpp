@@ -4,16 +4,21 @@
 // regressions for the profile and run-archive readers. Every
 // mutated document — bit flips, truncations, out-of-range numbers —
 // must be either refused, leaving the live object's digest unchanged,
-// or restored whole, so the restored object round-trips to itself. The
-// corpus is seed-derived, so a failing mutation reproduces from its
-// (document, round) index; the asan_smoke ctest reruns this binary
-// under AddressSanitizer + UBSan (with float-cast-overflow), which
-// turns a cast of an out-of-range double into a hard failure.
+// or restored whole, so the restored object round-trips to itself; a
+// checkpoint that parses also goes through resume's accounting check
+// (service/state.h), whose overflow-checked sums must decide any count
+// a mutant carries. The corpus is seed-derived, so a failing mutation
+// reproduces from its (document, round) index; the asan_smoke ctest
+// reruns this binary under AddressSanitizer + UBSan (with
+// float-cast-overflow), which turns a cast of an out-of-range double,
+// or an overflowing signed sum, into a hard failure.
 #include <gtest/gtest.h>
 
 #include <cctype>
 #include <cstdint>
+#include <filesystem>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,6 +29,7 @@
 #include "obs/telemetry/telemetry.h"
 #include "obs/timeline/timeline.h"
 #include "service/checkpoint.h"
+#include "service/state.h"
 #include "util/rng.h"
 
 namespace edgestab {
@@ -99,6 +105,10 @@ void feed_timeline(TimelineRecorder& recorder, int slots,
   }
 }
 
+constexpr int kSampleDevices = 4;
+
+/// A checkpoint whose aggregate keeps every accounting identity: 14
+/// slots of 4 devices, two ledger receipts.
 ServiceCheckpoint sample_checkpoint() {
   ServiceCheckpoint ckpt;
   ckpt.config_digest = 0x1234abcd5678ef00ull;
@@ -109,9 +119,23 @@ ServiceCheckpoint sample_checkpoint() {
   ckpt.agg.correct = 31;
   ckpt.agg.shed = 6;
   ckpt.agg.timeouts = 10;
+  ckpt.agg.fault_events = 2;
+  ckpt.agg.retries = 1;
+  ckpt.agg.slots_fully_covered = 5;
+  ckpt.agg.slots_degraded = 9;
+  ckpt.agg.verdicts = {12, 4, 6, 2};
   ckpt.agg.latency_hist_100us = {{3, 12}, {7, 20}, {40, 8}};
-  ckpt.agg.devices.resize(4);
-  ckpt.agg.devices[2].ok = 9;
+  ckpt.agg.devices.resize(kSampleDevices);
+  const long long rows[kSampleDevices][4] = {
+      {10, 8, 1, 3}, {10, 8, 2, 2}, {9, 7, 2, 3}, {11, 8, 1, 2}};
+  for (int d = 0; d < kSampleDevices; ++d) {
+    service::DeviceAggregate& row =
+        ckpt.agg.devices[static_cast<std::size_t>(d)];
+    row.ok = rows[d][0];
+    row.correct = rows[d][1];
+    row.shed = rows[d][2];
+    row.timeouts = rows[d][3];
+  }
   ckpt.agg.devices[2].latency_us_sum = 123456;
   ckpt.sched.next_shot = 56;
   ckpt.sched.devices.resize(4);
@@ -408,6 +432,7 @@ TEST(StateFuzz, CheckpointRefusedOrParsedWhole) {
   const std::string doc = service::serialize_checkpoint(sample);
   Pcg32 rng(kFuzzSeed, 3);
   int refused = 0;
+  int consistent = 0;
   for (int round = 0; round < kRounds; ++round) {
     const std::string bad = mutate(doc, rng);
     ServiceCheckpoint out = sample;
@@ -426,8 +451,113 @@ TEST(StateFuzz, CheckpointRefusedOrParsedWhole) {
     EXPECT_EQ(service::checkpoint_digest(again),
               service::checkpoint_digest(out))
         << "round " << round;
+    // Resume's accounting check runs on whatever parsed: it must decide
+    // without overflowing, whatever counts the mutant carries.
+    if (service::aggregate_inconsistency(
+            out.agg, out.slot, kSampleDevices,
+            static_cast<long long>(out.ledger_events.size()))
+            .empty())
+      ++consistent;
   }
   EXPECT_GT(refused, kRounds / 4);
+  EXPECT_GT(consistent, 0);
+}
+
+TEST(StateRestore, CheckpointFileRefusesMissingPathAndDirectory) {
+  const std::string dir = testing::TempDir() + "edgestab_ckpt_dir";
+  std::filesystem::create_directories(dir);
+  for (const std::string& path :
+       {testing::TempDir() + "edgestab_no_such.ckpt.json", dir}) {
+    ServiceCheckpoint out;
+    std::string error;
+    EXPECT_FALSE(service::load_checkpoint_file(path, &out, &error)) << path;
+    EXPECT_NE(error.find(path), std::string::npos) << error;
+  }
+  std::filesystem::remove(dir);
+}
+
+// ---- The aggregate's accounting --------------------------------------------
+
+std::string inconsistency(const ServiceCheckpoint& ckpt) {
+  return service::aggregate_inconsistency(
+      ckpt.agg, ckpt.slot, kSampleDevices,
+      static_cast<long long>(ckpt.ledger_events.size()));
+}
+
+TEST(AggregateCheck, SampleKeepsEveryIdentity) {
+  EXPECT_EQ(inconsistency(sample_checkpoint()), "");
+}
+
+TEST(AggregateCheck, NamesEveryBrokenIdentity) {
+  using Edit = void (*)(ServiceCheckpoint&);
+  const std::pair<Edit, const char*> cases[] = {
+      {[](ServiceCheckpoint& c) { c.agg.retries = -1; }, "negative count"},
+      {[](ServiceCheckpoint& c) { c.agg.devices[0].latency_us_sum = -5; },
+       "negative per-device count"},
+      {[](ServiceCheckpoint& c) { c.agg.latency_hist_100us[-1] = 0; },
+       "negative latency histogram entry"},
+      {[](ServiceCheckpoint& c) { ++c.slot; }, "slots_folded != slot"},
+      {[](ServiceCheckpoint& c) { ++c.agg.shots_folded; },
+       "shots_folded != slot * devices"},
+      {[](ServiceCheckpoint& c) { ++c.agg.shed; },
+       "ok + shed + rejected + timeouts + capture_lost + decode_lost != "
+       "shots_folded"},
+      {[](ServiceCheckpoint& c) { ++c.agg.slots_lost; },
+       "slots_fully_covered + slots_degraded + slots_lost != slots_folded"},
+      {[](ServiceCheckpoint& c) { ++c.agg.verdicts.unstable_items; },
+       "unstable + all_correct + all_incorrect slots != slots_observed"},
+      {[](ServiceCheckpoint& c) {
+         c.agg.verdicts = {15, 15, 0, 0};
+       },
+       "slots_observed > slots_folded"},
+      {[](ServiceCheckpoint& c) { c.agg.correct = 41; }, "correct > ok"},
+      {[](ServiceCheckpoint& c) { c.agg.devices.clear(); },
+       "per-device rows != devices"},
+      {[](ServiceCheckpoint& c) { ++c.agg.devices[1].correct; },
+       "per-device correct != correct"},
+      {[](ServiceCheckpoint& c) {
+         --c.agg.devices[1].timeouts;
+         ++c.agg.devices[1].decode_lost;
+       },
+       "per-device timeouts != timeouts"},
+      {[](ServiceCheckpoint& c) { ++c.agg.latency_hist_100us[3]; },
+       "latency histogram total != ok"},
+      {[](ServiceCheckpoint& c) { c.ledger_events.pop_back(); },
+       "fault_events != ledger events"},
+  };
+  for (const auto& [edit, identity] : cases) {
+    ServiceCheckpoint ckpt = sample_checkpoint();
+    edit(ckpt);
+    EXPECT_EQ(inconsistency(ckpt), identity);
+  }
+}
+
+TEST(AggregateCheck, HugeCountsNeverOverflow) {
+  // Counts near LLONG_MAX must fail the identities, not wrap them: under
+  // UBSan (asan_smoke) an overflowing sum is a hard failure.
+  constexpr long long kMax = std::numeric_limits<long long>::max();
+  ServiceCheckpoint ckpt = sample_checkpoint();
+  ckpt.agg.ok = kMax;
+  ckpt.agg.shed = kMax;
+  EXPECT_NE(inconsistency(ckpt), "");
+
+  ckpt = sample_checkpoint();
+  ckpt.slot = kMax;
+  ckpt.agg.slots_folded = kMax;
+  EXPECT_EQ(inconsistency(ckpt), "shots_folded != slot * devices");
+
+  ckpt = sample_checkpoint();
+  ckpt.agg.verdicts = {kMax, kMax, kMax, 0};
+  EXPECT_NE(inconsistency(ckpt), "");
+
+  ckpt = sample_checkpoint();
+  ckpt.agg.devices[0].ok = kMax;
+  ckpt.agg.devices[1].ok = kMax;
+  EXPECT_EQ(inconsistency(ckpt), "per-device ok != ok");
+
+  ckpt = sample_checkpoint();
+  ckpt.agg.latency_hist_100us[9] = kMax;
+  EXPECT_EQ(inconsistency(ckpt), "latency histogram total != ok");
 }
 
 }  // namespace

@@ -308,19 +308,11 @@ int cmd_hotspots(int argc, char** argv) {
     return usage();
   }
 
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "sentinel: cannot open %s\n", path.c_str());
+  std::string text, error;
+  if (!read_file(path, &text, &error)) {
+    std::fprintf(stderr, "sentinel: %s\n", error.c_str());
     return 1;
   }
-  std::string text;
-  char buffer[4096];
-  std::size_t got;
-  while ((got = std::fread(buffer, 1, sizeof(buffer), f)) > 0)
-    text.append(buffer, got);
-  std::fclose(f);
-
-  std::string error;
   std::optional<obs::JsonValue> doc = obs::parse_json(text, &error);
   if (!doc.has_value()) {
     std::fprintf(stderr, "sentinel: %s: %s\n", path.c_str(), error.c_str());
@@ -369,19 +361,11 @@ int cmd_fleet(int argc, char** argv) {
     return usage();
   }
 
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "sentinel: cannot open %s\n", path.c_str());
+  std::string text, error;
+  if (!read_file(path, &text, &error)) {
+    std::fprintf(stderr, "sentinel: %s\n", error.c_str());
     return 1;
   }
-  std::string text;
-  char buffer[4096];
-  std::size_t got;
-  while ((got = std::fread(buffer, 1, sizeof(buffer), f)) > 0)
-    text.append(buffer, got);
-  std::fclose(f);
-
-  std::string error;
   std::optional<obs::JsonValue> doc = obs::parse_json(text, &error);
   if (!doc.has_value()) {
     std::fprintf(stderr, "sentinel: %s: %s\n", path.c_str(), error.c_str());
@@ -431,19 +415,11 @@ int cmd_timeline(int argc, char** argv) {
     return usage();
   }
 
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "sentinel: cannot open %s\n", path.c_str());
+  std::string text, error;
+  if (!read_file(path, &text, &error)) {
+    std::fprintf(stderr, "sentinel: %s\n", error.c_str());
     return 1;
   }
-  std::string text;
-  char buffer[4096];
-  std::size_t got;
-  while ((got = std::fread(buffer, 1, sizeof(buffer), f)) > 0)
-    text.append(buffer, got);
-  std::fclose(f);
-
-  std::string error;
   obs::TimelineDoc doc;
   if (!obs::parse_timeline(text, &doc, &error)) {
     std::fprintf(stderr, "sentinel: %s: %s\n", path.c_str(), error.c_str());
@@ -559,19 +535,11 @@ int cmd_soak(int argc, char** argv) {
     return usage();
   }
 
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "sentinel: cannot open %s\n", path.c_str());
+  std::string text, error;
+  if (!read_file(path, &text, &error)) {
+    std::fprintf(stderr, "sentinel: %s\n", error.c_str());
     return 1;
   }
-  std::string text;
-  char buffer[4096];
-  std::size_t got;
-  while ((got = std::fread(buffer, 1, sizeof(buffer), f)) > 0)
-    text.append(buffer, got);
-  std::fclose(f);
-
-  std::string error;
   std::optional<obs::JsonValue> doc = obs::parse_json(text, &error);
   if (!doc.has_value()) {
     std::fprintf(stderr, "sentinel: %s: %s\n", path.c_str(), error.c_str());
