@@ -63,6 +63,23 @@ void BM_SensorExposure(benchmark::State& state) {
   }
 }
 
+// The per-shot half of the sensor alone (shot noise, read noise, black
+// level and the ADC) over a signal map computed once: what a soak shot
+// pays in sensor.expose.
+void BM_SampleSensor(benchmark::State& state) {
+  int size = static_cast<int>(state.range(0));
+  Image scene(size, size, 3, 0.4f);
+  SensorConfig cfg;
+  cfg.width = size;
+  cfg.height = size;
+  const Image signal = sensor_signal(scene, cfg);
+  Pcg32 rng(17);
+  for (auto _ : state) {
+    RawImage raw = sample_sensor(signal, cfg, rng);
+    benchmark::DoNotOptimize(raw);
+  }
+}
+
 // The capture front end: a 96x96 stimulus shown on the 2x screen, then
 // framed by a phone mount and sampled down to the 64x64 sensor.
 Image bench_stimulus() {
@@ -154,6 +171,7 @@ BENCHMARK_CAPTURE(BM_Demosaic, malvar, DemosaicKind::kMalvar)
 BENCHMARK_CAPTURE(BM_FullIsp, neutral, false)->Arg(64)->Arg(128);
 BENCHMARK_CAPTURE(BM_FullIsp, opinionated, true)->Arg(64)->Arg(128);
 BENCHMARK(BM_SensorExposure)->Arg(64)->Arg(128);
+BENCHMARK(BM_SampleSensor)->Arg(64);
 BENCHMARK(BM_DisplayOnScreen);
 BENCHMARK(BM_PhoneSignal);
 BENCHMARK(BM_ToU8)->Arg(64);

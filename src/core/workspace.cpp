@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "isp/noise.h"
 #include "obs/obs.h"
 #include "util/hashing.h"
 #include "util/timer.h"
@@ -36,7 +37,10 @@ Workspace::Workspace(WorkspaceConfig config) : config_(std::move(config)) {
 
 std::uint64_t Workspace::fingerprint() const {
   Fingerprint fp;
-  fp.add("edgestab-workspace-v2");
+  fp.add("edgestab-workspace-v3");
+  // Pretraining photographs part of its data through the sensor, so the
+  // noise generator is part of what the cached model was trained on.
+  fp.add(noise::kGenerator);
   fp.add(config_.model.input_size)
       .add(config_.model.num_classes)
       .add(static_cast<double>(config_.model.width))

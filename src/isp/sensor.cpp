@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "image/resize.h"
+#include "isp/noise.h"
 #include "obs/obs.h"
 #include "util/hashing.h"
 
@@ -67,10 +68,12 @@ Image sensor_signal(const Image& scene_linear, const SensorConfig& config) {
   if (config.chroma_aberration > 0.0f)
     scene = apply_chromatic_aberration(scene, config.chroma_aberration);
 
+  // Fixed-pattern PRNU for this sensor unit: one counter-based normal per
+  // photosite, keyed by the unit seed. The map holds them until the loop
+  // below overwrites each with its signal.
   Image signal_map(config.width, config.height, 1);
-
-  // Fixed-pattern PRNU for this sensor unit.
-  Pcg32 unit_rng(config.unit_seed, 11);
+  noise::prnu_normals(config.unit_seed, signal_map.data().data(),
+                      signal_map.data().size());
 
   const float cx = static_cast<float>(config.width) / 2.0f;
   const float cy = static_cast<float>(config.height) / 2.0f;
@@ -89,11 +92,9 @@ Image sensor_signal(const Image& scene_linear, const SensorConfig& config) {
       float falloff = 1.0f - config.vignetting * (dx * dx + dy * dy) / max_r2;
       signal *= falloff;
 
-      // PRNU (fixed per unit — consumed in raster order, deterministic).
-      float prnu = 1.0f + static_cast<float>(
-                              unit_rng.normal(0.0, config.prnu_sigma));
-      signal *= prnu;
-      signal_map.at(x, y, 0) = std::max(signal, 0.0f);
+      float& site = signal_map.at(x, y, 0);
+      signal *= 1.0f + config.prnu_sigma * site;
+      site = std::max(signal, 0.0f);
     }
   }
   return signal_map;
@@ -107,33 +108,14 @@ RawImage sample_sensor(const Image& signal_map, const SensorConfig& config,
            signal_map.height() == config.height);
   RawImage raw(config.width, config.height, config.pattern,
                config.black_level, config.bit_depth);
-
-  const float max_code = static_cast<float>((1 << config.bit_depth) - 1);
-  const float usable = 1.0f - config.black_level;
-
-  for (int y = 0; y < config.height; ++y) {
-    for (int x = 0; x < config.width; ++x) {
-      // Shot noise: Poisson in electron counts.
-      float electrons = signal_map.at(x, y, 0) * config.full_well;
-      float noisy_electrons;
-      if (electrons < 1e-3f) {
-        noisy_electrons = 0.0f;
-      } else {
-        noisy_electrons =
-            static_cast<float>(rng.poisson(static_cast<double>(electrons)));
-      }
-      // Read noise in electrons.
-      noisy_electrons +=
-          static_cast<float>(rng.normal(0.0, config.read_noise));
-
-      float value = config.black_level +
-                    usable * (noisy_electrons / config.full_well);
-      // ADC quantization + clipping.
-      value = std::clamp(value, 0.0f, 1.0f);
-      value = std::round(value * max_code) / max_code;
-      raw.at(x, y) = value;
-    }
-  }
+  noise::ShotParams params;
+  params.key = rng.next_u64();
+  params.full_well = config.full_well;
+  params.read_noise = config.read_noise;
+  params.black_level = config.black_level;
+  params.max_code = static_cast<float>((1 << config.bit_depth) - 1);
+  noise::sample_shot(signal_map.data().data(), raw.data().data(),
+                     raw.data().size(), params);
   return raw;
 }
 

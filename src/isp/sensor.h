@@ -41,15 +41,17 @@ struct SensorConfig {
 
 /// The noise-free half of an exposure: resample the scene onto the
 /// sensor grid, apply the optics, the CFA channel response, exposure,
-/// vignetting and the unit's PRNU pattern. Returns the 1-channel
+/// vignetting and the unit's PRNU pattern (counter-based normals keyed by
+/// `config.unit_seed`, isp/noise.h). Returns the 1-channel
 /// photosite signal (config.width x config.height, clipped at 0). It
 /// depends only on the scene and the configuration, so a caller that
 /// photographs one scene many times computes it once.
 Image sensor_signal(const Image& scene_linear, const SensorConfig& config);
 
 /// The per-shot half of an exposure: shot noise, read noise, black level
-/// and ADC quantization of a sensor_signal map. `rng` drives the
-/// temporal noise.
+/// and ADC quantization of a sensor_signal map. The temporal noise is
+/// keyed by one `rng.next_u64()` draw and is counter-based from there
+/// (isp/noise.h): the same bits in every kernel tier, with no libm call.
 RawImage sample_sensor(const Image& signal_map, const SensorConfig& config,
                        Pcg32& rng);
 

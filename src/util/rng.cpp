@@ -20,25 +20,6 @@ double Pcg32::normal() {
   return r * std::cos(two_pi * u2);
 }
 
-int Pcg32::poisson(double lambda) {
-  ES_DCHECK(lambda >= 0.0);
-  if (lambda <= 0.0) return 0;
-  if (lambda < 30.0) {
-    // Knuth: multiply uniforms until below e^-lambda.
-    double l = std::exp(-lambda);
-    int k = 0;
-    double p = 1.0;
-    do {
-      ++k;
-      p *= uniform();
-    } while (p > l);
-    return k - 1;
-  }
-  // Normal approximation with continuity correction.
-  double v = normal(lambda, std::sqrt(lambda));
-  return v < 0.0 ? 0 : static_cast<int>(v + 0.5);
-}
-
 Pcg32 Pcg32::fork(std::uint64_t stream_tag) {
   SplitMix64 mix(next_u64() ^ (stream_tag * 0x9e3779b97f4a7c15ULL));
   std::uint64_t seed = mix.next();

@@ -88,10 +88,6 @@ class Pcg32 {
   /// Bernoulli draw with probability p of true.
   bool bernoulli(double p) { return uniform() < p; }
 
-  /// Poisson draw; uses Knuth's method for small lambda and a normal
-  /// approximation for large lambda (sensor shot noise spans both).
-  int poisson(double lambda);
-
   /// Fisher-Yates shuffle.
   template <typename T>
   void shuffle(std::vector<T>& v) {

@@ -10,7 +10,10 @@
 # same holds for the develop glue's raw-pointer loops (test_develop_glue:
 # the plane-major u8/float conversions, the one-pass model input, the
 # plane-major saturation and the per-lane tone-curve cache), whose
-# bit-for-bit reference tests run here too.
+# bit-for-bit reference tests run here too. So does the counter-based
+# sensor noise (test_sensor_noise): its scalar and AVX2 loops index raw
+# buffers with a scalar tail, and its scalar twin converts between
+# floats and integers, where an out-of-range value is undefined.
 # -fno-sanitize-recover=all makes the first finding abort the binary, so
 # any report fails the test.
 #
@@ -42,7 +45,7 @@ endif()
 execute_process(
   COMMAND ${CMAKE_COMMAND} --build "${build_dir}"
     --target test_codec_fuzz test_state_fuzz test_nn test_develop_glue
-      --parallel ${ncpu}
+      test_sensor_noise --parallel ${ncpu}
   RESULT_VARIABLE rc
   OUTPUT_QUIET)
 if(NOT rc EQUAL 0)
@@ -53,7 +56,9 @@ set(filter_test_codec_fuzz "*")
 set(filter_test_state_fuzz "*")
 set(filter_test_nn "EvalArena.*")
 set(filter_test_develop_glue "*")
-foreach(harness test_codec_fuzz test_state_fuzz test_nn test_develop_glue)
+set(filter_test_sensor_noise "*")
+foreach(harness test_codec_fuzz test_state_fuzz test_nn test_develop_glue
+        test_sensor_noise)
   message(STATUS "==== asan_smoke: run ${harness} under ASan/UBSan ====")
   execute_process(
     COMMAND ${CMAKE_COMMAND} -E env
@@ -67,4 +72,4 @@ foreach(harness test_codec_fuzz test_state_fuzz test_nn test_develop_glue)
   endif()
 endforeach()
 
-message(STATUS "asan_smoke OK — fuzz harnesses, arena and develop-glue tests clean under ASan/UBSan")
+message(STATUS "asan_smoke OK — fuzz harnesses, arena, develop-glue and sensor-noise tests clean under ASan/UBSan")

@@ -72,20 +72,6 @@ TEST(Pcg32, NormalMomentsApproximate) {
   EXPECT_NEAR(s.stdev(), 1.0, 0.03);
 }
 
-TEST(Pcg32, PoissonMeanMatchesLambda) {
-  Pcg32 rng(17);
-  for (double lambda : {0.5, 4.0, 50.0}) {
-    RunningStats s;
-    for (int i = 0; i < 5000; ++i) s.add(rng.poisson(lambda));
-    EXPECT_NEAR(s.mean(), lambda, lambda * 0.1 + 0.1) << "lambda=" << lambda;
-  }
-}
-
-TEST(Pcg32, PoissonZeroLambda) {
-  Pcg32 rng(1);
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(rng.poisson(0.0), 0);
-}
-
 TEST(Pcg32, ShuffleIsPermutation) {
   Pcg32 rng(3);
   std::vector<int> v{1, 2, 3, 4, 5, 6, 7};
